@@ -47,7 +47,8 @@ class Petrels:
         self.forgetting = float(forgetting)
 
     def ingest(self, sample: ObservedSample) -> None:
-        self.r *= self.forgetting
+        if self.forgetting != 1.0:
+            self.r *= self.forgetting
         omega = sample.omega
         if omega.size == 0:
             return

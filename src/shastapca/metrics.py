@@ -16,25 +16,32 @@ import numpy as np
 from .model import dataset_log_likelihood
 
 
-def _check_orthonormal(u: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def _basis_gram(u: np.ndarray, tol: float = 1e-8):
+    """The basis as float64 and its Gram u'u, after checking orthonormality."""
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2:
         raise ValueError("basis must be a d x k matrix")
     gram = u.T @ u
     if np.linalg.norm(gram - np.eye(u.shape[1])) > tol:
         raise ValueError("basis columns are not orthonormal to 1e-8")
-    return u
+    return u, gram
 
 
 def subspace_error(u_hat: np.ndarray, u: np.ndarray) -> float:
-    """(1/k) ||U_hat U_hat' - U U'||_F^2 = 2 (k - ||U_hat' U||_F^2) / k."""
-    u_hat = _check_orthonormal(u_hat)
-    u = _check_orthonormal(u)
+    """(1/k) ||U_hat U_hat' - U U'||_F^2, which is 2 (k - ||U_hat' U||_F^2) / k.
+
+    Expanded as (||U_hat' U_hat||^2 + ||U' U||^2 - 2 ||U_hat' U||^2) / k, so a
+    basis compared with itself gives exactly 0; the result is clamped to
+    [0, 2] to absorb rounding.
+    """
+    u_hat, gram_hat = _basis_gram(u_hat)
+    u, gram = _basis_gram(u)
     if u_hat.shape != u.shape:
         raise ValueError("bases must have matching shapes")
-    k = u.shape[1]
     cross = u_hat.T @ u
-    return float(2.0 * (k - np.sum(cross * cross)) / k)
+    error = (np.sum(gram_hat * gram_hat) + np.sum(gram * gram)
+             - 2.0 * np.sum(cross * cross)) / u.shape[1]
+    return min(max(float(error), 0.0), 2.0)
 
 
 def loglik_gap(f, v, samples, f_star, v_star) -> float:

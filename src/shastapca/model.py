@@ -97,23 +97,23 @@ def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                                check_finite=False)
 
 
-def _spd_inverse(a: np.ndarray) -> np.ndarray:
-    inv = _spd_solve(a, np.eye(a.shape[0]))
-    return 0.5 * (inv + inv.T)
-
-
 def posterior_stats(f: np.ndarray, v: np.ndarray, sample: ObservedSample) -> PosteriorStats:
     """E-step statistics for one sample at the parameters (f, v).
 
     Returns m = (F_o' F_o + v_g I)^{-1} and zbar = m F_o' y_o, where F_o and
-    y_o restrict to the sample's observed coordinates.
+    y_o restrict to the sample's observed coordinates.  Only the observed
+    rows of f are read, so the cost is O(|omega| k^2 + k^3) whatever d is:
+    they must be finite, and the other rows are never inspected.
     """
-    f = check_factors(f)
-    k = f.shape[1]
-    vg = float(floor_variances(v)[sample.group])
+    f = np.asarray(f, dtype=np.float64)
+    if f.ndim != 2 or f.shape[1] < 1:
+        raise ValueError("factor matrix must be d x k with k >= 1")
     fo = f[sample.omega]
-    a = fo.T @ fo + vg * np.eye(k)
-    m = _spd_inverse(a)
+    if not np.isfinite(fo).all():
+        raise ValueError("observed factor rows must be finite")
+    vg = max(float(v[sample.group]), VARIANCE_FLOOR)
+    m = np.linalg.inv(fo.T @ fo + vg * np.eye(f.shape[1]))
+    m = 0.5 * (m + m.T)
     zbar = m @ (fo.T @ sample.values)
     return PosteriorStats(m=m, zbar=zbar)
 

@@ -11,10 +11,25 @@ Row j's surrogate maximizer solves rbar_j fhat_j = sbar_j.  Because both
 sides of each unobserved row's system decay by the same factor, their
 solutions are unchanged; only rows observed by the current sample are
 re-solved, and the last solution per row is cached in the state.
+
+Cost of one tick: O(|omega| k^2 + k^3) for the posterior statistics and the
+observed rows' solves, which read only the observed rows of F, plus an eager
+O(d k^2) pass that decays every row system and relaxes F toward the cached
+maximizers.  The decay stays eager so that the fixed-size checkpoint holds
+the state exactly and a resumed stream matches an uninterrupted one bit for
+bit.
+
+Ticks are all or nothing: each step computes into locals, checks that the
+new variances and the new observed rows are finite, and only then writes the
+state; `ingest` advances t only after both steps succeed and undoes the
+variance step if the factor step fails.  A sample that would make the state
+non-finite raises ValueError and leaves the state, t included, unchanged, so
+F stays finite by construction.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -22,6 +37,7 @@ import numpy as np
 from scipy import linalg
 
 from .model import (
+    VARIANCE_FLOOR,
     ObservedSample,
     check_factors,
     floor_variances,
@@ -156,6 +172,10 @@ def v_step(state: ShastaState, sample: ObservedSample, w: float,
     the group accumulators (other groups decay by 1 - w, which leaves their
     ratios invariant), then averages each seen group's variance toward its
     accumulator ratio.  Never-seen groups keep their initial value.
+
+    The new v, theta_bar and rho_bar are computed into fresh arrays and bound
+    to the state only once v is known to be finite; a failing call leaves
+    the state untouched and the previous arrays unmodified.
     """
     if not 0.0 < w <= 1.0:
         raise ValueError("weight must lie in (0, 1]")
@@ -166,14 +186,18 @@ def v_step(state: ShastaState, sample: ObservedSample, w: float,
     vg = float(state.v[g])
     rho_t = float(resid @ resid) + vg * float(np.sum((fo @ stats.m) * fo))
 
-    state.theta_bar *= 1.0 - w
-    state.rho_bar *= 1.0 - w
-    state.theta_bar[g] += w * sample.nobs
-    state.rho_bar[g] += w * rho_t
+    theta_bar = (1.0 - w) * state.theta_bar
+    rho_bar = (1.0 - w) * state.rho_bar
+    theta_bar[g] += w * sample.nobs
+    rho_bar[g] += w * rho_t
 
-    seen = state.theta_bar > 0
-    ratio = np.where(seen, state.rho_bar, 0.0) / np.where(seen, state.theta_bar, 1.0)
-    state.v[seen] = floor_variances((1.0 - c_v) * state.v[seen] + c_v * ratio[seen])
+    seen = theta_bar > 0
+    v = state.v.copy()
+    v[seen] = floor_variances((1.0 - c_v) * v[seen]
+                              + c_v * (rho_bar[seen] / theta_bar[seen]))
+    if not np.isfinite(v).all():
+        raise ValueError("variance update is not finite; sample rejected")
+    state.v, state.theta_bar, state.rho_bar = v, theta_bar, rho_bar
     return state
 
 
@@ -183,23 +207,38 @@ def f_step(state: ShastaState, sample: ObservedSample, w: float,
 
     Observed rows fold in the sample's posterior moments and are re-solved;
     unobserved rows decay (solution unchanged, cached value reused).  The new
-    factors average the previous ones toward the surrogate maximizer.
+    factors average the previous ones toward the surrogate maximizer, in
+    place.
+
+    The observed rows' new systems and solutions are computed first and
+    checked finite; only then is the state written, so a failing call
+    changes nothing.  Each call costs O(|omega| k^2 + k^3) plus the eager
+    O(d k^2) decay of every row system.
     """
     if not 0.0 < w <= 1.0:
         raise ValueError("weight must lie in (0, 1]")
     omega = sample.omega
     stats = posterior_stats(state.f, state.v, sample)
-    vg = float(floor_variances(state.v)[sample.group])
-
-    state.r_bar *= 1.0 - w
-    state.s_bar *= 1.0 - w
+    vg = max(float(state.v[sample.group]), VARIANCE_FLOOR)
+    decay = 1.0 - w
     if omega.size:
         contrib = np.outer(stats.zbar, stats.zbar) / vg + stats.m
-        state.r_bar[omega] += w * contrib
-        state.s_bar[omega] += (w / vg) * np.outer(sample.values, stats.zbar)
-        state.fhat[omega] = _solve_observed_rows(state.r_bar[omega],
-                                                 state.s_bar[omega])
-    state.f = (1.0 - c_f) * state.f + c_f * state.fhat
+        r_o = decay * state.r_bar[omega] + w * contrib
+        s_o = decay * state.s_bar[omega] + (w / vg) * np.outer(sample.values,
+                                                              stats.zbar)
+        fhat_o = _solve_observed_rows(r_o, s_o)
+        if not (np.isfinite(r_o).all() and np.isfinite(s_o).all()
+                and np.isfinite(fhat_o).all()):
+            raise ValueError("factor update is not finite; sample rejected")
+
+    state.r_bar *= decay
+    state.s_bar *= decay
+    if omega.size:
+        state.r_bar[omega] = r_o
+        state.s_bar[omega] = s_o
+        state.fhat[omega] = fhat_o
+    state.f *= 1.0 - c_f
+    state.f += c_f * state.fhat
     return state
 
 
@@ -216,19 +255,30 @@ def _solve_observed_rows(r: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def ingest(state: ShastaState, sample: ObservedSample,
            cfg: ShastaConfig) -> ShastaState:
-    """Advance one tick: variance update first, then the factor update."""
+    """Advance one tick: variance update first, then the factor update.
+
+    All or nothing: if either step raises, the state (t included) is left
+    exactly as it was before the call.
+    """
     if not 0 <= sample.group < cfg.num_groups:
         raise ValueError(f"sample group {sample.group} outside "
                          f"[0, {cfg.num_groups})")
     if sample.omega.size and sample.omega[-1] >= state.d:
         raise ValueError("sample observes a coordinate beyond the state's d")
-    state.t += 1
-    w = cfg.weights(state.t)
+    t = state.t + 1
+    w = cfg.weights(t)
+    before = (state.v, state.theta_bar, state.rho_bar)
     if cfg.variance_mode == MEMORYLESS_SINGLE:
         v_step(state, sample, w=1.0, c_v=1.0)
     else:
         v_step(state, sample, w, cfg.c_v)
-    f_step(state, sample, w, cfg.c_f)
+    try:
+        f_step(state, sample, w, cfg.c_f)
+    except BaseException:
+        # v_step rebinds rather than mutates these, so this is a full undo.
+        state.v, state.theta_bar, state.rho_bar = before
+        raise
+    state.t = t
     return state
 
 
@@ -248,20 +298,33 @@ def save_state(state: ShastaState, path) -> None:
 
 
 def load_state(path) -> ShastaState:
+    """Read a `save_state` checkpoint.
+
+    The header's (d, k, L) are checked against the file's size before any
+    array is allocated; a file that does not match raises ValueError.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"not a state checkpoint: bad magic {magic!r}")
-        d, k, num_groups, t = struct.unpack("<QQQQ", fh.read(32))
+        header = fh.read(32)
+        if len(header) != 32:
+            raise ValueError("truncated state checkpoint header")
+        d, k, num_groups, t = struct.unpack("<QQQQ", header)
+        if min(d, k, num_groups) < 1:
+            raise ValueError(f"state checkpoint header has d={d}, k={k}, "
+                             f"L={num_groups}; each must be >= 1")
+        size = os.fstat(fh.fileno()).st_size
+        expected = 48 + 8 * (3 * d * k + d * k * k + 3 * num_groups)
+        if size != expected:
+            raise ValueError(f"state checkpoint is {size} bytes, but its header "
+                             f"(d={d}, k={k}, L={num_groups}) needs {expected}")
 
         def read(shape):
-            count = int(np.prod(shape))
-            buf = fh.read(8 * count)
-            if len(buf) != 8 * count:
-                raise ValueError("truncated state checkpoint")
+            buf = fh.read(8 * int(np.prod(shape)))
             return np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
 
-        state = ShastaState(
+        return ShastaState(
             f=read((d, k)),
             v=read((num_groups,)),
             fhat=read((d, k)),
@@ -271,9 +334,6 @@ def load_state(path) -> ShastaState:
             rho_bar=read((num_groups,)),
             t=int(t),
         )
-        if fh.read(1):
-            raise ValueError("trailing bytes in state checkpoint")
-        return state
 
 
 class ShastaPCA:

@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 import tracemalloc
 
 import numpy as np
@@ -295,6 +296,24 @@ class TestCsvIngestion:
         # The final record measures distance to itself.
         assert summary["seeds"]["0"]["final_subspace_error"] == 0.0
 
+    def test_csv_run_succeeds_on_many_seeds(self, tmp_path):
+        # Each run ends with the final basis measured against itself.
+        script = ScenarioScript(
+            d=8, k=2, spectrum=(2.0, 1.0), v_star=(0.05,), group_probs=(1.0,),
+            observe_prob=0.7, epochs=(Epoch(samples=200),))
+        data = tmp_path / "stream.csv"
+        write_csv_stream([s for s, _ in run_script(script, seed=8)], 8, data)
+        raw = {
+            "scenario": {"kind": "csv", "path": str(data), "num_groups": 1},
+            "estimator": {"kind": "shasta", "rank": 2, "weights": "1/t",
+                          "c_f": 0.1, "c_v": 0.1, "delta": 0.1},
+            "run": {"seeds": list(range(20)), "checkpoint_every": 100,
+                    "output_dir": str(tmp_path / "csvrun")},
+        }
+        summary = run_experiment(parse_config(raw))
+        assert all(summary["seeds"][str(seed)]["final_subspace_error"] == 0.0
+                   for seed in range(20))
+
 
 class TestTimingRun:
     def test_small_comparison_table(self, tmp_path):
@@ -410,3 +429,12 @@ class TestCli:
         assert cli_main(["state-dump", str(ckpt)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["d"] == 4 and report["samples_ingested"] == 0
+
+    def test_state_dump_bad_header_reports_json_error(self, tmp_path, capsys):
+        from shastapca.shasta import CHECKPOINT_MAGIC
+        ckpt = tmp_path / "huge.bin"
+        ckpt.write_bytes(CHECKPOINT_MAGIC
+                         + struct.pack("<QQQQ", 2**64 - 1, 3, 2, 0))
+        assert cli_main(["state-dump", str(ckpt)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "value" and "header" in err["message"]

@@ -18,6 +18,14 @@ class TestSubspaceError:
         u = orthonormal(np.random.default_rng(0), 10, 3)
         assert subspace_error(u, u) == pytest.approx(0.0, abs=1e-12)
 
+    def test_self_distance_is_exactly_zero(self):
+        # A self-distance rounded below 0 would make MetricTrace.append
+        # reject the last record of every CSV-scenario run.
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            u = orthonormal(rng, 200, 3)
+            assert subspace_error(u, u) == 0.0
+
     def test_orthogonal_lines(self):
         e1 = np.eye(2)[:, :1]
         e2 = np.eye(2)[:, 1:]

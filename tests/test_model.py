@@ -86,6 +86,34 @@ class TestPosteriorStats:
         np.testing.assert_allclose(stats.m, stats.m.T, atol=1e-12)
         assert np.all(np.linalg.eigvalsh(stats.m) > 0)
 
+    def test_reads_only_observed_rows(self):
+        rng = np.random.default_rng(3)
+        f = rng.standard_normal((6, 2))
+        v = np.array([0.4])
+        s = ObservedSample(np.array([1, 4]), rng.standard_normal(2), 0)
+        clean = posterior_stats(f, v, s)
+        f[0, 1] = np.nan
+        f[5, 0] = np.inf
+        stats = posterior_stats(f, v, s)
+        np.testing.assert_array_equal(stats.m, clean.m)
+        np.testing.assert_array_equal(stats.zbar, clean.zbar)
+        f[4, 0] = np.inf
+        with pytest.raises(ValueError):
+            posterior_stats(f, v, s)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("observe_prob", [0.0, 0.6])
+    def test_matches_dense_covariance_oracle(self, k, observe_prob):
+        # observe_prob = 0 gives an empty omega: m = I / v_g, zbar = 0.
+        rng = np.random.default_rng(k)
+        f = rng.standard_normal((9, k))
+        v = np.array([0.3, 1.2])
+        s = random_sample(rng, 9, 2, observe_prob)
+        stats = posterior_stats(f, v, s)
+        mean, cov = conditioned_posterior(f, v, s)
+        np.testing.assert_allclose(stats.zbar, mean, atol=1e-10)
+        np.testing.assert_allclose(v[s.group] * stats.m, cov, atol=1e-10)
+
 
 class TestSampleLogLikelihood:
     def test_zero_factors_zero_data(self):

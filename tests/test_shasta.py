@@ -1,11 +1,14 @@
 import copy
+import struct
 
 import numpy as np
 import pytest
 
+from shastapca import shasta
 from shastapca.batch import BatchProblem, batch_f_step
 from shastapca.model import ObservedSample, VARIANCE_FLOOR
 from shastapca.shasta import (
+    CHECKPOINT_MAGIC,
     ShastaConfig,
     ShastaPCA,
     WeightSchedule,
@@ -301,6 +304,50 @@ class TestIngest:
         assert drifts[1e-2] < 1e-3  # consistent state: maximizer sits nearby
 
 
+class TestAtomicTick:
+    def stream(self, n=50):
+        cfg = ShastaConfig(rank=2, num_groups=1, weights="1/t", c_f=0.1,
+                           c_v=0.1)
+        state = fresh_state(cfg, d=20, seed=30)
+        rng = np.random.default_rng(31)
+        for _ in range(n):
+            ingest(state, ObservedSample.full(rng.standard_normal(20), 0), cfg)
+        return cfg, state, rng
+
+    def test_extreme_sample_leaves_state_unchanged(self, tmp_path):
+        cfg, state, rng = self.stream()
+        save_state(state, tmp_path / "before.bin")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError):
+                ingest(state, ObservedSample.full(np.full(20, 1e200), 0), cfg)
+        assert state.t == 50
+        save_state(state, tmp_path / "after.bin")
+        assert ((tmp_path / "before.bin").read_bytes()
+                == (tmp_path / "after.bin").read_bytes())
+
+        ingest(state, ObservedSample.full(rng.standard_normal(20), 0), cfg)
+        assert state.t == 51
+        for arr in (state.f, state.v, state.r_bar, state.s_bar, state.fhat,
+                    state.theta_bar, state.rho_bar):
+            assert np.isfinite(arr).all()
+
+    def test_failed_factor_step_undoes_variance_step(self, tmp_path,
+                                                     monkeypatch):
+        cfg, state, rng = self.stream()
+        save_state(state, tmp_path / "before.bin")
+
+        def failing_f_step(*args, **kwargs):
+            raise ValueError("factor step failed")
+
+        monkeypatch.setattr(shasta, "f_step", failing_f_step)
+        with pytest.raises(ValueError, match="factor step failed"):
+            ingest(state, ObservedSample.full(rng.standard_normal(20), 0), cfg)
+        assert state.t == 50
+        save_state(state, tmp_path / "after.bin")
+        assert ((tmp_path / "before.bin").read_bytes()
+                == (tmp_path / "after.bin").read_bytes())
+
+
 class TestStationarityRegression:
     def test_full_data_gradient_norm_shrinks_over_pass(self):
         # Static instance, one streaming pass: the finite-difference gradient
@@ -402,6 +449,25 @@ class TestBoundedState:
                 load_state(path)
         finally:
             os.unlink(path)
+
+    @pytest.mark.parametrize("edit", ["huge_d", "zero_k", "short_header",
+                                      "truncated", "trailing"])
+    def test_load_rejects_header_that_does_not_fit_file(self, tmp_path, edit):
+        state = fresh_state(make_config(), d=4)
+        path = tmp_path / "state.bin"
+        save_state(state, path)
+        data = path.read_bytes()
+        data = {
+            "huge_d": CHECKPOINT_MAGIC + struct.pack("<QQQQ", 2**64 - 1, 3, 2, 0),
+            "zero_k": CHECKPOINT_MAGIC + struct.pack("<QQQQ", 4, 0, 2, 0)
+                      + data[48:],
+            "short_header": data[:40],
+            "truncated": data[:-1],
+            "trailing": data + b"\0",
+        }[edit]
+        path.write_bytes(data)
+        with pytest.raises(ValueError):
+            load_state(path)
 
 
 class TestDeterministicReplay:

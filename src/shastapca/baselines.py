@@ -7,6 +7,7 @@ the experiment harness: `ingest(sample)` and `current_subspace()`.
 
 from __future__ import annotations
 
+import math
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -75,20 +76,33 @@ class Grouse:
     Projects the observed entries onto the current basis, then rotates the
     basis along the geodesic mixing the (normalized) projection direction
     with the residual direction, by an angle step * ||residual|| ||projection||.
+
+    In exact arithmetic each update keeps the basis orthonormal; rounding
+    makes u'u - I drift.  An update u += a b' (||b|| = 1) changes u'u - I by
+    h b' + b h' with h = u'a + (a'a / 2) b, whose Frobenius norm is at most
+    2 ||h||, an O(d k) product.  Summing that bound tells when the drift
+    might exceed REORTH_DRIFT; only then, and every RESYNC_EVERY updates to
+    bound the rounding of the updates themselves, is the O(d k^2) Gram
+    formed and the basis re-orthonormalized if it is past the threshold.
     """
 
     # Re-orthonormalize once accumulated rounding exceeds this Frobenius drift.
     REORTH_DRIFT = 1e-8
+    # Updates between exact measurements of the drift.
+    RESYNC_EVERY = 1000
 
     def __init__(self, u0: np.ndarray, step: float):
         if step < 0.0:
             raise ValueError("step size must be nonnegative")
-        u0 = np.asarray(u0, dtype=np.float64)
-        k = u0.shape[1]
-        if np.linalg.norm(u0.T @ u0 - np.eye(k)) > 1e-8:
+        self.u = np.asarray(u0, dtype=np.float64).copy()
+        self._drift = self._measured_drift()  # upper bound on ||u'u - I||
+        if self._drift > 1e-8:
             raise ValueError("initial basis must have orthonormal columns")
-        self.u = u0.copy()
+        self._updates = 0
         self.step = float(step)
+
+    def _measured_drift(self) -> float:
+        return float(np.linalg.norm(self.u.T @ self.u - np.eye(self.u.shape[1])))
 
     def ingest(self, sample: ObservedSample) -> None:
         omega = sample.omega
@@ -107,11 +121,20 @@ class Grouse:
         r_full = np.zeros(self.u.shape[0])
         r_full[omega] = resid
         direction = (np.cos(angle) - 1.0) * p / pnorm + np.sin(angle) * r_full / rnorm
-        self.u += np.outer(direction, w / wnorm)
-        k = self.u.shape[1]
-        if np.linalg.norm(self.u.T @ self.u - np.eye(k)) > self.REORTH_DRIFT:
-            q, rr = np.linalg.qr(self.u)
-            self.u = q * np.sign(np.diag(rr))
+        b = w / wnorm
+        h = self.u.T @ direction + (0.5 * (direction @ direction)) * b
+        # u += outer(direction, b) column by column: the same products and
+        # sums, without a d x k temporary swept k entries at a time.
+        for j, bj in enumerate(b):
+            self.u[:, j] += direction * bj
+        self._drift += 2.0 * math.sqrt(h @ h)
+        self._updates += 1
+        if self._drift > self.REORTH_DRIFT or self._updates % self.RESYNC_EVERY == 0:
+            self._drift = self._measured_drift()
+            if self._drift > self.REORTH_DRIFT:
+                q, rr = np.linalg.qr(self.u)
+                self.u = q * np.sign(np.diag(rr))
+                self._drift = self._measured_drift()
 
     def current_subspace(self) -> np.ndarray:
         return self.u

@@ -8,11 +8,18 @@ sample together with the ground truth active at that instant.
 
 All randomness flows from one integer seed through a splittable counter-based
 generator (Philox), so identical seeds give identical streams.
+
+A planted model caches its factors and the cumulative distribution of its
+group law, so a draw does no per-sample set-up: `draw_group` inverts that
+distribution with one uniform draw, which is how `Generator.choice` draws
+with given probabilities, and so consumes the random stream exactly as it
+would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -73,9 +80,23 @@ class PlantedModel:
     def num_groups(self) -> int:
         return self.v_star.size
 
-    @property
+    @cached_property
     def factors(self) -> np.ndarray:
-        return self.u * np.sqrt(self.spectrum)
+        """U sqrt(lam), computed once; read-only, since every caller shares it."""
+        return _read_only(self.u * np.sqrt(self.spectrum))
+
+    @cached_property
+    def group_cdf(self) -> np.ndarray:
+        """Cumulative group_probs, normalized to end at 1 as
+        `Generator.choice` normalizes them; read-only."""
+        cdf = self.group_probs.cumsum()
+        cdf /= cdf[-1]
+        return _read_only(cdf)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def draw_orthonormal(rng, d: int, k: int) -> np.ndarray:
@@ -95,9 +116,11 @@ def draw_model(seed, d: int, k: int, spectrum, v_star,
 
 
 def draw_group(model: PlantedModel, rng) -> int:
+    """One label from the model's group law.  Draws exactly as
+    `rng.choice(num_groups, p=group_probs)` does, without its checks."""
     if model.group_probs is None:
         raise ValueError("model has fixed counts; use a scripted label order")
-    return int(rng.choice(model.num_groups, p=model.group_probs))
+    return int(model.group_cdf.searchsorted(rng.random(), side="right"))
 
 
 def draw_sample(model: PlantedModel, rng, group: int | None = None) -> ObservedSample:

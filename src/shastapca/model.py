@@ -41,9 +41,9 @@ class ObservedSample:
         values = np.asarray(self.values, dtype=np.float64)
         if omega.ndim != 1 or values.ndim != 1 or omega.shape != values.shape:
             raise ValueError("omega and values must be 1-d arrays of equal length")
-        if omega.size and (np.any(np.diff(omega) <= 0) or omega[0] < 0):
+        if omega.size and ((omega[1:] <= omega[:-1]).any() or omega[0] < 0):
             raise ValueError("omega must be strictly increasing and nonnegative")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("observed values must be finite")
         if self.group < 0:
             raise ValueError("group label must be nonnegative")
@@ -108,14 +108,27 @@ def posterior_stats(f: np.ndarray, v: np.ndarray, sample: ObservedSample) -> Pos
     f = np.asarray(f, dtype=np.float64)
     if f.ndim != 2 or f.shape[1] < 1:
         raise ValueError("factor matrix must be d x k with k >= 1")
+    _, gram, b = observed_parts(f, sample)
+    return _posterior(gram, b, max(float(v[sample.group]), VARIANCE_FLOOR))
+
+
+def observed_parts(f: np.ndarray, sample: ObservedSample):
+    """(F_o, F_o' F_o, F_o' y_o): the parts of the sample's E-step that do
+    not depend on v_g.  Only the observed rows F_o of f are read; they must
+    be finite."""
     fo = f[sample.omega]
     if not np.isfinite(fo).all():
         raise ValueError("observed factor rows must be finite")
-    vg = max(float(v[sample.group]), VARIANCE_FLOOR)
-    m = np.linalg.inv(fo.T @ fo + vg * np.eye(f.shape[1]))
+    return fo, fo.T @ fo, fo.T @ sample.values
+
+
+def _posterior(gram: np.ndarray, b: np.ndarray, vg: float) -> PosteriorStats:
+    """The E-step from its pieces: gram = F_o' F_o, b = F_o' y_o and the
+    floored v_g.  A streaming tick evaluates it at two values of v_g with
+    the same gram and b."""
+    m = np.linalg.inv(gram + vg * np.eye(gram.shape[0]))
     m = 0.5 * (m + m.T)
-    zbar = m @ (fo.T @ sample.values)
-    return PosteriorStats(m=m, zbar=zbar)
+    return PosteriorStats(m=m, zbar=m @ b)
 
 
 def sample_log_likelihood(f: np.ndarray, v: np.ndarray, sample: ObservedSample) -> float:

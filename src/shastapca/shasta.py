@@ -19,6 +19,11 @@ maximizers.  The decay stays eager so that the fixed-size checkpoint holds
 the state exactly and a resumed stream matches an uninterrupted one bit for
 bit.
 
+The two steps need the E-step at the old and at the new v_g.  Only that
+scalar differs, so `ingest` gathers F_o and forms F_o' F_o and F_o' y_o once
+per tick (`observed_parts`) and hands them to both steps, each of which then
+does just its own k x k inverse.
+
 Ticks are all or nothing: each step computes into locals, checks that the
 new variances and the new observed rows are finite, and only then writes the
 state; `ingest` advances t only after both steps succeed and undoes the
@@ -29,6 +34,7 @@ F stays finite by construction.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 from dataclasses import dataclass, field
@@ -39,9 +45,10 @@ from scipy import linalg
 from .model import (
     VARIANCE_FLOOR,
     ObservedSample,
+    _posterior,
     check_factors,
     floor_variances,
-    posterior_stats,
+    observed_parts,
 )
 
 GROUPED = "grouped"
@@ -165,7 +172,7 @@ def init_state(cfg: ShastaConfig, f0: np.ndarray, v0: np.ndarray) -> ShastaState
 
 
 def v_step(state: ShastaState, sample: ObservedSample, w: float,
-           c_v: float) -> ShastaState:
+           c_v: float, *, parts=None) -> ShastaState:
     """Variance update at frozen factors.
 
     Folds the sample's observed-entry count and posterior residual power into
@@ -176,15 +183,18 @@ def v_step(state: ShastaState, sample: ObservedSample, w: float,
     The new v, theta_bar and rho_bar are computed into fresh arrays and bound
     to the state only once v is known to be finite; a failing call leaves
     the state untouched and the previous arrays unmodified.
+
+    parts, if given, is `observed_parts(state.f, sample)`; otherwise it is
+    formed here.
     """
     if not 0.0 < w <= 1.0:
         raise ValueError("weight must lie in (0, 1]")
     g = sample.group
-    stats = posterior_stats(state.f, state.v, sample)
-    fo = state.f[sample.omega]
+    fo, gram, b = observed_parts(state.f, sample) if parts is None else parts
+    stats = _posterior(gram, b, max(float(state.v[g]), VARIANCE_FLOOR))
     resid = sample.values - fo @ stats.zbar
     vg = float(state.v[g])
-    rho_t = float(resid @ resid) + vg * float(np.sum((fo @ stats.m) * fo))
+    rho_t = float(resid @ resid) + vg * float(((fo @ stats.m) * fo).sum())
 
     theta_bar = (1.0 - w) * state.theta_bar
     rho_bar = (1.0 - w) * state.rho_bar
@@ -202,7 +212,7 @@ def v_step(state: ShastaState, sample: ObservedSample, w: float,
 
 
 def f_step(state: ShastaState, sample: ObservedSample, w: float,
-           c_f: float) -> ShastaState:
+           c_f: float, *, parts=None) -> ShastaState:
     """Factor update at the variances already updated this tick.
 
     Observed rows fold in the sample's posterior moments and are re-solved;
@@ -214,12 +224,16 @@ def f_step(state: ShastaState, sample: ObservedSample, w: float,
     checked finite; only then is the state written, so a failing call
     changes nothing.  Each call costs O(|omega| k^2 + k^3) plus the eager
     O(d k^2) decay of every row system.
+
+    parts, if given, is `observed_parts(state.f, sample)`; otherwise it is
+    formed here.
     """
     if not 0.0 < w <= 1.0:
         raise ValueError("weight must lie in (0, 1]")
     omega = sample.omega
-    stats = posterior_stats(state.f, state.v, sample)
+    _, gram, b = observed_parts(state.f, sample) if parts is None else parts
     vg = max(float(state.v[sample.group]), VARIANCE_FLOOR)
+    stats = _posterior(gram, b, vg)
     decay = 1.0 - w
     if omega.size:
         contrib = np.outer(stats.zbar, stats.zbar) / vg + stats.m
@@ -257,8 +271,9 @@ def ingest(state: ShastaState, sample: ObservedSample,
            cfg: ShastaConfig) -> ShastaState:
     """Advance one tick: variance update first, then the factor update.
 
-    All or nothing: if either step raises, the state (t included) is left
-    exactly as it was before the call.
+    F_o, F_o' F_o and F_o' y_o are formed once and shared by both steps,
+    which differ only in v_g.  All or nothing: if either step raises, the
+    state (t included) is left exactly as it was before the call.
     """
     if not 0 <= sample.group < cfg.num_groups:
         raise ValueError(f"sample group {sample.group} outside "
@@ -267,13 +282,14 @@ def ingest(state: ShastaState, sample: ObservedSample,
         raise ValueError("sample observes a coordinate beyond the state's d")
     t = state.t + 1
     w = cfg.weights(t)
+    parts = observed_parts(state.f, sample)
     before = (state.v, state.theta_bar, state.rho_bar)
     if cfg.variance_mode == MEMORYLESS_SINGLE:
-        v_step(state, sample, w=1.0, c_v=1.0)
+        v_step(state, sample, w=1.0, c_v=1.0, parts=parts)
     else:
-        v_step(state, sample, w, cfg.c_v)
+        v_step(state, sample, w, cfg.c_v, parts=parts)
     try:
-        f_step(state, sample, w, cfg.c_f)
+        f_step(state, sample, w, cfg.c_f, parts=parts)
     except BaseException:
         # v_step rebinds rather than mutates these, so this is a full undo.
         state.v, state.theta_bar, state.rho_bar = before
@@ -283,18 +299,31 @@ def ingest(state: ShastaState, sample: ObservedSample,
 
 
 def save_state(state: ShastaState, path) -> None:
-    """Checkpoint to a flat fixed-width binary file.
+    """Checkpoint to a flat fixed-width binary file, atomically.
 
     Layout: 16-byte magic, four little-endian uint64 (d, k, L, t), then
     float64 arrays in order f, v, fhat, r_bar, s_bar, theta_bar, rho_bar.
     Byte size depends only on (d, k, L).
+
+    The bytes go to a temporary file beside `path`, which then replaces it:
+    a write that fails midway leaves any previous checkpoint intact.  There
+    is no fsync, so this covers a failed or killed writer, not power loss.
     """
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<QQQQ", state.d, state.k, state.num_groups, state.t))
-        for arr in (state.f, state.v, state.fhat, state.r_bar, state.s_bar,
-                    state.theta_bar, state.rho_bar):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<QQQQ", state.d, state.k, state.num_groups,
+                                 state.t))
+            for arr in (state.f, state.v, state.fhat, state.r_bar, state.s_bar,
+                        state.theta_bar, state.rho_bar):
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_state(path) -> ShastaState:

@@ -1,0 +1,37 @@
+"""scripts/trace_digest.py: digests ignore elapsed times and nothing else."""
+
+import importlib.util
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location(
+        "trace_digest", REPO / "scripts" / "trace_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_digests_repeat_and_cover_every_output(capsys):
+    script = load_script()
+    config = str(REPO / "configs" / "smoke.yaml")
+    runs = []
+    for _ in range(2):
+        assert script.main([config, "--seeds", "0", "1"]) == 0
+        runs.append(capsys.readouterr().out.splitlines())
+    assert runs[0] == runs[1]
+    labels = [line.split("  ")[1] for line in runs[0]]
+    assert labels == ["smoke/trace_seed0.csv", "smoke/trace_seed1.csv",
+                      "smoke/summary.json", "all"]
+
+
+def test_elapsed_times_are_dropped(tmp_path):
+    script = load_script()
+    rows = ["t,subspace_error,loglik_gap,v_1,elapsed_s", "50,0.25,,0.5,{}"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("\n".join(rows).format("0.125") + "\n")
+    b.write_text("\n".join(rows).format("9.5") + "\n")
+    assert script.trace_bytes(a) == script.trace_bytes(b)
+    assert script.trace_bytes(a) == b"t,subspace_error,loglik_gap,v_1\n50,0.25,,0.5\n"

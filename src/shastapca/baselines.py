@@ -123,10 +123,7 @@ class Grouse:
         direction = (np.cos(angle) - 1.0) * p / pnorm + np.sin(angle) * r_full / rnorm
         b = w / wnorm
         h = self.u.T @ direction + (0.5 * (direction @ direction)) * b
-        # u += outer(direction, b) column by column: the same products and
-        # sums, without a d x k temporary swept k entries at a time.
-        for j, bj in enumerate(b):
-            self.u[:, j] += direction * bj
+        self.u += np.outer(direction, b)
         self._drift += 2.0 * math.sqrt(h @ h)
         self._updates += 1
         if self._drift > self.REORTH_DRIFT or self._updates % self.RESYNC_EVERY == 0:

@@ -97,19 +97,30 @@ def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                                check_finite=False)
 
 
-def posterior_stats(f: np.ndarray, v: np.ndarray, sample: ObservedSample) -> PosteriorStats:
+def posterior_stats(f: np.ndarray, v: np.ndarray, sample: ObservedSample, *,
+                    parts=None) -> PosteriorStats:
     """E-step statistics for one sample at the parameters (f, v).
 
     Returns m = (F_o' F_o + v_g I)^{-1} and zbar = m F_o' y_o, where F_o and
     y_o restrict to the sample's observed coordinates.  Only the observed
     rows of f are read, so the cost is O(|omega| k^2 + k^3) whatever d is:
     they must be finite, and the other rows are never inspected.
+
+    parts, if given, must be `observed_parts(f, sample)` for this same f;
+    f is then not read again, and only the k x k inverse at v_g is done.  A
+    streaming tick needs the E-step at two values of v_g with the same f and
+    forms the parts once for both.
     """
-    f = np.asarray(f, dtype=np.float64)
-    if f.ndim != 2 or f.shape[1] < 1:
-        raise ValueError("factor matrix must be d x k with k >= 1")
-    _, gram, b = observed_parts(f, sample)
-    return _posterior(gram, b, max(float(v[sample.group]), VARIANCE_FLOOR))
+    if parts is None:
+        f = np.asarray(f, dtype=np.float64)
+        if f.ndim != 2 or f.shape[1] < 1:
+            raise ValueError("factor matrix must be d x k with k >= 1")
+        parts = observed_parts(f, sample)
+    _, gram, b = parts
+    vg = max(float(v[sample.group]), VARIANCE_FLOOR)
+    m = np.linalg.inv(gram + vg * np.eye(gram.shape[0]))
+    m = 0.5 * (m + m.T)
+    return PosteriorStats(m=m, zbar=m @ b)
 
 
 def observed_parts(f: np.ndarray, sample: ObservedSample):
@@ -120,15 +131,6 @@ def observed_parts(f: np.ndarray, sample: ObservedSample):
     if not np.isfinite(fo).all():
         raise ValueError("observed factor rows must be finite")
     return fo, fo.T @ fo, fo.T @ sample.values
-
-
-def _posterior(gram: np.ndarray, b: np.ndarray, vg: float) -> PosteriorStats:
-    """The E-step from its pieces: gram = F_o' F_o, b = F_o' y_o and the
-    floored v_g.  A streaming tick evaluates it at two values of v_g with
-    the same gram and b."""
-    m = np.linalg.inv(gram + vg * np.eye(gram.shape[0]))
-    m = 0.5 * (m + m.T)
-    return PosteriorStats(m=m, zbar=m @ b)
 
 
 def sample_log_likelihood(f: np.ndarray, v: np.ndarray, sample: ObservedSample) -> float:

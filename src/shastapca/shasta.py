@@ -45,10 +45,10 @@ from scipy import linalg
 from .model import (
     VARIANCE_FLOOR,
     ObservedSample,
-    _posterior,
     check_factors,
     floor_variances,
     observed_parts,
+    posterior_stats,
 )
 
 GROUPED = "grouped"
@@ -184,17 +184,22 @@ def v_step(state: ShastaState, sample: ObservedSample, w: float,
     to the state only once v is known to be finite; a failing call leaves
     the state untouched and the previous arrays unmodified.
 
-    parts, if given, is `observed_parts(state.f, sample)`; otherwise it is
-    formed here.
+    parts, if given, must be `observed_parts(state.f, sample)` for the
+    current state.f (`ingest` shares one with `f_step`); it is not checked.
+    Without it the step forms the parts itself, which only callers composing
+    the steps by hand need; the keyword can become required once they go
+    through `ingest`.
     """
     if not 0.0 < w <= 1.0:
         raise ValueError("weight must lie in (0, 1]")
     g = sample.group
-    fo, gram, b = observed_parts(state.f, sample) if parts is None else parts
-    stats = _posterior(gram, b, max(float(state.v[g]), VARIANCE_FLOOR))
+    if parts is None:
+        parts = observed_parts(state.f, sample)
+    fo = parts[0]
+    stats = posterior_stats(state.f, state.v, sample, parts=parts)
     resid = sample.values - fo @ stats.zbar
     vg = float(state.v[g])
-    rho_t = float(resid @ resid) + vg * float(((fo @ stats.m) * fo).sum())
+    rho_t = float(resid @ resid) + vg * float(np.sum((fo @ stats.m) * fo))
 
     theta_bar = (1.0 - w) * state.theta_bar
     rho_bar = (1.0 - w) * state.rho_bar
@@ -225,15 +230,15 @@ def f_step(state: ShastaState, sample: ObservedSample, w: float,
     changes nothing.  Each call costs O(|omega| k^2 + k^3) plus the eager
     O(d k^2) decay of every row system.
 
-    parts, if given, is `observed_parts(state.f, sample)`; otherwise it is
-    formed here.
+    parts is as for `v_step`.
     """
     if not 0.0 < w <= 1.0:
         raise ValueError("weight must lie in (0, 1]")
     omega = sample.omega
-    _, gram, b = observed_parts(state.f, sample) if parts is None else parts
+    if parts is None:
+        parts = observed_parts(state.f, sample)
+    stats = posterior_stats(state.f, state.v, sample, parts=parts)
     vg = max(float(state.v[sample.group]), VARIANCE_FLOOR)
-    stats = _posterior(gram, b, vg)
     decay = 1.0 - w
     if omega.size:
         contrib = np.outer(stats.zbar, stats.zbar) / vg + stats.m

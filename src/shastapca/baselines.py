@@ -12,6 +12,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from .datagen import orthonormalize
 from .model import ObservedSample
 
 
@@ -129,9 +130,8 @@ class Grouse:
         if self._drift > self.REORTH_DRIFT or self._updates % self.RESYNC_EVERY == 0:
             self._drift = self._measured_drift()
             if self._drift > self.REORTH_DRIFT:
-                q, rr = np.linalg.qr(self.u)
-                self.u = q * np.sign(np.diag(rr))
+                self.u = orthonormalize(self.u)
                 self._drift = self._measured_drift()
 
     def current_subspace(self) -> np.ndarray:
-        return self.u
+        return self.u.copy()

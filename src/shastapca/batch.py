@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import DatasetEvaluator, check_factors, floor_variances
+from .model import DatasetEvaluator, check_factors, floor_variances, solve_rows
 
 # Relative ridge added to each row system before solving; rows observed by
 # very few samples can otherwise be numerically singular.
@@ -131,22 +131,14 @@ def batch_f_step(f_prev: np.ndarray, v: np.ndarray, problem: BatchProblem) -> np
         r_obs = r[observed_rows]
         eps = ROW_RIDGE * np.trace(r_obs, axis1=1, axis2=2) / k
         r_obs = r_obs + eps[:, None, None] * np.eye(k)
-        f_new[observed_rows] = _solve_rows(r_obs, s[observed_rows])
+        f_new[observed_rows] = solve_rows(r_obs, s[observed_rows])
     return f_new
 
 
-def _solve_rows(r: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Batched SPD solves of r[j] x = s[j]; falls back to least squares."""
-    try:
-        return np.linalg.solve(r, s[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        return np.stack([np.linalg.lstsq(rj, sj, rcond=None)[0]
-                         for rj, sj in zip(r, s)])
-
-
-def batch_solve(problem: BatchProblem, init_f: np.ndarray, init_v: np.ndarray,
-                iters: int, tol: float | None = None) -> list[BatchIterate]:
-    """Alternate variance and factor updates, emitting per-iteration iterates.
+def batch_iterates(problem: BatchProblem, init_f: np.ndarray,
+                   init_v: np.ndarray, iters: int, tol: float | None = None):
+    """Alternate variance and factor updates, yielding each iterate as it is
+    computed.
 
     Runs exactly `iters` iterations unless `tol` is given, in which case it
     stops early once the relative log-likelihood change drops below `tol`.
@@ -156,19 +148,22 @@ def batch_solve(problem: BatchProblem, init_f: np.ndarray, init_v: np.ndarray,
     f = check_factors(init_f).copy()
     v = floor_variances(init_v).copy()
     evaluator = problem.dense
-    iterates = []
     prev = None
     for it in range(1, iters + 1):
         v = batch_v_step(f, v, problem)
         f = batch_f_step(f, v, problem)
         loglik = evaluator(f, v)
-        iterates.append(BatchIterate(f=f.copy(), v=v.copy(), iteration=it,
-                                     loglik=loglik))
+        yield BatchIterate(f=f.copy(), v=v.copy(), iteration=it, loglik=loglik)
         if tol is not None and prev is not None:
             if abs(loglik - prev) <= tol * max(1.0, abs(prev)):
                 break
         prev = loglik
-    return iterates
+
+
+def batch_solve(problem: BatchProblem, init_f: np.ndarray, init_v: np.ndarray,
+                iters: int, tol: float | None = None) -> list[BatchIterate]:
+    """Every iterate of `batch_iterates`, as a list."""
+    return list(batch_iterates(problem, init_f, init_v, iters, tol))
 
 
 def random_init(rng, d: int, k: int, num_groups: int):

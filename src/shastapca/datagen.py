@@ -99,11 +99,16 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def draw_orthonormal(rng, d: int, k: int) -> np.ndarray:
-    """Uniform-at-random basis: QR of a Gaussian matrix, signs canonicalized
-    so the triangular factor has a positive diagonal."""
-    q, r = np.linalg.qr(make_rng(rng).standard_normal((d, k)))
+def orthonormalize(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of a's columns: the Q of its QR factorization, signs
+    canonicalized so the triangular factor has a positive diagonal."""
+    q, r = np.linalg.qr(a)
     return q * np.sign(np.diag(r))
+
+
+def draw_orthonormal(rng, d: int, k: int) -> np.ndarray:
+    """Uniform-at-random basis: the orthonormalized Gaussian d x k matrix."""
+    return orthonormalize(make_rng(rng).standard_normal((d, k)))
 
 
 def draw_model(seed, d: int, k: int, spectrum, v_star,

@@ -97,6 +97,16 @@ def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                                check_finite=False)
 
 
+def solve_rows(r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Solve r[j] x_j = s[j] for a stack of row systems in one batched call.
+    If any system is singular, every row falls back to least squares."""
+    try:
+        return np.linalg.solve(r, s[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        return np.stack([np.linalg.lstsq(rj, sj, rcond=None)[0]
+                         for rj, sj in zip(r, s)])
+
+
 def posterior_stats(f: np.ndarray, v: np.ndarray, sample: ObservedSample, *,
                     parts=None) -> PosteriorStats:
     """E-step statistics for one sample at the parameters (f, v).

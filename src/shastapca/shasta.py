@@ -40,7 +40,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
 
 from .model import (
     VARIANCE_FLOOR,
@@ -49,6 +48,7 @@ from .model import (
     floor_variances,
     observed_parts,
     posterior_stats,
+    solve_rows,
 )
 
 GROUPED = "grouped"
@@ -245,7 +245,7 @@ def f_step(state: ShastaState, sample: ObservedSample, w: float,
         r_o = decay * state.r_bar[omega] + w * contrib
         s_o = decay * state.s_bar[omega] + (w / vg) * np.outer(sample.values,
                                                               stats.zbar)
-        fhat_o = _solve_observed_rows(r_o, s_o)
+        fhat_o = solve_rows(r_o, s_o)
         if not (np.isfinite(r_o).all() and np.isfinite(s_o).all()
                 and np.isfinite(fhat_o).all()):
             raise ValueError("factor update is not finite; sample rejected")
@@ -259,17 +259,6 @@ def f_step(state: ShastaState, sample: ObservedSample, w: float,
     state.f *= 1.0 - c_f
     state.f += c_f * state.fhat
     return state
-
-
-def _solve_observed_rows(r: np.ndarray, s: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.solve(r, s[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        return np.stack([
-            linalg.lu_solve(linalg.lu_factor(rj, check_finite=False), sj,
-                            check_finite=False)
-            for rj, sj in zip(r, s)
-        ])
 
 
 def ingest(state: ShastaState, sample: ObservedSample,

@@ -146,6 +146,17 @@ class TestGrouse:
             Grouse(np.ones((4, 2)), step=0.01)
 
 
+    def test_current_subspace_is_a_snapshot(self):
+        # A basis taken earlier must not follow later updates.
+        rng = np.random.default_rng(10)
+        est = Grouse(orthonormal(rng, 10, 2), step=0.05)
+        before = est.current_subspace()
+        kept = before.copy()
+        est.ingest(ObservedSample.full(rng.standard_normal(10), 0))
+        np.testing.assert_array_equal(before, kept)
+        assert not np.array_equal(est.current_subspace(), kept)
+
+
 class TestSharedInterface:
     def test_all_estimators_conform(self):
         rng = np.random.default_rng(8)

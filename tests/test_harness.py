@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 import yaml
 
+from shastapca.batch import BatchProblem, batch_solve
 from shastapca.cli import main as cli_main
 from shastapca.datagen import Epoch, ScenarioScript, run_script
 from shastapca.harness import (
     ConfigError,
     CsvFormatError,
+    csv_dimension,
     load_config,
     parse_config,
     parse_timing_config,
@@ -245,16 +247,17 @@ class TestCsvIngestion:
         assert peak < 8e6  # bytes; the file itself is 18 MB
 
     def test_load_csv_problem(self, tmp_path):
-        from shastapca.harness import ingest_csv, load_csv_problem
         path = tmp_path / "batch.csv"
         path.write_text("group,y0,y1,y2\n0,1.0,,2.0\n1,,3.0,\n")
-        problem = load_csv_problem(path, rank=1, num_groups=2)
+        problem = BatchProblem(samples=[s for s, _ in read_csv_samples(path)],
+                               num_groups=2, d=csv_dimension(path), k=1)
         assert problem.d == 3 and len(problem.samples) == 2
         np.testing.assert_array_equal(problem.samples[0].omega, [0, 2])
 
-        batch = ingest_csv(path, num_groups=2, rank=1, streaming=False)
+        batch = BatchProblem(samples=[s for s, _ in read_csv_samples(path)],
+                             num_groups=2, d=csv_dimension(path), k=1)
         assert len(batch.samples) == 2
-        stream = ingest_csv(path, num_groups=2)
+        stream = (sample for sample, _ in read_csv_samples(path))
         assert sum(1 for _ in stream) == 2
 
     def test_memoryless_single_mode_via_csv_run(self, tmp_path):
@@ -313,6 +316,54 @@ class TestCsvIngestion:
         summary = run_experiment(parse_config(raw))
         assert all(summary["seeds"][str(seed)]["final_subspace_error"] == 0.0
                    for seed in range(20))
+
+
+    def test_header_only_csv_run(self, tmp_path):
+        # An empty stream still gets one checkpoint, at t = 0.
+        data = tmp_path / "empty.csv"
+        data.write_text("group,y0,y1,y2\n")
+        raw = {
+            "scenario": {"kind": "csv", "path": str(data), "num_groups": 1},
+            "estimator": {"kind": "shasta", "rank": 1},
+            "run": {"seeds": [0], "checkpoint_every": 10,
+                    "output_dir": str(tmp_path / "out")},
+        }
+        summary = run_experiment(parse_config(raw))
+        assert summary["seeds"]["0"]["samples"] == 0
+        trace = MetricTrace.read_csv(tmp_path / "out" / "trace_seed0.csv")
+        assert [r.t for r in trace.records] == [0]
+        assert trace.records[0].subspace_error == 0.0
+
+    def test_csv_scenario_rejects_batch_estimator(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("group,y0,y1,y2\n0,1.0,,2.0\n")
+        raw = {
+            "scenario": {"kind": "csv", "path": str(data), "num_groups": 1},
+            "estimator": {"kind": "batch-mm", "rank": 1},
+            "run": {"seeds": [0], "output_dir": str(tmp_path / "out")},
+        }
+        with pytest.raises(ConfigError) as err:
+            run_experiment(parse_config(raw))
+        assert err.value.path == "estimator.kind"
+
+    def test_grouse_csv_checkpoints_keep_their_basis(self, tmp_path):
+        # Each checkpoint is scored with the basis it had then, not with
+        # the estimator's later, updated basis.
+        script = ScenarioScript(
+            d=8, k=2, spectrum=(2.0, 1.0), v_star=(0.05,), group_probs=(1.0,),
+            observe_prob=0.7, epochs=(Epoch(samples=200),))
+        data = tmp_path / "stream.csv"
+        write_csv_stream([s for s, _ in run_script(script, seed=6)], 8, data)
+        raw = {
+            "scenario": {"kind": "csv", "path": str(data), "num_groups": 1},
+            "estimator": {"kind": "grouse", "rank": 2, "step": 0.02},
+            "run": {"seeds": [0], "checkpoint_every": 40,
+                    "output_dir": str(tmp_path / "out")},
+        }
+        run_experiment(parse_config(raw))
+        trace = MetricTrace.read_csv(tmp_path / "out" / "trace_seed0.csv")
+        errors = [r.subspace_error for r in trace.records]
+        assert errors[-1] == 0.0 and errors[0] > 1e-3
 
 
 class TestTimingRun:
@@ -384,6 +435,42 @@ class TestTimingRun:
         assert a["batch_final_gap"] == b["batch_final_gap"]
 
 
+    def test_batch_trace_is_batch_solve(self, tmp_path):
+        # The timing run's batch pass is batch_solve, iterate for iterate.
+        from shastapca.harness import scenario_script, shared_init
+        from shastapca.metrics import subspace_error
+        from shastapca.model import DatasetEvaluator
+        raw = {
+            "scenario": {
+                "kind": "synthetic", "d": 12, "rank": 2,
+                "spectrum": [2.0, 1.0], "variances": [0.1, 0.5],
+                "group_counts": [100, 100], "observe_prob": 0.6,
+            },
+            "batch_estimator": {"kind": "batch-mm", "rank": 2,
+                                "iterations": 40, "tol": 1e-7},
+            "run": {"seeds": [4], "output_dir": str(tmp_path / "t")},
+        }
+        config = parse_timing_config(raw)
+        timing_run(config)
+        trace = MetricTrace.read_csv(tmp_path / "t" / "batch_seed4.csv")
+
+        pairs = list(run_script(scenario_script(config["scenario"]),
+                                seed=np.random.SeedSequence((4, 0))))
+        samples, truth = [s for s, _ in pairs], pairs[-1][1]
+        f0, v0 = shared_init(4, 12, 2, 2)
+        iterates = batch_solve(BatchProblem(samples=samples, num_groups=2,
+                                            d=12, k=2),
+                               f0, v0, iters=40, tol=1e-7)
+        ref = DatasetEvaluator(samples, 12)(truth.factors, truth.v_star)
+        assert len(trace.records) == len(iterates) < 40
+        for rec, it in zip(trace.records, iterates):
+            u_hat = np.linalg.svd(it.f, full_matrices=False)[0]
+            assert rec.t == it.iteration
+            assert rec.subspace_error == subspace_error(u_hat, truth.u)
+            assert rec.loglik_gap == it.loglik - ref
+            np.testing.assert_array_equal(rec.v_estimates, it.v)
+
+
 class TestCli:
     def test_run_smoke_config(self, tmp_path, capsys):
         raw = smoke_raw(tmp_path / "out")
@@ -438,3 +525,31 @@ class TestCli:
         assert cli_main(["state-dump", str(ckpt)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "value" and "header" in err["message"]
+
+
+    @pytest.mark.parametrize("estimator", [
+        {"kind": "petrels", "rank": 2, "forgetting": 0.99},
+        {"kind": "grouse", "rank": 2, "step": 0.02},
+    ])
+    def test_timing_with_baseline_streaming_estimator(self, tmp_path, capsys,
+                                                      estimator):
+        # PETRELS and GROUSE have no factors, hence no log-likelihood gap.
+        raw = {
+            "scenario": {
+                "kind": "synthetic", "d": 12, "rank": 2,
+                "spectrum": [2.0, 1.0], "variances": [0.1, 0.5],
+                "group_counts": [100, 100], "observe_prob": 0.6,
+            },
+            "streaming_estimator": estimator,
+            "batch_estimator": {"kind": "batch-mm", "rank": 2,
+                                "iterations": 5},
+            "run": {"seeds": [0, 1], "checkpoint_every": 50,
+                    "output_dir": str(tmp_path / "out")},
+        }
+        cfg_path = tmp_path / "timing.yaml"
+        cfg_path.write_text(yaml.safe_dump(raw))
+        assert cli_main(["timing", str(cfg_path)]) == 0
+        table = json.loads(capsys.readouterr().out)
+        assert table["median_streaming_final_gap"] is None
+        assert table["median_streaming_seconds"] is not None
+        assert table["median_batch_final_gap"] is not None

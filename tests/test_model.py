@@ -9,6 +9,7 @@ from shastapca.model import (
     minorizer_value,
     posterior_stats,
     sample_log_likelihood,
+    solve_rows,
 )
 
 from helpers import (
@@ -113,6 +114,30 @@ class TestPosteriorStats:
         mean, cov = conditioned_posterior(f, v, s)
         np.testing.assert_allclose(stats.zbar, mean, atol=1e-10)
         np.testing.assert_allclose(v[s.group] * stats.m, cov, atol=1e-10)
+
+
+class TestSolveRows:
+    def test_regular_systems_use_one_batched_solve(self):
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((6, 3, 3))
+        r = a @ np.transpose(a, (0, 2, 1)) + 0.1 * np.eye(3)
+        s = rng.standard_normal((6, 3))
+        np.testing.assert_array_equal(solve_rows(r, s),
+                                      np.linalg.solve(r, s[..., None])[..., 0])
+
+    def test_singular_system_falls_back_to_least_squares(self):
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((4, 3, 3))
+        r = a @ np.transpose(a, (0, 2, 1)) + 0.1 * np.eye(3)
+        r[2] = np.diag([2.0, 1.0, 0.0])  # exactly singular
+        s = rng.standard_normal((4, 3))
+        x = solve_rows(r, s)
+        expected = [np.linalg.lstsq(rj, sj, rcond=None)[0]
+                    for rj, sj in zip(r, s)]
+        np.testing.assert_array_equal(x, np.stack(expected))
+        # The singular row gets the minimum-norm solution.
+        np.testing.assert_allclose(x[2], [s[2, 0] / 2.0, s[2, 1], 0.0])
+        assert np.isfinite(x).all()
 
 
 class TestSampleLogLikelihood:

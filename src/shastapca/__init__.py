@@ -21,6 +21,7 @@ from .metrics import MetricTrace, loglik_gap, subspace_error, variance_error
 from .model import (
     ObservedSample,
     PosteriorStats,
+    RejectedSample,
     VARIANCE_FLOOR,
     dataset_log_likelihood,
     minorizer_value,
@@ -40,6 +41,7 @@ __all__ = [
     "Petrels",
     "PlantedModel",
     "PosteriorStats",
+    "RejectedSample",
     "ScenarioScript",
     "ShastaConfig",
     "ShastaPCA",

@@ -94,9 +94,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
     seeds = tuple(int(s) for s in _get(run, "seeds", "run"))
     if not seeds:
         raise ConfigError("run.seeds", "need at least one seed")
-    cadence = int(_get(run, "checkpoint_every", "run", required=False, default=100))
-    if cadence < 1:
-        raise ConfigError("run.checkpoint_every", "must be >= 1")
+    cadence = _checkpoint_every(run, default=100)
+    if scenario["kind"] == "csv" and estimator["kind"] in ("batch-mm", "ppca"):
+        raise ConfigError("estimator.kind",
+                          f"{estimator['kind']!r} cannot run on a csv scenario; "
+                          "it needs a streaming estimator")
     loglik = bool(_get(run, "loglik_gap", "run", required=False, default=False))
     if loglik and scenario["kind"] == "synthetic" and len(scenario["epochs"]) > 1:
         raise ConfigError("run.loglik_gap",
@@ -107,6 +109,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(scenario=scenario, estimator=estimator, seeds=seeds,
                             checkpoint_every=cadence, output_dir=output_dir,
                             loglik_gap=loglik, raw=raw)
+
+
+def _checkpoint_every(run, default: int) -> int:
+    cadence = int(_get(run, "checkpoint_every", "run", required=False,
+                       default=default))
+    if cadence < 1:
+        raise ConfigError("run.checkpoint_every", "must be >= 1")
+    return cadence
 
 
 def _parse_scenario(raw) -> dict:
@@ -507,8 +517,7 @@ def parse_timing_config(raw: dict) -> dict:
         "streaming": streaming,
         "batch": batch,
         "seeds": tuple(int(s) for s in _get(run, "seeds", "run")),
-        "checkpoint_every": int(_get(run, "checkpoint_every", "run",
-                                     required=False, default=1000)),
+        "checkpoint_every": _checkpoint_every(run, default=1000),
         "output_dir": str(_get(run, "output_dir", "run")),
     }
 

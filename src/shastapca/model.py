@@ -14,6 +14,7 @@ sample observing no coordinates is legal and carries no information.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import linalg
@@ -21,6 +22,11 @@ from scipy import linalg
 # Variances are floored here whenever consumed; the model itself never lets
 # a variance reach zero but finite-precision iterates can.
 VARIANCE_FLOOR = 1e-12
+
+
+class RejectedSample(ValueError):
+    """A streaming tick refused a sample because taking it would make the
+    estimator's state non-finite; the state is left as it was."""
 
 
 @dataclass(frozen=True)
@@ -107,8 +113,8 @@ def solve_rows(r: np.ndarray, s: np.ndarray) -> np.ndarray:
                          for rj, sj in zip(r, s)])
 
 
-def posterior_stats(f: np.ndarray, v: np.ndarray, sample: ObservedSample, *,
-                    parts=None) -> PosteriorStats:
+def posterior_stats(f: np.ndarray | None, v: np.ndarray, sample: ObservedSample,
+                    *, parts=None) -> PosteriorStats:
     """E-step statistics for one sample at the parameters (f, v).
 
     Returns m = (F_o' F_o + v_g I)^{-1} and zbar = m F_o' y_o, where F_o and
@@ -116,31 +122,47 @@ def posterior_stats(f: np.ndarray, v: np.ndarray, sample: ObservedSample, *,
     rows of f are read, so the cost is O(|omega| k^2 + k^3) whatever d is:
     they must be finite, and the other rows are never inspected.
 
-    parts, if given, must be `observed_parts(f, sample)` for this same f;
-    f is then not read again, and only the k x k inverse at v_g is done.  A
-    streaming tick needs the E-step at two values of v_g with the same f and
-    forms the parts once for both.
+    parts, if given, must be `observed_parts(f[sample.omega], sample.values)`;
+    f is then not read at all (it may be None), and only the O(k^2) step
+    from the shared eigendecomposition to m and zbar at this v_g is done:
+    m = Q diag(1/(lambda + v_g)) Q'.  A streaming tick needs the E-step at
+    two values of v_g with the same F_o and forms the parts once for both.
     """
     if parts is None:
         f = np.asarray(f, dtype=np.float64)
         if f.ndim != 2 or f.shape[1] < 1:
             raise ValueError("factor matrix must be d x k with k >= 1")
-        parts = observed_parts(f, sample)
-    _, gram, b = parts
+        parts = observed_parts(f[sample.omega], sample.values)
     vg = max(float(v[sample.group]), VARIANCE_FLOOR)
-    m = np.linalg.inv(gram + vg * np.eye(gram.shape[0]))
-    m = 0.5 * (m + m.T)
-    return PosteriorStats(m=m, zbar=m @ b)
+    scale = 1.0 / (parts.evals + vg)
+    half = parts.evecs * np.sqrt(scale)
+    return PosteriorStats(m=half @ half.T,
+                          zbar=parts.evecs @ (scale * parts.proj))
 
 
-def observed_parts(f: np.ndarray, sample: ObservedSample):
-    """(F_o, F_o' F_o, F_o' y_o): the parts of the sample's E-step that do
-    not depend on v_g.  Only the observed rows F_o of f are read; they must
-    be finite."""
-    fo = f[sample.omega]
+class ObservedParts(NamedTuple):
+    """The parts of one sample's E-step that do not depend on v_g.
+
+    fo: the observed rows F_o; evals, evecs: the eigendecomposition
+    F_o' F_o = Q diag(lambda) Q' (lambda clipped at 0, as F_o' F_o is
+    positive semidefinite); proj: Q' F_o' y_o.
+    """
+
+    fo: np.ndarray
+    evals: np.ndarray
+    evecs: np.ndarray
+    proj: np.ndarray
+
+
+def observed_parts(fo: np.ndarray, values: np.ndarray) -> ObservedParts:
+    """ObservedParts from a sample's observed factor rows fo (|omega| x k)
+    and its observed values.  The rows must be finite; if they are not, the
+    sample is rejected."""
     if not np.isfinite(fo).all():
-        raise ValueError("observed factor rows must be finite")
-    return fo, fo.T @ fo, fo.T @ sample.values
+        raise RejectedSample("observed factor rows must be finite")
+    evals, evecs = np.linalg.eigh(fo.T @ fo)
+    return ObservedParts(fo, np.maximum(evals, 0.0), evecs,
+                         evecs.T @ (fo.T @ values))
 
 
 def sample_log_likelihood(f: np.ndarray, v: np.ndarray, sample: ObservedSample) -> float:

@@ -7,29 +7,36 @@ minorize-maximize updates: variances first with the factors frozen, then the
 factors at the just-updated variances.  State size is O(d (k^2 + k) + L)
 regardless of how many samples have streamed.
 
-Row j's surrogate maximizer solves rbar_j fhat_j = sbar_j.  Because both
-sides of each unobserved row's system decay by the same factor, their
-solutions are unchanged; only rows observed by the current sample are
-re-solved, and the last solution per row is cached in the state.
+Every tick decays all d row systems by 1 - w_t and relaxes all of F toward
+the rows' surrogate maximizers fhat_j = rbar_j^-1 sbar_j by 1 - c_f.  The
+state keeps both in lazy form, so that a tick touches only the observed
+rows:
 
-Cost of one tick: O(|omega| k^2 + k^3) for the posterior statistics and the
-observed rows' solves, which read only the observed rows of F, plus an eager
-O(d k^2) pass that decays every row system and relaxes F toward the cached
-maximizers.  The decay stays eager so that the fixed-size checkpoint holds
-the state exactly and a resumed stream matches an uninterrupted one bit for
-bit.
+- the row systems are rbar_j = sigma R_j and sbar_j = sigma S_j, with the
+  stored [R_j | S_j] in one (d, k, k+1) array and sigma the running product
+  of (1 - w_t).  fhat_j does not depend on sigma, so an unobserved row's
+  cached maximizer stays valid;
+- the factors are F = fhat + gamma G, with gamma the running product of
+  (1 - c_f).  An unobserved row's fhat_j is constant, so its F_j - fhat_j
+  just decays with gamma.
 
-The two steps need the E-step at the old and at the new v_g.  Only that
-scalar differs, so `ingest` gathers F_o and forms F_o' F_o and F_o' y_o once
-per tick (`observed_parts`) and hands them to both steps, each of which then
-does just its own k x k inverse.
+A scale is folded into its arrays (an O(d k^2) rebase, after which the
+scale is 1) only before it would fall below SCALE_FLOOR, or when it reaches
+0: w_t = 1 (the first tick of the 1/t schedule) zeroes the stored systems,
+and c_f = 1 keeps G at zero, so that F = fhat.  Between rebases a tick costs
+O(|omega| k^2 + k^3) whatever d is: it gathers the observed rows, does one
+eigendecomposition of F_o' F_o shared by the two E-steps, which differ only
+in v_g (`observed_parts`), updates the observed row systems and solves them
+in one batched call, checks the new rows for finiteness and scatters them
+back.  The checkpoint stores the lazy form itself, scales included, so a
+resumed stream matches an uninterrupted one bit for bit.
 
 Ticks are all or nothing: each step computes into locals, checks that the
 new variances and the new observed rows are finite, and only then writes the
 state; `ingest` advances t only after both steps succeed and undoes the
 variance step if the factor step fails.  A sample that would make the state
-non-finite raises ValueError and leaves the state, t included, unchanged, so
-F stays finite by construction.
+non-finite raises RejectedSample (a ValueError) and leaves the state, t
+included, unchanged, so F stays finite by construction.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ import numpy as np
 from .model import (
     VARIANCE_FLOOR,
     ObservedSample,
+    RejectedSample,
     check_factors,
     floor_variances,
     observed_parts,
@@ -54,7 +62,16 @@ from .model import (
 GROUPED = "grouped"
 MEMORYLESS_SINGLE = "memoryless-single"
 
-CHECKPOINT_MAGIC = b"SHASTAPCA-STATE1"
+# SHASTAPCA-STATE2 checkpoints start with this 8-byte magic; the older
+# SHASTAPCA-STATE1 files, with the state in eager form, are still read.
+CHECKPOINT_MAGIC = b"SHASTA-2"
+STATE1_MAGIC = b"SHASTAPCA-STATE1"
+# magic, d, t, k, L, sigma, gamma: 48 bytes, STATE1's header size.
+_HEADER = struct.Struct("<8sQQIIdd")
+
+# A lazy scale is folded into its arrays before it falls below this value,
+# far above float64's underflow (1e-308), so that dividing by it stays safe.
+SCALE_FLOOR = 1e-150
 
 
 @dataclass(frozen=True)
@@ -126,24 +143,50 @@ class ShastaConfig:
 
 @dataclass
 class ShastaState:
-    """Mutable streaming state; single-writer, bounded size for fixed shapes."""
+    """Mutable streaming state in lazy form; single-writer, bounded size for
+    fixed shapes.
 
-    f: np.ndarray          # (d, k) current factors
+    The surrogate systems are rbar_j = sigma R_j, sbar_j = sigma S_j and the
+    factors F = fhat + gamma G (module docstring); `f`, `r_bar` and `s_bar`
+    return them as fresh arrays, O(d k^2) each.
+    """
+
+    dev: np.ndarray        # (d, k) G, the stored factor offsets
     v: np.ndarray          # (L,)  current variances
-    r_bar: np.ndarray      # (d, k, k) per-row surrogate systems
-    s_bar: np.ndarray      # (d, k) per-row surrogate right-hand sides
-    fhat: np.ndarray       # (d, k) cached row solutions rbar_j^-1 sbar_j
+    systems: np.ndarray    # (d, k, k+1) stored row systems [R_j | S_j]
+    fhat: np.ndarray       # (d, k) cached row solutions R_j^-1 S_j
     theta_bar: np.ndarray  # (L,) weighted observed-entry counts
     rho_bar: np.ndarray    # (L,) weighted residual-power accumulators
     t: int = 0
+    sigma: float = 1.0     # scale of the row systems, in (0, 1]
+    gamma: float = 1.0     # scale of the factor offsets, in (0, 1]
+    # True once a c_f = 1 tick has zeroed G; saves re-zeroing it every tick.
+    dev_zero: bool = field(default=False, compare=False, repr=False)
+
+    @property
+    def f(self) -> np.ndarray:
+        return self.fhat + self.gamma * self.dev
+
+    @property
+    def r_bar(self) -> np.ndarray:
+        return self.sigma * self.systems[..., :-1]
+
+    @property
+    def s_bar(self) -> np.ndarray:
+        return self.sigma * self.systems[..., -1]
+
+    def observed_rows(self, omega: np.ndarray) -> np.ndarray:
+        """The rows F[omega] of the factors, O(|omega| k)."""
+        return (self.fhat.take(omega, axis=0)
+                + self.gamma * self.dev.take(omega, axis=0))
 
     @property
     def d(self) -> int:
-        return self.f.shape[0]
+        return self.fhat.shape[0]
 
     @property
     def k(self) -> int:
-        return self.f.shape[1]
+        return self.fhat.shape[1]
 
     @property
     def num_groups(self) -> int:
@@ -159,11 +202,12 @@ def init_state(cfg: ShastaConfig, f0: np.ndarray, v0: np.ndarray) -> ShastaState
         raise ValueError(f"f0 has rank {k}, config says {cfg.rank}")
     if v0.size != cfg.num_groups:
         raise ValueError(f"v0 has {v0.size} groups, config says {cfg.num_groups}")
+    systems = np.zeros((d, k, k + 1))
+    systems[:, :, :k] = cfg.delta * np.eye(k)
     return ShastaState(
-        f=f0.copy(),
+        dev=f0.copy(),
         v=v0.copy(),
-        r_bar=np.broadcast_to(cfg.delta * np.eye(k), (d, k, k)).copy(),
-        s_bar=np.zeros((d, k)),
+        systems=systems,
         fhat=np.zeros((d, k)),
         theta_bar=np.zeros(cfg.num_groups),
         rho_bar=np.zeros(cfg.num_groups),
@@ -181,25 +225,26 @@ def v_step(state: ShastaState, sample: ObservedSample, w: float,
     accumulator ratio.  Never-seen groups keep their initial value.
 
     The new v, theta_bar and rho_bar are computed into fresh arrays and bound
-    to the state only once v is known to be finite; a failing call leaves
-    the state untouched and the previous arrays unmodified.
+    to the state only once v is known to be finite; a failing call raises
+    RejectedSample and leaves the state untouched and the previous arrays
+    unmodified.
 
-    parts, if given, must be `observed_parts(state.f, sample)` for the
-    current state.f (`ingest` shares one with `f_step`); it is not checked.
-    Without it the step forms the parts itself, which only callers composing
-    the steps by hand need; the keyword can become required once they go
-    through `ingest`.
+    parts, if given, must be `observed_parts(state.observed_rows(omega),
+    sample.values)` for the current state (`ingest` shares one with
+    `f_step`); it is not checked.  Without it the step forms the parts
+    itself, which only callers composing the steps by hand need.
     """
     if not 0.0 < w <= 1.0:
         raise ValueError("weight must lie in (0, 1]")
     g = sample.group
     if parts is None:
-        parts = observed_parts(state.f, sample)
-    fo = parts[0]
-    stats = posterior_stats(state.f, state.v, sample, parts=parts)
-    resid = sample.values - fo @ stats.zbar
+        parts = observed_parts(state.observed_rows(sample.omega), sample.values)
+    stats = posterior_stats(None, state.v, sample, parts=parts)
+    resid = sample.values - parts.fo @ stats.zbar
     vg = float(state.v[g])
-    rho_t = float(resid @ resid) + vg * float(np.sum((fo @ stats.m) * fo))
+    # tr(F_o m F_o') from the eigenvalues of F_o' F_o.
+    fit = (parts.evals / (parts.evals + max(vg, VARIANCE_FLOOR))).sum()
+    rho_t = float(resid @ resid) + vg * float(fit)
 
     theta_bar = (1.0 - w) * state.theta_bar
     rho_bar = (1.0 - w) * state.rho_bar
@@ -211,7 +256,7 @@ def v_step(state: ShastaState, sample: ObservedSample, w: float,
     v[seen] = floor_variances((1.0 - c_v) * v[seen]
                               + c_v * (rho_bar[seen] / theta_bar[seen]))
     if not np.isfinite(v).all():
-        raise ValueError("variance update is not finite; sample rejected")
+        raise RejectedSample("variance update is not finite; sample rejected")
     state.v, state.theta_bar, state.rho_bar = v, theta_bar, rho_bar
     return state
 
@@ -220,44 +265,81 @@ def f_step(state: ShastaState, sample: ObservedSample, w: float,
            c_f: float, *, parts=None) -> ShastaState:
     """Factor update at the variances already updated this tick.
 
-    Observed rows fold in the sample's posterior moments and are re-solved;
-    unobserved rows decay (solution unchanged, cached value reused).  The new
-    factors average the previous ones toward the surrogate maximizer, in
-    place.
+    Every row system decays by 1 - w and the observed rows fold in the
+    sample's posterior moments and are re-solved; every row of F moves to
+    (1 - c_f) F_j + c_f fhat_j.  In the lazy form only the observed rows are
+    touched: the decays go into sigma and gamma, which are folded into the
+    arrays (O(d k^2)) only before they would fall below SCALE_FLOOR or when
+    they reach 0 (module docstring).
 
-    The observed rows' new systems and solutions are computed first and
-    checked finite; only then is the state written, so a failing call
-    changes nothing.  Each call costs O(|omega| k^2 + k^3) plus the eager
-    O(d k^2) decay of every row system.
+    The observed rows' new systems, solutions and factor offsets are
+    computed first and checked finite; only then is the state written, so a
+    failing call raises RejectedSample and changes nothing.
 
     parts is as for `v_step`.
     """
     if not 0.0 < w <= 1.0:
         raise ValueError("weight must lie in (0, 1]")
-    omega = sample.omega
+    omega, k = sample.omega, state.k
     if parts is None:
-        parts = observed_parts(state.f, sample)
-    stats = posterior_stats(state.f, state.v, sample, parts=parts)
+        parts = observed_parts(state.observed_rows(omega), sample.values)
+    stats = posterior_stats(None, state.v, sample, parts=parts)
     vg = max(float(state.v[sample.group]), VARIANCE_FLOOR)
-    decay = 1.0 - w
+    sigma = state.sigma * (1.0 - w)
+    gamma = state.gamma * (1.0 - c_f)
+    fold_sigma = sigma < SCALE_FLOOR
+    fold_gamma = 0.0 < gamma < SCALE_FLOOR
     if omega.size:
-        contrib = np.outer(stats.zbar, stats.zbar) / vg + stats.m
-        r_o = decay * state.r_bar[omega] + w * contrib
-        s_o = decay * state.s_bar[omega] + (w / vg) * np.outer(sample.values,
-                                                              stats.zbar)
-        fhat_o = solve_rows(r_o, s_o)
-        if not (np.isfinite(r_o).all() and np.isfinite(s_o).all()
-                and np.isfinite(fhat_o).all()):
-            raise ValueError("factor update is not finite; sample rejected")
+        rows = state.systems.take(omega, axis=0)
+        if fold_sigma:
+            rows *= sigma
+            step = w
+        else:
+            step = w / sigma
+        # [zbar zbar' / v_g + m | y_j zbar / v_g] for each observed row j,
+        # built whole: one contiguous add is cheaper than two strided ones.
+        update = np.empty_like(rows)
+        update[:, :, :k] = step * (stats.zbar[:, None] * stats.zbar / vg
+                                   + stats.m)
+        np.multiply(sample.values[:, None], (step / vg) * stats.zbar,
+                    out=update[:, :, k])
+        rows += update
+        fhat_o = solve_rows(rows[:, :, :k], rows[:, :, k])
+        # The new F_o - fhat_o is (1 - c_f)(F_o - fhat_o), fhat_o the new
+        # solutions; G keeps it divided by the new gamma, or as it is when
+        # gamma folds to 1.
+        dev_o = None
+        if gamma > 0.0:
+            dev_o = parts.fo - fhat_o
+            if fold_gamma:
+                dev_o *= 1.0 - c_f
+            else:
+                dev_o /= state.gamma
+        if not (np.isfinite(rows).all()
+                and np.isfinite(fhat_o if dev_o is None else dev_o).all()):
+            raise RejectedSample("factor update is not finite; sample rejected")
 
-    state.r_bar *= decay
-    state.s_bar *= decay
+    if fold_sigma:
+        if sigma > 0.0:
+            state.systems *= sigma
+        else:
+            state.systems.fill(0.0)
+        sigma = 1.0
+    if gamma == 0.0:
+        if not state.dev_zero:
+            state.dev.fill(0.0)
+            state.dev_zero = True
+        gamma = 1.0
+    elif fold_gamma:
+        state.dev *= gamma
+        gamma = 1.0
     if omega.size:
-        state.r_bar[omega] = r_o
-        state.s_bar[omega] = s_o
+        state.systems[omega] = rows
         state.fhat[omega] = fhat_o
-    state.f *= 1.0 - c_f
-    state.f += c_f * state.fhat
+        if dev_o is not None:
+            state.dev[omega] = dev_o
+            state.dev_zero = False
+    state.sigma, state.gamma = sigma, gamma
     return state
 
 
@@ -265,9 +347,10 @@ def ingest(state: ShastaState, sample: ObservedSample,
            cfg: ShastaConfig) -> ShastaState:
     """Advance one tick: variance update first, then the factor update.
 
-    F_o, F_o' F_o and F_o' y_o are formed once and shared by both steps,
-    which differ only in v_g.  All or nothing: if either step raises, the
-    state (t included) is left exactly as it was before the call.
+    The observed rows F_o and the eigendecomposition of F_o' F_o are formed
+    once and shared by both steps, which differ only in v_g.  All or
+    nothing: if either step raises, the state (t included) is left exactly
+    as it was before the call.
     """
     if not 0 <= sample.group < cfg.num_groups:
         raise ValueError(f"sample group {sample.group} outside "
@@ -276,7 +359,7 @@ def ingest(state: ShastaState, sample: ObservedSample,
         raise ValueError("sample observes a coordinate beyond the state's d")
     t = state.t + 1
     w = cfg.weights(t)
-    parts = observed_parts(state.f, sample)
+    parts = observed_parts(state.observed_rows(sample.omega), sample.values)
     before = (state.v, state.theta_bar, state.rho_bar)
     if cfg.variance_mode == MEMORYLESS_SINGLE:
         v_step(state, sample, w=1.0, c_v=1.0, parts=parts)
@@ -293,11 +376,15 @@ def ingest(state: ShastaState, sample: ObservedSample,
 
 
 def save_state(state: ShastaState, path) -> None:
-    """Checkpoint to a flat fixed-width binary file, atomically.
+    """Checkpoint the lazy state to a SHASTAPCA-STATE2 file, atomically.
 
-    Layout: 16-byte magic, four little-endian uint64 (d, k, L, t), then
-    float64 arrays in order f, v, fhat, r_bar, s_bar, theta_bar, rho_bar.
-    Byte size depends only on (d, k, L).
+    Layout: a 48-byte little-endian header (the 8-byte magic "SHASTA-2",
+    d and t as uint64, k and L as uint32, sigma and gamma as float64), then
+    float64 arrays in order G (d*k), v (L), fhat (d*k), the stored row
+    systems [R_j | S_j] (d*k*(k+1), row by row), theta_bar (L), rho_bar (L).
+    Byte size, 48 + 8 (3 d k + d k^2 + 3 L), depends only on (d, k, L) and
+    equals SHASTAPCA-STATE1's.  Nothing is materialized, so a stream resumed
+    from the file continues bit for bit as if it had not stopped.
 
     The bytes go to a temporary file beside `path`, which then replaces it:
     a write that fails midway leaves any previous checkpoint intact.  There
@@ -307,12 +394,11 @@ def save_state(state: ShastaState, path) -> None:
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<QQQQ", state.d, state.k, state.num_groups,
-                                 state.t))
-            for arr in (state.f, state.v, state.fhat, state.r_bar, state.s_bar,
+            fh.write(_HEADER.pack(CHECKPOINT_MAGIC, state.d, state.t, state.k,
+                                  state.num_groups, state.sigma, state.gamma))
+            for arr in (state.dev, state.v, state.fhat, state.systems,
                         state.theta_bar, state.rho_bar):
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").data)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -321,42 +407,58 @@ def save_state(state: ShastaState, path) -> None:
 
 
 def load_state(path) -> ShastaState:
-    """Read a `save_state` checkpoint.
+    """Read a `save_state` checkpoint (SHASTAPCA-STATE2), or a
+    SHASTAPCA-STATE1 one: a 16-byte magic, uint64 (d, k, L, t), then float64
+    F, v, fhat, rbar, sbar, theta_bar, rho_bar, the eager state, which loads
+    with sigma = gamma = 1 and G = F - fhat.
 
-    The header's (d, k, L) are checked against the file's size before any
-    array is allocated; a file that does not match raises ValueError.
+    The header's (d, k, L) are checked against the file's size, and STATE2's
+    sigma and gamma against (0, 1], before any array is allocated; a file
+    that does not fit, or whose arrays hold a non-finite value, raises
+    ValueError.
     """
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"not a state checkpoint: bad magic {magic!r}")
-        header = fh.read(32)
-        if len(header) != 32:
+        header = fh.read(_HEADER.size)
+        state1 = header.startswith(STATE1_MAGIC)
+        if not (state1 or header.startswith(CHECKPOINT_MAGIC)):
+            raise ValueError(f"not a state checkpoint: bad magic {header[:16]!r}")
+        if len(header) != _HEADER.size:
             raise ValueError("truncated state checkpoint header")
-        d, k, num_groups, t = struct.unpack("<QQQQ", header)
+        if state1:
+            d, k, num_groups, t = struct.unpack_from("<QQQQ", header, 16)
+            sigma = gamma = 1.0
+        else:
+            _, d, t, k, num_groups, sigma, gamma = _HEADER.unpack(header)
         if min(d, k, num_groups) < 1:
             raise ValueError(f"state checkpoint header has d={d}, k={k}, "
                              f"L={num_groups}; each must be >= 1")
+        if not (0.0 < sigma <= 1.0 and 0.0 < gamma <= 1.0):
+            raise ValueError(f"state checkpoint header has scales sigma={sigma}, "
+                             f"gamma={gamma}; each must lie in (0, 1]")
         size = os.fstat(fh.fileno()).st_size
         expected = 48 + 8 * (3 * d * k + d * k * k + 3 * num_groups)
         if size != expected:
             raise ValueError(f"state checkpoint is {size} bytes, but its header "
                              f"(d={d}, k={k}, L={num_groups}) needs {expected}")
 
-        def read(shape):
+        def read(*shape):
             buf = fh.read(8 * int(np.prod(shape)))
             return np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
 
-        return ShastaState(
-            f=read((d, k)),
-            v=read((num_groups,)),
-            fhat=read((d, k)),
-            r_bar=read((d, k, k)),
-            s_bar=read((d, k)),
-            theta_bar=read((num_groups,)),
-            rho_bar=read((num_groups,)),
-            t=int(t),
-        )
+        if state1:
+            f, v, fhat = read(d, k), read(num_groups), read(d, k)
+            systems = np.concatenate((read(d, k, k), read(d, k, 1)), axis=2)
+            dev = f - fhat
+        else:
+            dev, v, fhat = read(d, k), read(num_groups), read(d, k)
+            systems = read(d, k, k + 1)
+        theta_bar, rho_bar = read(num_groups), read(num_groups)
+    if not all(np.isfinite(a).all()
+               for a in (dev, v, fhat, systems, theta_bar, rho_bar)):
+        raise ValueError("state checkpoint holds non-finite values")
+    return ShastaState(dev=dev, v=v, systems=systems, fhat=fhat,
+                       theta_bar=theta_bar, rho_bar=rho_bar, t=int(t),
+                       sigma=sigma, gamma=gamma)
 
 
 class ShastaPCA:

@@ -1,6 +1,5 @@
 import csv
 import json
-import struct
 import tracemalloc
 
 import numpy as np
@@ -25,6 +24,8 @@ from shastapca.harness import (
 )
 from shastapca.metrics import MetricTrace
 from shastapca.model import ObservedSample
+
+from helpers import crafted_checkpoints
 
 
 def smoke_raw(output_dir, estimator=None, seeds=(0,)):
@@ -342,9 +343,12 @@ class TestCsvIngestion:
             "estimator": {"kind": "batch-mm", "rank": 1},
             "run": {"seeds": [0], "output_dir": str(tmp_path / "out")},
         }
-        with pytest.raises(ConfigError) as err:
-            run_experiment(parse_config(raw))
-        assert err.value.path == "estimator.kind"
+        for kind in ("batch-mm", "ppca"):
+            raw["estimator"]["kind"] = kind
+            with pytest.raises(ConfigError) as err:
+                run_experiment(parse_config(raw))
+            assert err.value.path == "estimator.kind"
+            assert not (tmp_path / "out").exists()
 
     def test_grouse_csv_checkpoints_keep_their_basis(self, tmp_path):
         # Each checkpoint is scored with the basis it had then, not with
@@ -518,14 +522,34 @@ class TestCli:
         assert report["d"] == 4 and report["samples_ingested"] == 0
 
     def test_state_dump_bad_header_reports_json_error(self, tmp_path, capsys):
-        from shastapca.shasta import CHECKPOINT_MAGIC
-        ckpt = tmp_path / "huge.bin"
-        ckpt.write_bytes(CHECKPOINT_MAGIC
-                         + struct.pack("<QQQQ", 2**64 - 1, 3, 2, 0))
-        assert cli_main(["state-dump", str(ckpt)]) == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "value" and "header" in err["message"]
+        from shastapca.shasta import ShastaConfig, init_state, save_state
+        ckpt = tmp_path / "state.bin"
+        save_state(init_state(ShastaConfig(rank=2, num_groups=2),
+                              np.zeros((4, 2)), np.array([0.3, 0.4])), ckpt)
+        for name, data in crafted_checkpoints(ckpt.read_bytes()).items():
+            ckpt.write_bytes(data)
+            assert cli_main(["state-dump", str(ckpt)]) == 1, name
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "value" and "header" in err["message"], name
 
+    def test_timing_zero_checkpoint_every_reports_json_error(self, tmp_path,
+                                                             capsys):
+        raw = {
+            "scenario": {
+                "kind": "synthetic", "d": 6, "rank": 2, "spectrum": [2.0, 1.0],
+                "variances": [0.1], "group_counts": [20],
+            },
+            "streaming_estimator": {"kind": "shasta", "rank": 2},
+            "batch_estimator": {"kind": "batch-mm", "rank": 2, "iterations": 2},
+            "run": {"seeds": [0], "checkpoint_every": 0,
+                    "output_dir": str(tmp_path / "out")},
+        }
+        cfg_path = tmp_path / "timing.yaml"
+        cfg_path.write_text(yaml.safe_dump(raw))
+        assert cli_main(["timing", str(cfg_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and err["field"] == "run.checkpoint_every"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("estimator", [
         {"kind": "petrels", "rank": 2, "forgetting": 0.99},

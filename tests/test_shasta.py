@@ -4,11 +4,10 @@ import struct
 import numpy as np
 import pytest
 
-from shastapca import shasta
+from shastapca import RejectedSample, shasta
 from shastapca.batch import BatchProblem, batch_f_step
 from shastapca.model import ObservedSample, VARIANCE_FLOOR
 from shastapca.shasta import (
-    CHECKPOINT_MAGIC,
     ShastaConfig,
     ShastaPCA,
     WeightSchedule,
@@ -20,7 +19,7 @@ from shastapca.shasta import (
     v_step,
 )
 
-from helpers import orthonormal, random_sample
+from helpers import crafted_checkpoints, orthonormal, random_sample
 
 
 def make_config(**kw):
@@ -318,7 +317,7 @@ class TestAtomicTick:
         cfg, state, rng = self.stream()
         save_state(state, tmp_path / "before.bin")
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError):
+            with pytest.raises(RejectedSample):
                 ingest(state, ObservedSample.full(np.full(20, 1e200), 0), cfg)
         assert state.t == 50
         save_state(state, tmp_path / "after.bin")
@@ -450,24 +449,60 @@ class TestBoundedState:
         finally:
             os.unlink(path)
 
-    @pytest.mark.parametrize("edit", ["huge_d", "zero_k", "short_header",
-                                      "truncated", "trailing"])
-    def test_load_rejects_header_that_does_not_fit_file(self, tmp_path, edit):
+    @pytest.mark.parametrize("edit", list(crafted_checkpoints(b"")))
+    def test_load_rejects_header_that_does_not_fit_file(self, tmp_path,
+                                                        monkeypatch, edit):
         state = fresh_state(make_config(), d=4)
         path = tmp_path / "state.bin"
         save_state(state, path)
-        data = path.read_bytes()
-        data = {
-            "huge_d": CHECKPOINT_MAGIC + struct.pack("<QQQQ", 2**64 - 1, 3, 2, 0),
-            "zero_k": CHECKPOINT_MAGIC + struct.pack("<QQQQ", 4, 0, 2, 0)
-                      + data[48:],
-            "short_header": data[:40],
-            "truncated": data[:-1],
-            "trailing": data + b"\0",
-        }[edit]
-        path.write_bytes(data)
-        with pytest.raises(ValueError):
+        path.write_bytes(crafted_checkpoints(path.read_bytes())[edit])
+
+        def no_arrays(*args, **kwargs):
+            raise AssertionError("an array was read from a bad checkpoint")
+
+        monkeypatch.setattr(shasta.np, "frombuffer", no_arrays)
+        with pytest.raises(ValueError, match="header"):
             load_state(path)
+
+    def test_load_rejects_non_finite_arrays(self, tmp_path):
+        path = tmp_path / "state.bin"
+        save_state(fresh_state(make_config(), d=4), path)
+        data = bytearray(path.read_bytes())
+        data[48:56] = struct.pack("<d", float("nan"))  # G[0, 0]
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="non-finite"):
+            load_state(path)
+
+    def test_resume_across_a_fold_is_bitwise(self, tmp_path):
+        # w = c_f = 0.5 takes sigma and gamma below SCALE_FLOOR at tick 499,
+        # where both are folded into the arrays.  Checkpoints written just
+        # before, at and just after that tick resume to the very bytes of
+        # the uninterrupted stream.
+        cfg = make_config(weights=0.5, c_f=0.5)
+        rng = np.random.default_rng(25)
+        stream = [random_sample(rng, 8, 2, observe_prob=0.6) for _ in range(520)]
+        straight = fresh_state(cfg, d=8, seed=26)
+        scales = []
+        for s in stream:
+            ingest(straight, s, cfg)
+            scales.append((straight.sigma, straight.gamma))
+        fold = 1 + next(t for t, (sigma, gamma) in enumerate(scales)
+                        if sigma == gamma == 1.0)
+        # sigma was still at or above the floor one tick earlier.
+        assert fold == 499 and 0 < scales[fold - 2][0] < shasta.SCALE_FLOOR / 0.5
+        save_state(straight, tmp_path / "straight.bin")
+
+        for cut in (fold - 1, fold, fold + 1):
+            state = fresh_state(cfg, d=8, seed=26)
+            for s in stream[:cut]:
+                ingest(state, s, cfg)
+            save_state(state, tmp_path / "cut.bin")
+            state = load_state(tmp_path / "cut.bin")
+            for s in stream[cut:]:
+                ingest(state, s, cfg)
+            save_state(state, tmp_path / "resumed.bin")
+            assert ((tmp_path / "resumed.bin").read_bytes()
+                    == (tmp_path / "straight.bin").read_bytes()), f"cut at {cut}"
 
 
 class TestDeterministicReplay:

@@ -3,18 +3,16 @@
 
 For each d, streams samples that observe |omega| random coordinates of a
 rank-k planted model through `shastapca.shasta.ingest` (weights 1/t,
-c_f = c_v = 0.1) and prints the best of --repeats timings of --ticks ticks,
-in microseconds per tick, then the ratio of the largest d's cost to the
+c_f = c_v = 0.1) and prints the best of REPEATS timings of TICKS ticks, in
+microseconds per tick, then the ratio of the largest d's cost to the
 smallest's.  A tick whose cost does not depend on d prints a ratio near 1.
 The repeats cycle through the d's, so that every d is timed in the same
 stretches of wall time.  BLAS runs on one thread.
 
 Usage (from the root of a checkout):
     python scripts/tick_sweep.py
-    python scripts/tick_sweep.py --dims 100 100000 --ticks 2000 --repeats 7
 """
 
-import argparse
 import os
 import sys
 import time
@@ -29,6 +27,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from shastapca.model import ObservedSample  # noqa: E402
 from shastapca.shasta import ShastaConfig, ingest, init_state  # noqa: E402
+
+DIMS = (100, 1000, 10_000, 100_000)
+RANK = 3
+NOBS = 50       # |omega|, observed coordinates per sample
+TICKS = 1000    # ticks per timing
+REPEATS = 5
+SEED = 0
 
 
 def make_samples(rng, d, k, nobs, count):
@@ -68,25 +73,12 @@ def sweep(dims, k, nobs, ticks, repeats, seed):
     return best
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--dims", type=int, nargs="+",
-                        default=[100, 1000, 10_000, 100_000])
-    parser.add_argument("--rank", type=int, default=3)
-    parser.add_argument("--nobs", type=int, default=50)
-    parser.add_argument("--ticks", type=int, default=1000)
-    parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    if min(args.dims) < args.nobs:
-        parser.error("every d must be at least --nobs")
-
-    costs = sweep(args.dims, args.rank, args.nobs, args.ticks, args.repeats,
-                  args.seed)
-    for d in args.dims:
-        print(f"d={d:>7}  |omega|={args.nobs}  k={args.rank}  "
+def main():
+    costs = sweep(DIMS, RANK, NOBS, TICKS, REPEATS, SEED)
+    for d in DIMS:
+        print(f"d={d:>7}  |omega|={NOBS}  k={RANK}  "
               f"{1e6 * costs[d]:8.1f} us/tick")
-    lo, hi = min(args.dims), max(args.dims)
+    lo, hi = min(DIMS), max(DIMS)
     print(f"ratio d={hi}/d={lo}: {costs[hi] / costs[lo]:.2f}")
 
 

@@ -21,9 +21,9 @@ rows:
   just decays with gamma.
 
 A scale is folded into its arrays (an O(d k^2) rebase, after which the
-scale is 1) only before it would fall below SCALE_FLOOR, or when it reaches
-0: w_t = 1 (the first tick of the 1/t schedule) zeroes the stored systems,
-and c_f = 1 keeps G at zero, so that F = fhat.  Between rebases a tick costs
+scale is 1) only before it would fall below SCALE_FLOOR (1e-30), or when it
+reaches 0: w_t = 1 (the first tick of the 1/t schedule) zeroes the stored
+systems, and c_f = 1 zeroes G on every tick, so that F = fhat.  Between rebases a tick costs
 O(|omega| k^2 + k^3) whatever d is: it gathers the observed rows, does one
 eigendecomposition of F_o' F_o shared by the two E-steps, which differ only
 in v_g (`observed_parts`), updates the observed row systems and solves them
@@ -36,7 +36,12 @@ new variances and the new observed rows are finite, and only then writes the
 state; `ingest` advances t only after both steps succeed and undoes the
 variance step if the factor step fails.  A sample that would make the state
 non-finite raises RejectedSample (a ValueError) and leaves the state, t
-included, unchanged, so F stays finite by construction.
+included, unchanged, so F stays finite by construction.  The stored arrays
+are the eager ones divided by sigma or gamma, up to 1/SCALE_FLOOR = 1e30
+times larger.  So a sample whose eager update stays below about 1e278
+(float64's largest value, 1.8e308, times SCALE_FLOOR) is accepted wherever
+the scales stand; one between 1e278 and 1e308 may be rejected when a scale
+is near the floor; one past 1e308 is rejected as by the eager tick.
 """
 
 from __future__ import annotations
@@ -69,9 +74,11 @@ STATE1_MAGIC = b"SHASTAPCA-STATE1"
 # magic, d, t, k, L, sigma, gamma: 48 bytes, STATE1's header size.
 _HEADER = struct.Struct("<8sQQIIdd")
 
-# A lazy scale is folded into its arrays before it falls below this value,
-# far above float64's underflow (1e-308), so that dividing by it stays safe.
-SCALE_FLOOR = 1e-150
+# A lazy scale is folded into its arrays before it falls below this value.
+# The stored arrays hold the eager values divided by a scale, so they run up
+# to 1/SCALE_FLOOR times larger; 1e-30 leaves 278 of float64's 308 decades
+# to the data and costs one O(d k^2) fold per 6,900 ticks at w = 0.01.
+SCALE_FLOOR = 1e-30
 
 
 @dataclass(frozen=True)
@@ -160,8 +167,6 @@ class ShastaState:
     t: int = 0
     sigma: float = 1.0     # scale of the row systems, in (0, 1]
     gamma: float = 1.0     # scale of the factor offsets, in (0, 1]
-    # True once a c_f = 1 tick has zeroed G; saves re-zeroing it every tick.
-    dev_zero: bool = field(default=False, compare=False, repr=False)
 
     @property
     def f(self) -> np.ndarray:
@@ -326,9 +331,7 @@ def f_step(state: ShastaState, sample: ObservedSample, w: float,
             state.systems.fill(0.0)
         sigma = 1.0
     if gamma == 0.0:
-        if not state.dev_zero:
-            state.dev.fill(0.0)
-            state.dev_zero = True
+        state.dev.fill(0.0)
         gamma = 1.0
     elif fold_gamma:
         state.dev *= gamma
@@ -338,7 +341,6 @@ def f_step(state: ShastaState, sample: ObservedSample, w: float,
         state.fhat[omega] = fhat_o
         if dev_o is not None:
             state.dev[omega] = dev_o
-            state.dev_zero = False
     state.sigma, state.gamma = sigma, gamma
     return state
 

@@ -474,13 +474,13 @@ class TestBoundedState:
             load_state(path)
 
     def test_resume_across_a_fold_is_bitwise(self, tmp_path):
-        # w = c_f = 0.5 takes sigma and gamma below SCALE_FLOOR at tick 499,
+        # w = c_f = 0.5 takes sigma and gamma below SCALE_FLOOR at tick 100,
         # where both are folded into the arrays.  Checkpoints written just
         # before, at and just after that tick resume to the very bytes of
         # the uninterrupted stream.
         cfg = make_config(weights=0.5, c_f=0.5)
         rng = np.random.default_rng(25)
-        stream = [random_sample(rng, 8, 2, observe_prob=0.6) for _ in range(520)]
+        stream = [random_sample(rng, 8, 2, observe_prob=0.6) for _ in range(130)]
         straight = fresh_state(cfg, d=8, seed=26)
         scales = []
         for s in stream:
@@ -489,7 +489,7 @@ class TestBoundedState:
         fold = 1 + next(t for t, (sigma, gamma) in enumerate(scales)
                         if sigma == gamma == 1.0)
         # sigma was still at or above the floor one tick earlier.
-        assert fold == 499 and 0 < scales[fold - 2][0] < shasta.SCALE_FLOOR / 0.5
+        assert fold == 100 and 0 < scales[fold - 2][0] < shasta.SCALE_FLOOR / 0.5
         save_state(straight, tmp_path / "straight.bin")
 
         for cut in (fold - 1, fold, fold + 1):

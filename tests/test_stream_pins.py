@@ -174,3 +174,38 @@ def test_lazy_scales_fold_without_changing_the_trajectory(monkeypatch, weights,
         if t % 250 == 0:
             assert_matches_oracle(state, ref, f"t={t}")
     assert min(folds.values()) >= 2, folds
+
+
+def test_large_sample_near_the_floor_is_accepted_as_by_the_eager_tick():
+    # The stored systems are the eager ones divided by sigma, so a tick that
+    # leaves sigma just above SCALE_FLOOR scales its update by up to
+    # 1/SCALE_FLOOR.  c_v = 1e-200 keeps v_g near 0.5 however large the
+    # sample, so values of 1e80 add about 1e160 to the eager systems: well
+    # inside float64, and inside it still after that scaling.
+    d, k = 8, 2
+    cfg = ShastaConfig(rank=k, num_groups=1, weights=0.5, c_f=0.5, c_v=1e-200,
+                       delta=0.1)
+    rng = np.random.default_rng(12)
+    f0 = rng.standard_normal((d, k)) / np.sqrt(d)
+    v0 = np.array([0.5])
+    state, ref = init_state(cfg, f0, v0), EagerShasta(cfg, f0, v0)
+
+    def both(sample):
+        ingest(state, sample, cfg)
+        ref.ingest(sample)
+
+    # Stop where the next tick takes sigma to within a factor 2 of the floor.
+    while state.sigma * 0.25 >= shasta.SCALE_FLOOR:
+        both(ObservedSample.full(rng.standard_normal(d), 0))
+    both(ObservedSample.full(1e80 * rng.standard_normal(d), 0))
+    assert shasta.SCALE_FLOOR <= state.sigma < 2 * shasta.SCALE_FLOOR
+    assert np.abs(ref.r_bar).max() > 1e150
+    for name in ("f", "r_bar", "s_bar"):
+        assert np.isfinite(getattr(ref, name)).all()
+        assert np.isfinite(getattr(state, name)).all()
+    assert relative_gap(state.v, ref.v) <= RTOL
+    assert relative_gap(state.r_bar, ref.r_bar) <= RTOL
+
+    both(ObservedSample.full(rng.standard_normal(d), 0))
+    assert state.t == ref.t
+    assert np.isfinite(state.f).all()

@@ -3,8 +3,11 @@
 Each iteration updates the noise variances with the factors held fixed, then
 updates the factors row by row with the variances held fixed.  Both updates
 maximize the EM surrogate in closed form, so the observed-data log-likelihood
-is non-decreasing across iterations.  Also provides the closed-form
-homoscedastic PPCA solution used as a batch baseline.
+is non-decreasing across iterations.  Each step reads every sample's
+posterior off the model's one k x k kernel (`DatasetEvaluator.parts`: one
+Gram and one batched eigendecomposition at the step's factors).  Also
+provides the closed-form homoscedastic PPCA solution used as a batch
+baseline.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ class BatchProblem:
     num_groups: int
     d: int
     k: int
-    _dense: "_DenseView" = field(default=None, repr=False, compare=False)
+    _dense: DatasetEvaluator = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.samples:
@@ -43,27 +46,11 @@ class BatchProblem:
                 raise ValueError(f"sample {i} observes coordinate beyond d={self.d}")
 
     @property
-    def dense(self) -> "_DenseView":
+    def dense(self) -> DatasetEvaluator:
+        """The dataset's mask/value arrays, built on first use."""
         if self._dense is None:
-            self._dense = _DenseView(self.samples, self.d)
+            self._dense = DatasetEvaluator(self.samples, self.d)
         return self._dense
-
-
-class _DenseView(DatasetEvaluator):
-    """Mask/value arrays plus batched posterior statistics."""
-
-    def posterior(self, f, v):
-        """zbar (n, k), m (n, k, k) at parameters (f, v), all samples at once."""
-        k = f.shape[1]
-        vg = floor_variances(v)[self.groups]
-        a = self.gram(f) + vg[:, None, None] * np.eye(k)
-        try:
-            m = np.linalg.inv(a)
-        except np.linalg.LinAlgError:
-            m = np.linalg.pinv(a)
-        m = 0.5 * (m + np.transpose(m, (0, 2, 1)))
-        zbar = np.einsum("nkl,nl->nk", m, (self.w * self.y) @ f)
-        return zbar, m
 
 
 @dataclass(frozen=True)
@@ -86,14 +73,15 @@ def batch_v_step(f: np.ndarray, v_prev: np.ndarray, problem: BatchProblem) -> np
     f = check_factors(f)
     v_prev = floor_variances(v_prev)
     dense = problem.dense
-    zbar, m = dense.posterior(f, v_prev)
     vg = v_prev[dense.groups]
+    parts = dense.parts(f)
 
-    resid = dense.w * (dense.y - zbar @ f.T)
+    # w (y - zbar F'), in one n x d buffer.
+    resid = parts.mean(vg) @ f.T
+    np.subtract(dense.y, resid, out=resid)
+    resid *= dense.w
     rss = np.einsum("nd,nd->n", resid, resid)
-    gram = dense.gram(f)
-    tr = np.einsum("nkl,nkl->n", gram, m)
-    rho_i = rss + vg * tr
+    rho_i = rss + vg * parts.fit_trace(vg)
 
     theta = np.zeros(problem.num_groups)
     rho = np.zeros(problem.num_groups)
@@ -118,12 +106,13 @@ def batch_f_step(f_prev: np.ndarray, v: np.ndarray, problem: BatchProblem) -> np
     v = floor_variances(v)
     dense = problem.dense
     k = problem.k
-    zbar, m = dense.posterior(f_prev, v)
     vg = v[dense.groups]
+    stats = dense.parts(f_prev).posterior(vg)
+    zbar = stats.zbar
 
-    contrib = zbar[:, :, None] * zbar[:, None, :] / vg[:, None, None] + m
+    contrib = zbar[:, :, None] * zbar[:, None, :] / vg[:, None, None] + stats.m
     r = (dense.w.T @ contrib.reshape(-1, k * k)).reshape(problem.d, k, k)
-    s = (dense.w * dense.y / vg[:, None]).T @ zbar
+    s = dense.y.T @ (zbar / vg[:, None])
 
     observed_rows = dense.w.sum(axis=0) > 0
     f_new = f_prev.copy()

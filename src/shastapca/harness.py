@@ -288,24 +288,6 @@ def csv_dimension(path) -> int:
     return len([c for c in header if c not in ("group", "variance")])
 
 
-def write_csv_stream(samples, d: int, path, variances=None) -> None:
-    """Serialize samples to the dataset CSV format (round-trips exactly)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["group"] + [f"y{j}" for j in range(d)]
-        if variances is not None:
-            header.insert(1, "variance")
-        writer.writerow(header)
-        for i, s in enumerate(samples):
-            cells = [""] * d
-            for j, val in zip(s.omega, s.values):
-                cells[j] = repr(float(val))
-            row = [str(s.group)] + cells
-            if variances is not None:
-                row.insert(1, repr(float(variances[i])))
-            writer.writerow(row)
-
-
 def zero_fill(samples, d: int) -> np.ndarray:
     """Dense n x d matrix with zeros at missing entries, for estimators that
     need fully sampled data."""

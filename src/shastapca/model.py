@@ -6,6 +6,11 @@ each sample observes only a subset of coordinates.  This module provides the
 observed-entry log-likelihood, the posterior statistics of the latent
 coefficients, and the EM-style surrogate value used by the solvers.
 
+Every one of these reads one k x k kernel per sample, ObservedParts: the
+eigendecomposition of F_o' F_o, from which each value at any v_g is a sum
+over lambda + v_g >= VARIANCE_FLOOR > 0, so no solve can fail.  One sample
+(`observed_parts`) and a whole dataset (`DatasetEvaluator.parts`) share it.
+
 Conventions: coordinate indices and group labels are 0-based, likelihood
 values drop all additive constants (only differences are meaningful), and a
 sample observing no coordinates is legal and carries no information.
@@ -17,11 +22,15 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import linalg
 
 # Variances are floored here whenever consumed; the model itself never lets
 # a variance reach zero but finite-precision iterates can.
 VARIANCE_FLOOR = 1e-12
+
+# Forming and decomposing a k x k Gram matrix moves a zero eigenvalue by up
+# to about k eps lambda_max, which would skew every value at a v_g that small.
+# An eigenvalue at or below k times this relative level is taken as 0.
+ZERO_EIGENVALUE = 4 * np.finfo(np.float64).eps
 
 
 class RejectedSample(ValueError):
@@ -93,16 +102,6 @@ def check_factors(f: np.ndarray) -> np.ndarray:
     return f
 
 
-def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b for SPD a, falling back to a pivoted LU solve."""
-    try:
-        c, low = linalg.cho_factor(a, lower=True, check_finite=False)
-        return linalg.cho_solve((c, low), b, check_finite=False)
-    except linalg.LinAlgError:
-        return linalg.lu_solve(linalg.lu_factor(a, check_finite=False), b,
-                               check_finite=False)
-
-
 def solve_rows(r: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Solve r[j] x_j = s[j] for a stack of row systems in one batched call.
     If any system is singular, every row falls back to least squares."""
@@ -124,34 +123,64 @@ def posterior_stats(f: np.ndarray | None, v: np.ndarray, sample: ObservedSample,
 
     parts, if given, must be `observed_parts(f[sample.omega], sample.values)`;
     f is then not read at all (it may be None), and only the O(k^2) step
-    from the shared eigendecomposition to m and zbar at this v_g is done:
-    m = Q diag(1/(lambda + v_g)) Q'.  A streaming tick needs the E-step at
-    two values of v_g with the same F_o and forms the parts once for both.
+    from the parts to m and zbar at this v_g is done.  A streaming tick
+    needs the E-step at two values of v_g with the same F_o and forms the
+    parts once for both.
     """
     if parts is None:
         f = np.asarray(f, dtype=np.float64)
         if f.ndim != 2 or f.shape[1] < 1:
             raise ValueError("factor matrix must be d x k with k >= 1")
         parts = observed_parts(f[sample.omega], sample.values)
-    vg = max(float(v[sample.group]), VARIANCE_FLOOR)
-    scale = 1.0 / (parts.evals + vg)
-    half = parts.evecs * np.sqrt(scale)
-    return PosteriorStats(m=half @ half.T,
-                          zbar=parts.evecs @ (scale * parts.proj))
+    return parts.posterior(max(float(v[sample.group]), VARIANCE_FLOOR))
 
 
 class ObservedParts(NamedTuple):
-    """The parts of one sample's E-step that do not depend on v_g.
+    """The parts of a sample's E-step and likelihood that do not depend on
+    v_g, and the formulas that read them at a floored v_g.
 
     fo: the observed rows F_o; evals, evecs: the eigendecomposition
-    F_o' F_o = Q diag(lambda) Q' (lambda clipped at 0, as F_o' F_o is
-    positive semidefinite); proj: Q' F_o' y_o.
+    F_o' F_o = Q diag(lambda) Q' (lambda >= 0, see `_gram_spectrum`); proj:
+    Q' F_o' y_o.  For a stack of samples (`DatasetEvaluator.parts`) evals,
+    evecs and proj gain a leading sample axis, vg is an array with one entry
+    per sample, and fo is the whole factor matrix.
     """
 
     fo: np.ndarray
     evals: np.ndarray
     evecs: np.ndarray
     proj: np.ndarray
+
+    def mean(self, vg) -> np.ndarray:
+        """The posterior mean zbar = Q (proj/(lambda + v_g))."""
+        scale = 1.0 / (self.evals + np.asarray(vg)[..., None])
+        return (self.evecs @ (scale * self.proj)[..., None])[..., 0]
+
+    def posterior(self, vg) -> PosteriorStats:
+        """The mean, as `mean`, and m = Q diag(1/(lambda + v_g)) Q'."""
+        scale = 1.0 / (self.evals + np.asarray(vg)[..., None])
+        half = self.evecs * np.sqrt(scale)[..., None, :]
+        zbar = (self.evecs @ (scale * self.proj)[..., None])[..., 0]
+        return PosteriorStats(m=half @ half.swapaxes(-1, -2), zbar=zbar)
+
+    def fit_trace(self, vg):
+        """tr(F_o' F_o m) = sum lambda/(lambda + v_g)."""
+        return (self.evals / (self.evals + np.asarray(vg)[..., None])).sum(axis=-1)
+
+    def log_likelihood(self, vg, nobs, ysq):
+        """-ln det(F_o F_o' + v_g I) - y_o' (F_o F_o' + v_g I)^{-1} y_o, from
+        the sample's observed-entry count nobs and y_o' y_o.
+
+        det(F_o F_o' + v I_n) = v^(n-k) det(F_o' F_o + v I_k) for any n, k,
+        and y_o' F_o m F_o' y_o = sum proj^2/(lambda + v_g).  The quadratic
+        form is a difference divided by v_g, so it carries an absolute
+        rounding error of about eps y_o' y_o / v_g.
+        """
+        shifted = self.evals + np.asarray(vg)[..., None]
+        logdet = ((nobs - self.evals.shape[-1]) * np.log(vg)
+                  + np.log(shifted).sum(axis=-1))
+        quad = (ysq - (self.proj ** 2 / shifted).sum(axis=-1)) / vg
+        return -logdet - quad
 
 
 def observed_parts(fo: np.ndarray, values: np.ndarray) -> ObservedParts:
@@ -160,32 +189,31 @@ def observed_parts(fo: np.ndarray, values: np.ndarray) -> ObservedParts:
     sample is rejected."""
     if not np.isfinite(fo).all():
         raise RejectedSample("observed factor rows must be finite")
-    evals, evecs = np.linalg.eigh(fo.T @ fo)
-    return ObservedParts(fo, np.maximum(evals, 0.0), evecs,
-                         evecs.T @ (fo.T @ values))
+    evals, evecs = _gram_spectrum(fo.T @ fo)
+    return ObservedParts(fo, evals, evecs, evecs.T @ (fo.T @ values))
+
+
+def _gram_spectrum(gram: np.ndarray):
+    """eigh of one k x k Gram matrix or a stack of them, with every
+    eigenvalue at or below k ZERO_EIGENVALUE lambda_max set to 0."""
+    evals, evecs = np.linalg.eigh(gram)
+    evals[evals <= (gram.shape[-1] * ZERO_EIGENVALUE) * evals[..., -1:]] = 0.0
+    return evals, evecs
 
 
 def sample_log_likelihood(f: np.ndarray, v: np.ndarray, sample: ObservedSample) -> float:
     """Observed-entry log-likelihood term for one sample, constants dropped.
 
     Equals ln det(F_o F_o' + v_g I)^{-1} - y_o' (F_o F_o' + v_g I)^{-1} y_o,
-    evaluated through the k x k system so the cost is O(|omega| k^2 + k^3).
+    evaluated through the k x k parts so the cost is O(|omega| k^2 + k^3).
     """
     f = check_factors(f)
-    n = sample.nobs
-    if n == 0:
+    if sample.nobs == 0:
         return 0.0
-    k = f.shape[1]
-    vg = float(floor_variances(v)[sample.group])
-    fo = f[sample.omega]
     y = sample.values
-    a = fo.T @ fo + vg * np.eye(k)
-    # det(F_o F_o' + v I_n) = v^(n-k) det(F_o' F_o + v I_k) for any n, k.
-    sign, logdet_a = np.linalg.slogdet(a)
-    logdet_sigma = (n - k) * np.log(vg) + logdet_a
-    b = fo.T @ y
-    quad = (y @ y - b @ _spd_solve(a, b)) / vg
-    return float(-logdet_sigma - quad)
+    parts = observed_parts(f[sample.omega], y)
+    vg = float(floor_variances(v)[sample.group])
+    return float(parts.log_likelihood(vg, sample.nobs, y @ y))
 
 
 def dataset_log_likelihood(f: np.ndarray, v: np.ndarray, samples) -> float:
@@ -227,9 +255,10 @@ def minorizer_value(f: np.ndarray, v: np.ndarray, anchor_f: np.ndarray,
 class DatasetEvaluator:
     """Log-likelihood of a fixed dataset, vectorized across samples.
 
-    Precomputes dense mask/value arrays once so repeated evaluations at new
-    parameters (solver traces, finite differences) cost a handful of batched
-    k x k operations instead of a Python loop.
+    Precomputes dense mask/value arrays once (y is 0 off each sample's
+    mask) so repeated evaluations at new parameters (solver iterations,
+    traces) cost one Gram, one batched k x k eigendecomposition and one
+    y @ f instead of a Python loop.
     """
 
     def __init__(self, samples, d: int):
@@ -248,26 +277,16 @@ class DatasetEvaluator:
         self.nobs = self.w.sum(axis=1)
         self.ysq = np.einsum("nd,nd->n", self.y, self.y)
 
-    def gram(self, f: np.ndarray) -> np.ndarray:
-        """Per-sample restricted Gram matrices F_o' F_o, shape (n, k, k)."""
+    def parts(self, f: np.ndarray) -> ObservedParts:
+        """Every sample's ObservedParts at f, stacked along a leading axis."""
         k = f.shape[1]
         pairs = (f[:, :, None] * f[:, None, :]).reshape(self.d, k * k)
-        return (self.w @ pairs).reshape(-1, k, k)
+        evals, evecs = _gram_spectrum((self.w @ pairs).reshape(-1, k, k))
+        proj = (np.swapaxes(evecs, 1, 2) @ (self.y @ f)[..., None])[..., 0]
+        return ObservedParts(f, evals, evecs, proj)
 
     def __call__(self, f: np.ndarray, v: np.ndarray) -> float:
         f = check_factors(f)
-        k = f.shape[1]
         vg = floor_variances(v)[self.groups]
-        a = self.gram(f) + vg[:, None, None] * np.eye(k)
-        b = (self.w * self.y) @ f
-        try:
-            chol = np.linalg.cholesky(a)
-            logdet_a = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-            solved = np.linalg.solve(a, b[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            sign, logdet_a = np.linalg.slogdet(a)
-            solved = np.stack([linalg.lu_solve(linalg.lu_factor(ai), bi)
-                               for ai, bi in zip(a, b)])
-        logdet_sigma = (self.nobs - k) * np.log(vg) + logdet_a
-        quad = (self.ysq - np.einsum("nk,nk->n", b, solved)) / vg
-        return float(0.5 * np.sum(-logdet_sigma - quad))
+        return float(0.5 * np.sum(self.parts(f).log_likelihood(vg, self.nobs,
+                                                              self.ysq)))

@@ -55,6 +55,7 @@ import numpy as np
 
 from .model import (
     VARIANCE_FLOOR,
+    ObservedParts,
     ObservedSample,
     RejectedSample,
     check_factors,
@@ -221,7 +222,7 @@ def init_state(cfg: ShastaConfig, f0: np.ndarray, v0: np.ndarray) -> ShastaState
 
 
 def v_step(state: ShastaState, sample: ObservedSample, w: float,
-           c_v: float, *, parts=None) -> ShastaState:
+           c_v: float, *, parts: ObservedParts) -> ShastaState:
     """Variance update at frozen factors.
 
     Folds the sample's observed-entry count and posterior residual power into
@@ -234,22 +235,17 @@ def v_step(state: ShastaState, sample: ObservedSample, w: float,
     RejectedSample and leaves the state untouched and the previous arrays
     unmodified.
 
-    parts, if given, must be `observed_parts(state.observed_rows(omega),
-    sample.values)` for the current state (`ingest` shares one with
-    `f_step`); it is not checked.  Without it the step forms the parts
-    itself, which only callers composing the steps by hand need.
+    parts must be `observed_parts(state.observed_rows(sample.omega),
+    sample.values)` for the current state; `ingest` forms it once and
+    shares it with `f_step`.  It is not checked.
     """
     if not 0.0 < w <= 1.0:
         raise ValueError("weight must lie in (0, 1]")
     g = sample.group
-    if parts is None:
-        parts = observed_parts(state.observed_rows(sample.omega), sample.values)
-    stats = posterior_stats(None, state.v, sample, parts=parts)
-    resid = sample.values - parts.fo @ stats.zbar
     vg = float(state.v[g])
-    # tr(F_o m F_o') from the eigenvalues of F_o' F_o.
-    fit = (parts.evals / (parts.evals + max(vg, VARIANCE_FLOOR))).sum()
-    rho_t = float(resid @ resid) + vg * float(fit)
+    floored = max(vg, VARIANCE_FLOOR)
+    resid = sample.values - parts.fo @ parts.mean(floored)
+    rho_t = float(resid @ resid) + vg * float(parts.fit_trace(floored))
 
     theta_bar = (1.0 - w) * state.theta_bar
     rho_bar = (1.0 - w) * state.rho_bar
@@ -267,7 +263,7 @@ def v_step(state: ShastaState, sample: ObservedSample, w: float,
 
 
 def f_step(state: ShastaState, sample: ObservedSample, w: float,
-           c_f: float, *, parts=None) -> ShastaState:
+           c_f: float, *, parts: ObservedParts) -> ShastaState:
     """Factor update at the variances already updated this tick.
 
     Every row system decays by 1 - w and the observed rows fold in the
@@ -286,8 +282,6 @@ def f_step(state: ShastaState, sample: ObservedSample, w: float,
     if not 0.0 < w <= 1.0:
         raise ValueError("weight must lie in (0, 1]")
     omega, k = sample.omega, state.k
-    if parts is None:
-        parts = observed_parts(state.observed_rows(omega), sample.values)
     stats = posterior_stats(None, state.v, sample, parts=parts)
     vg = max(float(state.v[sample.group]), VARIANCE_FLOOR)
     sigma = state.sigma * (1.0 - w)

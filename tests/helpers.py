@@ -6,11 +6,12 @@ streaming tick in its eager form, taking the slow-but-obvious route that the
 library avoids.
 """
 
+import csv
 import struct
 
 import numpy as np
 
-from shastapca.model import VARIANCE_FLOOR, ObservedSample
+from shastapca.model import VARIANCE_FLOOR, ObservedSample, observed_parts
 
 
 def random_instance(rng, d, k, num_groups, observe_prob=1.0, n=1,
@@ -54,6 +55,86 @@ def conditioned_posterior(f, v, sample):
     mean = gain @ sample.values
     cov = np.eye(k) - gain @ fo
     return mean, cov
+
+
+def step_parts(state, sample):
+    """The parts `ingest` shares between `v_step` and `f_step`, for composing
+    the two steps by hand."""
+    return observed_parts(state.observed_rows(sample.omega), sample.values)
+
+
+def write_csv_stream(samples, d, path, variances=None):
+    """Serialize samples to the dataset CSV format (round-trips exactly)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        header = ["group"] + [f"y{j}" for j in range(d)]
+        if variances is not None:
+            header.insert(1, "variance")
+        writer.writerow(header)
+        for i, s in enumerate(samples):
+            cells = [""] * d
+            for j, val in zip(s.omega, s.values):
+                cells[j] = repr(float(val))
+            row = [str(s.group)] + cells
+            if variances is not None:
+                row.insert(1, repr(float(variances[i])))
+            writer.writerow(row)
+
+
+# Inputs on which F_o' F_o + v_g I is singular or nearly so, or huge, for
+# `degenerate`.
+DEGENERATE = ("as_drawn", "zero_column", "duplicate_column", "few_observed",
+              "floor_variance", "empty_sample", "scaled_1e6")
+
+
+def degenerate(rng, case, f, v, samples):
+    """The instance (f, v, samples) remade into one of the DEGENERATE inputs
+    ("as_drawn" returns it unchanged), as new arrays and samples:
+
+    - zero_column, duplicate_column: F, and so every F_o, is rank-deficient;
+    - few_observed: each sample keeps its first k - 1 entries, |omega| < k;
+    - floor_variance: every v_g is VARIANCE_FLOOR and every sample observes
+      (new values at) the first k coordinates, whose rows of F are made a
+      well-conditioned k x k matrix, so that the dense oracles stay well
+      conditioned;
+    - empty_sample: the first sample observes nothing;
+    - scaled_1e6: F times 1e6, each sample keeping at most k entries (with
+      more, the dense oracles' |omega| x |omega| covariance has a condition
+      number of about 1e12 / v_g).
+    """
+    f, v = np.array(f, dtype=np.float64), np.array(v, dtype=np.float64)
+    k = f.shape[1]
+
+    def keep(s, count):
+        return ObservedSample(s.omega[:count], s.values[:count], s.group)
+
+    if case == "zero_column":
+        f[:, 0] = 0.0
+    elif case == "duplicate_column":
+        f[:, -1] = f[:, 0]
+    elif case == "few_observed":
+        samples = [keep(s, k - 1) for s in samples]
+    elif case == "floor_variance":
+        v[:] = VARIANCE_FLOOR
+        f[:k] = orthonormal(rng, k, k) * rng.uniform(1.0, 2.0, size=k)
+        samples = [ObservedSample(np.arange(k), rng.standard_normal(k), s.group)
+                   for s in samples]
+    elif case == "empty_sample":
+        samples = [keep(samples[0], 0)] + list(samples[1:])
+    elif case == "scaled_1e6":
+        f *= 1e6
+        samples = [keep(s, k) for s in samples]
+    elif case != "as_drawn":
+        raise ValueError(f"unknown case {case!r}")
+    return f, v, list(samples)
+
+
+def quad_rounding(v, sample):
+    """The absolute rounding error the likelihood kernel may make in one
+    sample's quadratic form: a few eps y_o' y_o / v_g (the form is a
+    difference divided by v_g; see `ObservedParts.log_likelihood`)."""
+    vg = max(float(v[sample.group]), VARIANCE_FLOOR)
+    return 16 * np.finfo(float).eps * float(sample.values @ sample.values) / vg
 
 
 def orthonormal(rng, d, k):

@@ -19,13 +19,12 @@ from shastapca.harness import (
     read_csv_samples,
     run_experiment,
     timing_run,
-    write_csv_stream,
     zero_fill,
 )
 from shastapca.metrics import MetricTrace
 from shastapca.model import ObservedSample
 
-from helpers import crafted_checkpoints
+from helpers import crafted_checkpoints, write_csv_stream
 
 
 def smoke_raw(output_dir, estimator=None, seeds=(0,)):

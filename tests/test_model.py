@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import shastapca
 
 from shastapca.model import (
     DatasetEvaluator,
@@ -13,8 +20,11 @@ from shastapca.model import (
 )
 
 from helpers import (
+    DEGENERATE,
     conditioned_posterior,
+    degenerate,
     dense_sample_loglik,
+    quad_rounding,
     random_instance,
     random_sample,
 )
@@ -63,14 +73,19 @@ class TestPosteriorStats:
 
     def test_matches_joint_gaussian_conditioning(self):
         # d=5, k=2, 3 observed entries; oracle conditions the dense joint.
+        # The DEGENERATE cases after "as_drawn" remake the instance into
+        # inputs a k x k solve finds hard.
         rng = np.random.default_rng(7)
-        f = rng.standard_normal((5, 2))
-        v = np.array([0.3])
-        s = ObservedSample(np.array([0, 2, 4]), rng.standard_normal(3), 0)
-        stats = posterior_stats(f, v, s)
-        mean, cov = conditioned_posterior(f, v, s)
-        np.testing.assert_allclose(stats.zbar, mean, atol=1e-10)
-        np.testing.assert_allclose(v[0] * stats.m, cov, atol=1e-10)
+        f0 = rng.standard_normal((5, 2))
+        v0 = np.array([0.3])
+        s0 = ObservedSample(np.array([0, 2, 4]), rng.standard_normal(3), 0)
+        for case in DEGENERATE:
+            f, v, (s,) = degenerate(rng, case, f0, v0, [s0])
+            stats = posterior_stats(f, v, s)
+            mean, cov = conditioned_posterior(f, v, s)
+            np.testing.assert_allclose(stats.zbar, mean, atol=1e-10, err_msg=case)
+            np.testing.assert_allclose(v[0] * stats.m, cov, atol=1e-10,
+                                       err_msg=case)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=50)
@@ -159,13 +174,18 @@ class TestSampleLogLikelihood:
         assert sample_log_likelihood(f, np.array([0.4]), s) == 0.0
 
     def test_matches_dense_oracle_small(self):
+        # One instance, and its DEGENERATE remakes.
         rng = np.random.default_rng(11)
-        f = rng.standard_normal((6, 2))
-        v = np.array([0.8])
-        s = ObservedSample(np.array([0, 2, 3, 5]), rng.standard_normal(4), 0)
-        got = sample_log_likelihood(f, v, s)
-        want = dense_sample_loglik(f, v, s)
-        assert got == pytest.approx(want, rel=1e-8)
+        f0 = rng.standard_normal((6, 2))
+        v0 = np.array([0.8])
+        s0 = ObservedSample(np.array([0, 2, 3, 5]), rng.standard_normal(4), 0)
+        for case in DEGENERATE:
+            f, v, (s,) = degenerate(rng, case, f0, v0, [s0])
+            got = sample_log_likelihood(f, v, s)
+            want = dense_sample_loglik(f, v, s)
+            assert np.isfinite(got), case
+            assert got == pytest.approx(want, rel=1e-8,
+                                        abs=quad_rounding(v, s)), case
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=50)
@@ -210,11 +230,15 @@ class TestDatasetLogLikelihood:
         assert two == pytest.approx(2 * one, rel=1e-12)
 
     def test_evaluator_matches_scalar_loop(self):
+        # One dataset, and its DEGENERATE remakes.
         rng = np.random.default_rng(9)
-        f, v, samples = random_instance(rng, 8, 3, 2, observe_prob=0.5, n=20)
-        ev = DatasetEvaluator(samples, d=8)
-        want = 0.5 * sum(sample_log_likelihood(f, v, s) for s in samples)
-        assert ev(f, v) == pytest.approx(want, rel=1e-10)
+        f0, v0, samples0 = random_instance(rng, 8, 3, 2, observe_prob=0.5, n=20)
+        for case in DEGENERATE:
+            f, v, samples = degenerate(rng, case, f0, v0, samples0)
+            ev = DatasetEvaluator(samples, d=8)
+            want = 0.5 * sum(sample_log_likelihood(f, v, s) for s in samples)
+            rounding = 0.5 * sum(quad_rounding(v, s) for s in samples)
+            assert ev(f, v) == pytest.approx(want, rel=1e-10, abs=rounding), case
 
     def test_evaluator_handles_empty_samples(self):
         rng = np.random.default_rng(10)
@@ -261,3 +285,15 @@ class TestMinorizer:
             lhs = 2 * minorizer_value(f, v, anchor_f, anchor_v, s) + c
             rhs = sample_log_likelihood(f, v, s)
             assert lhs <= rhs + 1e-8
+
+
+def test_package_imports_without_scipy():
+    # The model needs only numpy: importing the package and its CLI in a
+    # fresh interpreter must load no scipy module.
+    code = ("import sys, shastapca, shastapca.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(shastapca.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"

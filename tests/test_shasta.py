@@ -19,7 +19,7 @@ from shastapca.shasta import (
     v_step,
 )
 
-from helpers import crafted_checkpoints, orthonormal, random_sample
+from helpers import crafted_checkpoints, orthonormal, random_sample, step_parts
 
 
 def make_config(**kw):
@@ -100,7 +100,7 @@ class TestVStep:
         cfg = make_config(num_groups=1)
         state = init_state(cfg, np.zeros((5, 2)), np.array([0.77]))
         s = ObservedSample(np.array([0, 2, 3]), np.array([1.0, -2.0, 2.0]), 0)
-        v_step(state, s, w=1.0, c_v=1.0)
+        v_step(state, s, w=1.0, c_v=1.0, parts=step_parts(state, s))
         assert state.v[0] == pytest.approx(9.0 / 3.0)
 
     def test_running_average_closed_form(self):
@@ -111,7 +111,7 @@ class TestVStep:
         rng = np.random.default_rng(3)
         samples = [random_sample(rng, 6, 2, observe_prob=0.8) for _ in range(40)]
         for t, s in enumerate(samples, start=1):
-            v_step(state, s, w=1.0 / t, c_v=1.0)
+            v_step(state, s, w=1.0 / t, c_v=1.0, parts=step_parts(state, s))
         for g in range(2):
             own = [s for s in samples if s.group == g and s.nobs]
             want = (sum(s.values @ s.values for s in own)
@@ -123,12 +123,13 @@ class TestVStep:
         state = fresh_state(cfg, d=6, seed=4)
         rng = np.random.default_rng(5)
         # Seed group 1 with some mass, then stream group-0 samples.
-        v_step(state, random_sample(rng, 6, 2, scale=2.0), w=0.5, c_v=0.5)
+        first = random_sample(rng, 6, 2, scale=2.0)
+        v_step(state, first, w=0.5, c_v=0.5, parts=step_parts(state, first))
         state_g1 = ObservedSample(np.array([1, 4]), np.array([3.0, -1.0]), 1)
-        v_step(state, state_g1, w=0.5, c_v=0.5)
+        v_step(state, state_g1, w=0.5, c_v=0.5, parts=step_parts(state, state_g1))
         ratio_before = state.rho_bar[1] / state.theta_bar[1]
         s0 = ObservedSample(np.array([0, 2, 5]), np.array([1.0, 0.5, -0.2]), 0)
-        v_step(state, s0, w=0.3, c_v=0.5)
+        v_step(state, s0, w=0.3, c_v=0.5, parts=step_parts(state, s0))
         assert state.rho_bar[1] / state.theta_bar[1] == pytest.approx(
             ratio_before, rel=1e-15)
 
@@ -136,7 +137,7 @@ class TestVStep:
         cfg = make_config(num_groups=1)
         state = init_state(cfg, np.zeros((3, 2)), np.array([0.5]))
         s = ObservedSample(np.array([0, 1]), np.zeros(2), 0)
-        v_step(state, s, w=1.0, c_v=1.0)
+        v_step(state, s, w=1.0, c_v=1.0, parts=step_parts(state, s))
         assert state.v[0] == VARIANCE_FLOOR
 
 
@@ -148,7 +149,7 @@ class TestFStep:
         state = init_state(cfg, np.zeros((5, 2)), np.array([0.5]))
         before = copy.deepcopy(state)
         s = ObservedSample(np.array([1, 3]), np.array([1.0, -2.0]), 0)
-        f_step(state, s, w=1e-16, c_f=cfg.c_f)
+        f_step(state, s, w=1e-16, c_f=cfg.c_f, parts=step_parts(state, s))
         np.testing.assert_allclose(state.f, before.f, atol=1e-12)
         np.testing.assert_allclose(state.r_bar, before.r_bar, rtol=1e-12)
         np.testing.assert_allclose(state.s_bar, before.s_bar, atol=1e-12)
@@ -179,7 +180,7 @@ class TestFStep:
         problem = BatchProblem([sample], num_groups=1, d=d, k=k)
         f_batch = state.f.copy()
         for _ in range(4):
-            f_step(state, sample, w=1.0, c_f=1.0)
+            f_step(state, sample, w=1.0, c_f=1.0, parts=step_parts(state, sample))
             f_batch = batch_f_step(f_batch, v, problem)
             np.testing.assert_allclose(state.f, f_batch, rtol=1e-8)
 
@@ -220,15 +221,15 @@ class TestIngest:
 
         state_b.t += 1
         w = cfg.weights(state_b.t)
-        v_step(state_b, s, w, cfg.c_v)
-        f_step(state_b, s, w, cfg.c_f)
+        v_step(state_b, s, w, cfg.c_v, parts=step_parts(state_b, s))
+        f_step(state_b, s, w, cfg.c_f, parts=step_parts(state_b, s))
         np.testing.assert_array_equal(state_a.f, state_b.f)
         np.testing.assert_array_equal(state_a.v, state_b.v)
 
         # Wrong order: factor step first, at the stale variances.
         state_c.t += 1
-        f_step(state_c, s, w, cfg.c_f)
-        v_step(state_c, s, w, cfg.c_v)
+        f_step(state_c, s, w, cfg.c_f, parts=step_parts(state_c, s))
+        v_step(state_c, s, w, cfg.c_v, parts=step_parts(state_c, s))
         assert not np.array_equal(state_a.f, state_c.f)
 
     def test_decay_invariance_of_untouched_ratio(self):

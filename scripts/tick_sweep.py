@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
-"""Per-tick cost of SHASTA's `ingest` as the ambient dimension d grows.
+"""Per-tick cost of the streaming estimators as the ambient dimension d grows.
 
 For each d, streams samples that observe |omega| random coordinates of a
-rank-k planted model through `shastapca.shasta.ingest` (weights 1/t,
-c_f = c_v = 0.1) and prints the best of REPEATS timings of TICKS ticks, in
-microseconds per tick, then the ratio of the largest d's cost to the
-smallest's.  A tick whose cost does not depend on d prints a ratio near 1.
-The repeats cycle through the d's, so that every d is timed in the same
-stretches of wall time.  BLAS runs on one thread.
+rank-k planted model through the `ingest` of SHASTA (weights 1/t,
+c_f = c_v = 0.1), PETRELS (forgetting PETRELS_FORGETTING) and GROUSE (step
+GROUSE_STEP), the three on the same samples from the same initial factors.
+It prints the best of REPEATS timings of TICKS ticks, in microseconds per
+tick, then each estimator's ratio of the largest d's cost to the smallest's.
+A tick whose cost does not depend on d prints a ratio near 1; PETRELS
+discounts all d row systems and GROUSE rotates all d rows of its basis on
+every tick, so theirs grow with d.  The repeats cycle through every
+estimator and d, so that all are timed in the same stretches of wall time.
+BLAS runs on one thread.
 
 Usage (from the root of a checkout):
     python scripts/tick_sweep.py
@@ -25,8 +29,10 @@ import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from shastapca.baselines import Grouse, Petrels  # noqa: E402
+from shastapca.datagen import orthonormalize  # noqa: E402
 from shastapca.model import ObservedSample  # noqa: E402
-from shastapca.shasta import ShastaConfig, ingest, init_state  # noqa: E402
+from shastapca.shasta import ShastaConfig, ShastaPCA  # noqa: E402
 
 DIMS = (100, 1000, 10_000, 100_000)
 RANK = 3
@@ -34,6 +40,17 @@ NOBS = 50       # |omega|, observed coordinates per sample
 TICKS = 1000    # ticks per timing
 REPEATS = 5
 SEED = 0
+PETRELS_FORGETTING = 0.998  # the dynamic configs' settings
+GROUSE_STEP = 0.02
+
+ESTIMATORS = {
+    "shasta": lambda f0: ShastaPCA(
+        ShastaConfig(rank=f0.shape[1], num_groups=2, weights="1/t", c_f=0.1,
+                     c_v=0.1),
+        f0, np.array([0.5, 0.5])),
+    "petrels": lambda f0: Petrels(f0, forgetting=PETRELS_FORGETTING),
+    "grouse": lambda f0: Grouse(orthonormalize(f0), step=GROUSE_STEP),
+}
 
 
 def make_samples(rng, d, k, nobs, count):
@@ -50,36 +67,38 @@ def make_samples(rng, d, k, nobs, count):
 
 
 def sweep(dims, k, nobs, ticks, repeats, seed):
-    """{d: best seconds per tick}.  The repeats go round every d in turn, so
-    that a slow phase of a shared machine slows all of them alike."""
+    """{(estimator, d): best seconds per tick}.  The repeats go round every
+    estimator and d in turn, so that a slow phase of a shared machine slows
+    all of them alike."""
     runs = {}
     for d in dims:
         rng = np.random.default_rng(seed)
-        cfg = ShastaConfig(rank=k, num_groups=2, weights="1/t", c_f=0.1,
-                           c_v=0.1)
-        state = init_state(cfg, rng.standard_normal((d, k)) / np.sqrt(d),
-                           np.array([0.5, 0.5]))
+        f0 = rng.standard_normal((d, k)) / np.sqrt(d)
         samples = make_samples(rng, d, k, nobs, ticks)
-        for sample in samples[: ticks // 5]:  # warm-up
-            ingest(state, sample, cfg)
-        runs[d] = (cfg, state, samples)
-    best = dict.fromkeys(dims, float("inf"))
+        for name, make in ESTIMATORS.items():
+            est = make(f0)
+            for sample in samples[: ticks // 5]:  # warm-up
+                est.ingest(sample)
+            runs[name, d] = (est, samples)
+    best = dict.fromkeys(runs, float("inf"))
     for _ in range(repeats):
-        for d, (cfg, state, samples) in runs.items():
+        for key, (est, samples) in runs.items():
             start = time.perf_counter()
             for sample in samples:
-                ingest(state, sample, cfg)
-            best[d] = min(best[d], (time.perf_counter() - start) / ticks)
+                est.ingest(sample)
+            best[key] = min(best[key], (time.perf_counter() - start) / ticks)
     return best
 
 
 def main():
     costs = sweep(DIMS, RANK, NOBS, TICKS, REPEATS, SEED)
-    for d in DIMS:
-        print(f"d={d:>7}  |omega|={NOBS}  k={RANK}  "
-              f"{1e6 * costs[d]:8.1f} us/tick")
     lo, hi = min(DIMS), max(DIMS)
-    print(f"ratio d={hi}/d={lo}: {costs[hi] / costs[lo]:.2f}")
+    for name in ESTIMATORS:
+        for d in DIMS:
+            print(f"{name:<8} d={d:>7}  |omega|={NOBS}  k={RANK}  "
+                  f"{1e6 * costs[name, d]:8.1f} us/tick")
+        print(f"{name:<8} ratio d={hi}/d={lo}: "
+              f"{costs[name, hi] / costs[name, lo]:.2f}")
 
 
 if __name__ == "__main__":

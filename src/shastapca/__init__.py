@@ -20,6 +20,7 @@ from .datagen import Epoch, PlantedModel, ScenarioScript, draw_model, \
 from .metrics import MetricTrace, loglik_gap, subspace_error, variance_error
 from .model import (
     ObservedSample,
+    ParameterError,
     PosteriorStats,
     RejectedSample,
     VARIANCE_FLOOR,
@@ -38,6 +39,7 @@ __all__ = [
     "Grouse",
     "MetricTrace",
     "ObservedSample",
+    "ParameterError",
     "Petrels",
     "PlantedModel",
     "PosteriorStats",

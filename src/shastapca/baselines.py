@@ -13,7 +13,7 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from .datagen import orthonormalize
-from .model import ObservedSample
+from .model import ObservedSample, ParameterError
 
 
 @runtime_checkable
@@ -39,9 +39,9 @@ class Petrels:
     def __init__(self, f0: np.ndarray, forgetting: float = 1.0,
                  delta: float = 0.1):
         if not 0.0 < forgetting <= 1.0:
-            raise ValueError("forgetting factor must lie in (0, 1]")
+            raise ParameterError("forgetting", "must lie in (0, 1]")
         if delta <= 0.0:
-            raise ValueError("delta must be positive")
+            raise ParameterError("delta", "must be positive")
         f0 = np.asarray(f0, dtype=np.float64)
         d, k = f0.shape
         self.f = f0.copy()
@@ -78,6 +78,11 @@ class Grouse:
     basis along the geodesic mixing the (normalized) projection direction
     with the residual direction, by an angle step * ||residual|| ||projection||.
 
+    An update costs two O(d k) products (u @ w and u' direction) and k
+    column updates u[:, c] += direction b_c, each one pass over d entries;
+    the residual touches only the observed rows, and nothing d x k is
+    allocated.
+
     In exact arithmetic each update keeps the basis orthonormal; rounding
     makes u'u - I drift.  An update u += a b' (||b|| = 1) changes u'u - I by
     h b' + b h' with h = u'a + (a'a / 2) b, whose Frobenius norm is at most
@@ -94,7 +99,7 @@ class Grouse:
 
     def __init__(self, u0: np.ndarray, step: float):
         if step < 0.0:
-            raise ValueError("step size must be nonnegative")
+            raise ParameterError("step", "must be nonnegative")
         self.u = np.asarray(u0, dtype=np.float64).copy()
         self._drift = self._measured_drift()  # upper bound on ||u'u - I||
         if self._drift > 1e-8:
@@ -119,12 +124,16 @@ class Grouse:
         if rnorm < 1e-14 * max(1.0, pnorm) or pnorm == 0.0 or wnorm == 0.0:
             return
         angle = self.step * rnorm * pnorm
-        r_full = np.zeros(self.u.shape[0])
-        r_full[omega] = resid
-        direction = (np.cos(angle) - 1.0) * p / pnorm + np.sin(angle) * r_full / rnorm
+        # direction = ((cos - 1) p) / ||p|| + (sin r) / ||r||, built in p's
+        # buffer; r is zero off omega, where its term would add only +-0.
+        direction = p
+        direction *= np.cos(angle) - 1.0
+        direction /= pnorm
+        direction[omega] += np.sin(angle) * resid / rnorm
         b = w / wnorm
         h = self.u.T @ direction + (0.5 * (direction @ direction)) * b
-        self.u += np.outer(direction, b)
+        for c in range(b.size):
+            self.u[:, c] += direction * b[c]
         self._drift += 2.0 * math.sqrt(h @ h)
         self._updates += 1
         if self._drift > self.REORTH_DRIFT or self._updates % self.RESYNC_EVERY == 0:

@@ -32,10 +32,11 @@ from .baselines import Grouse, Petrels
 from .batch import BatchProblem, batch_iterates, ppca_closed_form, random_init
 from .datagen import Epoch, ScenarioScript, make_rng, orthonormalize, run_script
 from .metrics import MetricTrace, subspace_error
-from .model import DatasetEvaluator, ObservedSample
+from .model import DatasetEvaluator, ObservedSample, ParameterError
 from .shasta import ShastaConfig, ShastaPCA
 
-ESTIMATOR_KINDS = ("shasta", "petrels", "grouse", "batch-mm", "ppca")
+STREAMING_KINDS = ("shasta", "petrels", "grouse")
+ESTIMATOR_KINDS = STREAMING_KINDS + ("batch-mm", "ppca")
 
 
 class ConfigError(ValueError):
@@ -90,6 +91,7 @@ def load_config(path) -> ExperimentConfig:
 def parse_config(raw: dict) -> ExperimentConfig:
     scenario = _parse_scenario(_get(raw, "scenario", "config"))
     estimator = _parse_estimator(_get(raw, "estimator", "config"), "estimator")
+    _check_estimator(estimator, "estimator", scenario)
     run = _get(raw, "run", "config")
     seeds = tuple(int(s) for s in _get(run, "seeds", "run"))
     if not seeds:
@@ -169,7 +171,8 @@ def _parse_scenario(raw) -> dict:
         ))
     return {
         "kind": "synthetic", "d": d, "rank": rank, "spectrum": spectrum,
-        "variances": variances, "observe_prob": observe_prob,
+        "variances": variances, "num_groups": len(variances),
+        "observe_prob": observe_prob,
         "group_probs": None if group_probs is None else tuple(map(float, group_probs)),
         "group_counts": None if group_counts is None else tuple(map(int, group_counts)),
         "epochs": parsed_epochs,
@@ -213,6 +216,25 @@ def _parse_estimator(raw, path) -> dict:
         group = _get(raw, "group", path, required=False)
         out.update(group=None if group is None else int(group))
     return out
+
+
+def _check_estimator(spec: dict, path: str, scenario: dict) -> None:
+    """Refuse, before any output exists, settings that would fail once the
+    run had started.  A synthetic run scores every checkpoint against the
+    planted basis, so the ranks must agree.  A streaming estimator's own
+    constructor checks its other settings, built here on a rank x rank
+    stand-in basis."""
+    if scenario["kind"] == "synthetic" and spec["rank"] != scenario["rank"]:
+        raise ConfigError(f"{path}.rank",
+                          f"must equal scenario.rank ({scenario['rank']}), "
+                          "the planted rank every checkpoint is scored against")
+    if spec["kind"] in STREAMING_KINDS:
+        rank, num_groups = spec["rank"], scenario["num_groups"]
+        try:
+            build_estimator(spec, rank, num_groups, np.eye(rank),
+                            np.ones(num_groups))
+        except ParameterError as exc:
+            raise ConfigError(f"{path}.{exc.field}", str(exc)) from None
 
 
 def scenario_script(scenario: dict) -> ScenarioScript:
@@ -379,12 +401,13 @@ def _run_one_seed(config: ExperimentConfig, seed: int):
     """
     scenario, spec = config.scenario, config.estimator
     synthetic = scenario["kind"] == "synthetic"
+    num_groups = scenario["num_groups"]
     if synthetic:
-        d, num_groups = scenario["d"], len(scenario["variances"])
+        d = scenario["d"]
         stream = run_script(scenario_script(scenario),
                             seed=np.random.SeedSequence((seed, 0)))
     else:
-        d, num_groups = csv_dimension(scenario["path"]), scenario["num_groups"]
+        d = csv_dimension(scenario["path"])
         stream = read_csv_samples(scenario["path"])
     f0, v0 = shared_init(seed, d, spec["rank"], num_groups)
     if synthetic and spec["kind"] in ("batch-mm", "ppca"):
@@ -487,12 +510,14 @@ def parse_timing_config(raw: dict) -> dict:
     if streaming_raw is not None:
         # Without a streaming estimator the run degenerates to a batch trace.
         streaming = _parse_estimator(streaming_raw, "streaming_estimator")
-        if streaming["kind"] not in ("shasta", "petrels", "grouse"):
+        if streaming["kind"] not in STREAMING_KINDS:
             raise ConfigError("streaming_estimator.kind", "must be streaming")
+        _check_estimator(streaming, "streaming_estimator", scenario)
     batch = _parse_estimator(_get(raw, "batch_estimator", "config"),
                              "batch_estimator")
     if batch["kind"] != "batch-mm":
         raise ConfigError("batch_estimator.kind", "must be batch-mm")
+    _check_estimator(batch, "batch_estimator", scenario)
     run = _get(raw, "run", "config")
     return {
         "scenario": scenario,
@@ -515,7 +540,7 @@ def timing_run(config: dict) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     scenario = config["scenario"]
     script = scenario_script(scenario)
-    num_groups = len(scenario["variances"])
+    num_groups = scenario["num_groups"]
     rows = {}
     for seed in config["seeds"]:
         pairs = list(run_script(script, seed=np.random.SeedSequence((seed, 0))))
@@ -523,27 +548,35 @@ def timing_run(config: dict) -> dict:
         truth = pairs[-1][1]
         evaluator = DatasetEvaluator(samples, scenario["d"])
         ref = evaluator(truth.factors, truth.v_star)
-        rank = (config["streaming"] or config["batch"])["rank"]
-        f0, v0 = shared_init(seed, scenario["d"], rank, num_groups)
+        f0, v0 = shared_init(seed, scenario["d"], scenario["rank"], num_groups)
 
         row = {"init_gap": evaluator(f0, v0) - ref}
         if config["streaming"] is not None:
             est = build_estimator(config["streaming"], scenario["d"],
                                   num_groups, f0, v0)
             s_trace = MetricTrace(num_groups=num_groups)
-            start = time.perf_counter()
+            # Estimator time runs from each resumption of the stream to its
+            # next checkpoint; metric time is the scoring of the checkpoint.
+            start = resumed = time.perf_counter()
+            estimator_time = metric_time = 0.0
             for t, _, elapsed in _checkpoints(est, pairs,
                                               config["checkpoint_every"]):
+                paused = time.perf_counter()
+                estimator_time += paused - resumed
                 err = subspace_error(est.current_subspace(), truth.u)
                 gap = (evaluator(est.factors, est.variances) - ref
                        if hasattr(est, "factors") else None)
                 s_trace.append(t, err, loglik_gap=gap, elapsed_seconds=elapsed)
+                resumed = time.perf_counter()
+                metric_time += resumed - paused
             stream_time = time.perf_counter() - start
             s_trace.write_csv(out_dir / f"streaming_seed{seed}.csv")
             row.update(
                 streaming_final_gap=s_trace.records[-1].loglik_gap,
                 streaming_final_subspace_error=s_trace.records[-1].subspace_error,
                 streaming_seconds=stream_time,
+                streaming_estimator_seconds=estimator_time,
+                streaming_metric_seconds=metric_time,
             )
 
         # The timer covers the lazy build of the problem's dense arrays.
@@ -570,9 +603,14 @@ def timing_run(config: dict) -> dict:
     table = {
         "seeds": {str(s): r for s, r in rows.items()},
         "median_streaming_seconds": med("streaming_seconds"),
+        "median_streaming_estimator_seconds": med("streaming_estimator_seconds"),
+        "median_streaming_metric_seconds": med("streaming_metric_seconds"),
         "median_batch_seconds": med("batch_seconds"),
         "median_streaming_final_gap": med("streaming_final_gap"),
         "median_batch_final_gap": med("batch_final_gap"),
+        "median_streaming_final_subspace_error":
+            med("streaming_final_subspace_error"),
+        "median_batch_final_subspace_error": med("batch_final_subspace_error"),
     }
     with open(out_dir / "timing_summary.json", "w") as fh:
         json.dump(table, fh, indent=2, sort_keys=True)

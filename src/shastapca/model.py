@@ -33,6 +33,14 @@ VARIANCE_FLOOR = 1e-12
 ZERO_EIGENVALUE = 4 * np.finfo(np.float64).eps
 
 
+class ParameterError(ValueError):
+    """An estimator setting out of its range; `field` names the setting."""
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(f"{field} {message}")
+
+
 class RejectedSample(ValueError):
     """A streaming tick refused a sample because taking it would make the
     estimator's state non-finite; the state is left as it was."""

@@ -47,6 +47,7 @@ is near the floor; one past 1e308 is rejected as by the eager tick.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -57,6 +58,7 @@ from .model import (
     VARIANCE_FLOOR,
     ObservedParts,
     ObservedSample,
+    ParameterError,
     RejectedSample,
     check_factors,
     floor_variances,
@@ -95,11 +97,11 @@ class WeightSchedule:
 
     def __post_init__(self):
         if self.kind not in ("inv_t", "const", "inv_sqrt"):
-            raise ValueError(f"unknown weight schedule kind: {self.kind!r}")
+            raise ParameterError("weights", f"has unknown kind {self.kind!r}")
         if self.kind == "const" and not 0.0 < self.value <= 1.0:
-            raise ValueError("constant weight must lie in (0, 1]")
+            raise ParameterError("weights", "constant must lie in (0, 1]")
         if self.kind == "inv_sqrt" and self.value <= 0.0:
-            raise ValueError("inv_sqrt scale must be positive")
+            raise ParameterError("weights", "scale a of a/sqrt(t) must be positive")
 
     def __call__(self, t: int) -> float:
         if t < 1:
@@ -108,7 +110,7 @@ class WeightSchedule:
             return 1.0 / t
         if self.kind == "const":
             return self.value
-        return min(1.0, self.value / np.sqrt(t))
+        return min(1.0, self.value / math.sqrt(t))
 
     @staticmethod
     def parse(spec) -> "WeightSchedule":
@@ -120,9 +122,14 @@ class WeightSchedule:
         text = str(spec).replace(" ", "")
         if text == "1/t":
             return WeightSchedule("inv_t")
-        if text.endswith("/sqrt(t)"):
-            return WeightSchedule("inv_sqrt", float(text[: -len("/sqrt(t)")]))
-        return WeightSchedule("const", float(text))
+        kind, number = (("inv_sqrt", text[: -len("/sqrt(t)")])
+                        if text.endswith("/sqrt(t)") else ("const", text))
+        try:
+            value = float(number)
+        except ValueError:
+            raise ParameterError("weights", f"{spec!r} is not a number, "
+                                 "'1/t' or 'a/sqrt(t)'") from None
+        return WeightSchedule(kind, value)
 
 
 @dataclass(frozen=True)
@@ -137,16 +144,21 @@ class ShastaConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", WeightSchedule.parse(self.weights))
-        if self.rank < 1 or self.num_groups < 1:
-            raise ValueError("rank and num_groups must be >= 1")
-        if not 0.0 < self.c_f <= 1.0 or not 0.0 < self.c_v <= 1.0:
-            raise ValueError("averaging factors must lie in (0, 1]")
+        if self.rank < 1:
+            raise ParameterError("rank", "must be >= 1")
+        if self.num_groups < 1:
+            raise ParameterError("num_groups", "must be >= 1")
+        for name in ("c_f", "c_v"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ParameterError(name, "must lie in (0, 1]")
         if self.delta <= 0.0:
-            raise ValueError("surrogate init scale delta must be positive")
+            raise ParameterError("delta", "(surrogate init scale) must be positive")
         if self.variance_mode not in (GROUPED, MEMORYLESS_SINGLE):
-            raise ValueError(f"unknown variance mode: {self.variance_mode!r}")
+            raise ParameterError("variance_mode",
+                                 f"is unknown: {self.variance_mode!r}")
         if self.variance_mode == MEMORYLESS_SINGLE and self.num_groups != 1:
-            raise ValueError("memoryless-single variance mode requires one group")
+            raise ParameterError("variance_mode",
+                                 f"{MEMORYLESS_SINGLE!r} requires one group")
 
 
 @dataclass

@@ -351,8 +351,14 @@ def test_c9_streaming_vs_batch_wallclock(tmp_path):
     ok = med_close <= 0.05 and all(faster) and elapsed < 120
     assert report("C9", "streaming vs batch wallclock", ok,
                   f"median gap closeness {med_close:.3%}, "
-                  f"stream {table['median_streaming_seconds']:.1f}s vs "
-                  f"batch {table['median_batch_seconds']:.1f}s, {elapsed:.0f}s")
+                  f"stream {table['median_streaming_seconds']:.1f}s "
+                  f"(estimator {table['median_streaming_estimator_seconds']:.1f}s"
+                  f", metrics {table['median_streaming_metric_seconds']:.1f}s) vs "
+                  f"batch {table['median_batch_seconds']:.1f}s, final subspace "
+                  f"error stream "
+                  f"{table['median_streaming_final_subspace_error']:.3f} vs "
+                  f"batch {table['median_batch_final_subspace_error']:.3f}, "
+                  f"{elapsed:.0f}s")
 
 
 def test_c10_determinism(tmp_path):

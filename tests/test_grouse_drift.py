@@ -41,13 +41,18 @@ def exact_check_ingest(u, sample, step):
 
 
 def test_updates_match_per_tick_gram_check():
-    rng = np.random.default_rng(40)
-    u0 = orthonormal(rng, 30, 3)
-    est, ref = Grouse(u0, step=0.05), u0.copy()
-    for sample in planted_stream(rng, 30, 3, 5000, 0.3):
-        est.ingest(sample)
-        ref = exact_check_ingest(ref, sample, 0.05)
-    assert est.u.tobytes() == ref.tobytes()
+    # A small dense case, and a wide sparse one (|omega| ~ 20 of d = 2,000)
+    # long enough for an exact drift measurement at RESYNC_EVERY updates.
+    # The cases run in one test, so that its id stays as it was.
+    for d, n, observe_prob in ((30, 5000, 0.3), (2000, 1200, 0.01)):
+        rng = np.random.default_rng(40)
+        u0 = orthonormal(rng, d, 3)
+        est, ref = Grouse(u0, step=0.05), u0.copy()
+        for sample in planted_stream(rng, d, 3, n, observe_prob):
+            est.ingest(sample)
+            ref = exact_check_ingest(ref, sample, 0.05)
+        assert est.u.tobytes() == ref.tobytes(), d
+    assert est._updates > Grouse.RESYNC_EVERY
 
 
 def test_running_bound_covers_each_update():

@@ -1,6 +1,7 @@
 import csv
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -391,6 +392,17 @@ class TestTimingRun:
         for row in table["seeds"].values():
             assert row["batch_iterations"] <= 30
             assert row["streaming_final_gap"] is not None
+            # Ingesting and scoring are timed apart, within the pass's time.
+            assert row["streaming_estimator_seconds"] > 0.0
+            assert row["streaming_metric_seconds"] > 0.0
+            assert (row["streaming_estimator_seconds"]
+                    + row["streaming_metric_seconds"]
+                    <= row["streaming_seconds"])
+        for key in ("streaming_estimator_seconds", "streaming_metric_seconds",
+                    "streaming_final_subspace_error",
+                    "batch_final_subspace_error"):
+            assert table[f"median_{key}"] == np.median(
+                [row[key] for row in table["seeds"].values()])
         streaming = MetricTrace.read_csv(tmp_path / "timing" / "streaming_seed0.csv")
         batch = MetricTrace.read_csv(tmp_path / "timing" / "batch_seed0.csv")
         assert streaming.records[-1].t == 600
@@ -474,6 +486,17 @@ class TestTimingRun:
             np.testing.assert_array_equal(rec.v_estimates, it.v)
 
 
+def assert_config_error(tmp_path, capsys, command, raw, field):
+    """The CLI refuses `raw` with exit 2 and a JSON error naming `field`,
+    and creates no output directory."""
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(raw))
+    assert cli_main([command, str(cfg_path)]) == 2, field
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and err["field"] == field, err
+    assert not Path(raw["run"]["output_dir"]).exists(), field
+
+
 class TestCli:
     def test_run_smoke_config(self, tmp_path, capsys):
         raw = smoke_raw(tmp_path / "out")
@@ -484,15 +507,25 @@ class TestCli:
         assert out["seeds"] == 1
 
     def test_bad_config_reports_json_error(self, tmp_path, capsys):
+        # Each case exits 2 naming its field before any output exists; the
+        # estimator cases used to fail only once the run had started.  The
+        # cases run in one test, so that its id stays as it was.
         raw = smoke_raw(tmp_path / "out")
         del raw["scenario"]["spectrum"]
-        cfg_path = tmp_path / "cfg.yaml"
-        cfg_path.write_text(yaml.safe_dump(raw))
-        code = cli_main(["run", str(cfg_path)])
-        assert code == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "config"
-        assert "scenario.spectrum" in err["field"]
+        assert_config_error(tmp_path, capsys, "run", raw, "scenario.spectrum")
+        shasta = smoke_raw(None)["estimator"]
+        for field, estimator in [
+            ("estimator.step", {"kind": "grouse", "rank": 2, "step": -0.1}),
+            ("estimator.forgetting",
+             {"kind": "petrels", "rank": 2, "forgetting": 1.5}),
+            ("estimator.c_f", dict(shasta, c_f=2.0)),
+            ("estimator.weights", dict(shasta, weights="1/t^2")),
+            ("estimator.rank", dict(shasta, rank=1)),
+            ("estimator.rank", dict(shasta, rank=12)),
+            ("estimator.rank", {"kind": "batch-mm", "rank": 3}),
+        ]:
+            raw = smoke_raw(tmp_path / "out", estimator=estimator)
+            assert_config_error(tmp_path, capsys, "run", raw, field)
 
     def test_ingest_check_reports_stats(self, tmp_path, capsys):
         path = tmp_path / "data.csv"
@@ -543,12 +576,25 @@ class TestCli:
             "run": {"seeds": [0], "checkpoint_every": 0,
                     "output_dir": str(tmp_path / "out")},
         }
-        cfg_path = tmp_path / "timing.yaml"
-        cfg_path.write_text(yaml.safe_dump(raw))
-        assert cli_main(["timing", str(cfg_path)]) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "config" and err["field"] == "run.checkpoint_every"
-        assert not (tmp_path / "out").exists()
+        assert_config_error(tmp_path, capsys, "timing", raw,
+                            "run.checkpoint_every")
+        # Bad estimator settings fail as early, where they used to fail only
+        # in or after the streaming pass.  (Cases in one test, so its id
+        # stays.)
+        raw["run"]["checkpoint_every"] = 5
+        shasta = raw["streaming_estimator"]
+        for key, spec, field in [
+            ("streaming_estimator", {"kind": "grouse", "rank": 2, "step": -0.1},
+             "streaming_estimator.step"),
+            ("streaming_estimator", dict(shasta, c_f=2.0),
+             "streaming_estimator.c_f"),
+            ("streaming_estimator", dict(shasta, rank=3),
+             "streaming_estimator.rank"),
+            ("batch_estimator", {"kind": "batch-mm", "rank": 1},
+             "batch_estimator.rank"),
+        ]:
+            assert_config_error(tmp_path, capsys, "timing",
+                                dict(raw, **{key: spec}), field)
 
     @pytest.mark.parametrize("estimator", [
         {"kind": "petrels", "rank": 2, "forgetting": 0.99},

@@ -50,6 +50,13 @@ class TestWeightSchedule:
         assert w(4) == pytest.approx(0.005)
         assert w(1) == pytest.approx(0.01)
 
+    @pytest.mark.parametrize("spec", ["1/t", 0.01, "0.01/sqrt(t)", "4/sqrt(t)"])
+    def test_weights_are_python_floats(self, spec):
+        # A NumPy scalar weight would send every scalar step of a tick
+        # through NumPy.
+        w = WeightSchedule.parse(spec)
+        assert all(type(w(t)) is float for t in (1, 2, 3, 1000))
+
     def test_rejects_out_of_range_constant(self):
         with pytest.raises(ValueError):
             WeightSchedule.parse(1.5)

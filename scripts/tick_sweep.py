@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Per-tick cost of the streaming estimators as the ambient dimension d grows.
+"""Per-tick cost of the streaming estimators as the ambient dimension d and
+the number of observed entries |omega| grow.
 
 For each d, streams samples that observe |omega| random coordinates of a
 rank-k planted model through the `ingest` of SHASTA (weights 1/t,
@@ -11,6 +12,11 @@ A tick whose cost does not depend on d prints a ratio near 1; PETRELS
 discounts all d row systems and GROUSE rotates all d rows of its basis on
 every tick, so theirs grow with d.  The repeats cycle through every
 estimator and d, so that all are timed in the same stretches of wall time.
+
+A second sweep times SHASTA alone at d = NOBS_SWEEP_DIM for each |omega| in
+NOBS_SWEEP and fits cost = fixed + per_row |omega| by least squares: the
+fixed part is the tick's per-call overhead (small numpy calls and the LAPACK
+wrappers), the per-row part what each observed coordinate adds.
 BLAS runs on one thread.
 
 Usage (from the root of a checkout):
@@ -42,6 +48,8 @@ REPEATS = 5
 SEED = 0
 PETRELS_FORGETTING = 0.998  # the dynamic configs' settings
 GROUSE_STEP = 0.02
+NOBS_SWEEP = (10, 50, 200)  # |omega| values of the fixed/per-row sweep
+NOBS_SWEEP_DIM = 1000
 
 ESTIMATORS = {
     "shasta": lambda f0: ShastaPCA(
@@ -66,20 +74,20 @@ def make_samples(rng, d, k, nobs, count):
     return samples
 
 
-def sweep(dims, k, nobs, ticks, repeats, seed):
-    """{(estimator, d): best seconds per tick}.  The repeats go round every
-    estimator and d in turn, so that a slow phase of a shared machine slows
-    all of them alike."""
+def sweep(shapes, estimators, k, ticks, repeats, seed):
+    """{(estimator, d, |omega|): best seconds per tick} over the (d, |omega|)
+    shapes.  The repeats go round every estimator and shape in turn, so that
+    a slow phase of a shared machine slows all of them alike."""
     runs = {}
-    for d in dims:
+    for d, nobs in shapes:
         rng = np.random.default_rng(seed)
         f0 = rng.standard_normal((d, k)) / np.sqrt(d)
         samples = make_samples(rng, d, k, nobs, ticks)
-        for name, make in ESTIMATORS.items():
-            est = make(f0)
+        for name in estimators:
+            est = ESTIMATORS[name](f0)
             for sample in samples[: ticks // 5]:  # warm-up
                 est.ingest(sample)
-            runs[name, d] = (est, samples)
+            runs[name, d, nobs] = (est, samples)
     best = dict.fromkeys(runs, float("inf"))
     for _ in range(repeats):
         for key, (est, samples) in runs.items():
@@ -91,14 +99,26 @@ def sweep(dims, k, nobs, ticks, repeats, seed):
 
 
 def main():
-    costs = sweep(DIMS, RANK, NOBS, TICKS, REPEATS, SEED)
+    costs = sweep([(d, NOBS) for d in DIMS], ESTIMATORS, RANK, TICKS, REPEATS,
+                  SEED)
     lo, hi = min(DIMS), max(DIMS)
     for name in ESTIMATORS:
         for d in DIMS:
             print(f"{name:<8} d={d:>7}  |omega|={NOBS}  k={RANK}  "
-                  f"{1e6 * costs[name, d]:8.1f} us/tick")
+                  f"{1e6 * costs[name, d, NOBS]:8.1f} us/tick")
         print(f"{name:<8} ratio d={hi}/d={lo}: "
-              f"{costs[name, hi] / costs[name, lo]:.2f}")
+              f"{costs[name, hi, NOBS] / costs[name, lo, NOBS]:.2f}")
+
+    d = NOBS_SWEEP_DIM
+    costs = sweep([(d, nobs) for nobs in NOBS_SWEEP], ["shasta"], RANK, TICKS,
+                  REPEATS, SEED)
+    us = [1e6 * costs["shasta", d, nobs] for nobs in NOBS_SWEEP]
+    for nobs, cost in zip(NOBS_SWEEP, us):
+        print(f"shasta   d={d:>7}  |omega|={nobs:<4} k={RANK}  "
+              f"{cost:8.1f} us/tick")
+    per_row, fixed = np.polyfit(NOBS_SWEEP, us, 1)
+    print(f"shasta   d={d}: fixed {fixed:.1f} us/tick + "
+          f"{per_row:.3f} us per observed row")
 
 
 if __name__ == "__main__":

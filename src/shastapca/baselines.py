@@ -56,14 +56,16 @@ class Petrels:
             return
         fo = self.f[omega]
         zhat, *_ = np.linalg.lstsq(fo, sample.values, rcond=None)
-        self.r[omega] += np.outer(zhat, zhat)
+        r_o = self.r[omega]
+        r_o += np.outer(zhat, zhat)
+        self.r[omega] = r_o
         resid = sample.values - fo @ zhat
         rhs = resid[:, None] * zhat[None, :]
         try:
-            delta_f = np.linalg.solve(self.r[omega], rhs[..., None])[..., 0]
+            delta_f = np.linalg.solve(r_o, rhs[..., None])[..., 0]
         except np.linalg.LinAlgError:
             delta_f = np.stack([np.linalg.lstsq(rj, bj, rcond=None)[0]
-                                for rj, bj in zip(self.r[omega], rhs)])
+                                for rj, bj in zip(r_o, rhs)])
         self.f[omega] += delta_f
 
     def current_subspace(self) -> np.ndarray:

@@ -65,6 +65,33 @@ def _get(mapping, key, path, required=True, default=None):
     return mapping[key]
 
 
+def _number(mapping, key, path, kind=float, required=True, default=None):
+    """`_get`, read as a float or an int (kind); a value kind cannot read
+    raises ConfigError naming the field.  An optional field with no default
+    may be absent or null, and reads as None."""
+    value = _get(mapping, key, path, required, default)
+    if value is None and not required and default is None:
+        return None
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{path}.{key}",
+                          f"expected {noun}, got {value!r}") from None
+
+
+def _numbers(mapping, key, path, kind=float, required=True):
+    """`_number` for a list of values."""
+    values = _get(mapping, key, path, required)
+    if values is None and not required:
+        return None
+    try:
+        return tuple(kind(x) for x in values)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}.{key}",
+                          f"expected a list of numbers, got {values!r}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     scenario: dict
@@ -91,16 +118,16 @@ def load_config(path) -> ExperimentConfig:
 def parse_config(raw: dict) -> ExperimentConfig:
     scenario = _parse_scenario(_get(raw, "scenario", "config"))
     estimator = _parse_estimator(_get(raw, "estimator", "config"), "estimator")
-    _check_estimator(estimator, "estimator", scenario)
-    run = _get(raw, "run", "config")
-    seeds = tuple(int(s) for s in _get(run, "seeds", "run"))
-    if not seeds:
-        raise ConfigError("run.seeds", "need at least one seed")
-    cadence = _checkpoint_every(run, default=100)
     if scenario["kind"] == "csv" and estimator["kind"] in ("batch-mm", "ppca"):
         raise ConfigError("estimator.kind",
                           f"{estimator['kind']!r} cannot run on a csv scenario; "
                           "it needs a streaming estimator")
+    _check_estimator(estimator, "estimator", scenario)
+    run = _get(raw, "run", "config")
+    seeds = _numbers(run, "seeds", "run", int)
+    if not seeds:
+        raise ConfigError("run.seeds", "need at least one seed")
+    cadence = _checkpoint_every(run, default=100)
     loglik = bool(_get(run, "loglik_gap", "run", required=False, default=False))
     if loglik and scenario["kind"] == "synthetic" and len(scenario["epochs"]) > 1:
         raise ConfigError("run.loglik_gap",
@@ -114,8 +141,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
 
 def _checkpoint_every(run, default: int) -> int:
-    cadence = int(_get(run, "checkpoint_every", "run", required=False,
-                       default=default))
+    cadence = _number(run, "checkpoint_every", "run", int, required=False,
+                      default=default)
     if cadence < 1:
         raise ConfigError("run.checkpoint_every", "must be >= 1")
     return cadence
@@ -128,20 +155,23 @@ def _parse_scenario(raw) -> dict:
         if not Path(path).exists():
             raise ConfigError("scenario.path", f"dataset not found: {path}")
         return {"kind": "csv", "path": str(path),
-                "num_groups": int(_get(raw, "num_groups", "scenario"))}
+                "num_groups": _number(raw, "num_groups", "scenario", int)}
     if kind != "synthetic":
         raise ConfigError("scenario.kind", f"unknown scenario kind {kind!r}")
 
-    d = int(_get(raw, "d", "scenario"))
-    rank = int(_get(raw, "rank", "scenario"))
-    spectrum = tuple(float(x) for x in _get(raw, "spectrum", "scenario"))
-    variances = tuple(float(x) for x in _get(raw, "variances", "scenario"))
+    d = _number(raw, "d", "scenario", int)
+    rank = _number(raw, "rank", "scenario", int)
+    spectrum = _numbers(raw, "spectrum", "scenario")
+    variances = _numbers(raw, "variances", "scenario")
+    if not 1 <= rank <= d:
+        raise ConfigError("scenario.rank", f"must lie in [1, d = {d}]")
     if len(spectrum) != rank:
         raise ConfigError("scenario.spectrum", "needs one value per rank")
-    observe_prob = float(_get(raw, "observe_prob", "scenario",
-                              required=False, default=1.0))
-    group_probs = _get(raw, "group_probs", "scenario", required=False)
-    group_counts = _get(raw, "group_counts", "scenario", required=False)
+    observe_prob = _number(raw, "observe_prob", "scenario", required=False,
+                           default=1.0)
+    group_probs = _numbers(raw, "group_probs", "scenario", required=False)
+    group_counts = _numbers(raw, "group_counts", "scenario", int,
+                            required=False)
     if (group_probs is None) == (group_counts is None):
         raise ConfigError("scenario",
                           "specify exactly one of group_probs / group_counts")
@@ -151,20 +181,19 @@ def _parse_scenario(raw) -> dict:
         if group_counts is None:
             raise ConfigError("scenario.epochs",
                               "required unless group_counts fixes the length")
-        epochs = [{"samples": int(np.sum(group_counts))}]
+        epochs = [{"samples": sum(group_counts)}]
     parsed_epochs = []
     for i, e in enumerate(epochs):
         epath = f"scenario.epochs[{i}]"
         scale = _get(e, "scale_variance", epath, required=False)
         if scale is not None:
-            scale = (int(_get(scale, "group", f"{epath}.scale_variance")),
-                     float(_get(scale, "factor", f"{epath}.scale_variance")))
+            scale = (_number(scale, "group", f"{epath}.scale_variance", int),
+                     _number(scale, "factor", f"{epath}.scale_variance"))
             if not 0 <= scale[0] < len(variances):
                 raise ConfigError(f"{epath}.scale_variance.group", "out of range")
-        op = _get(e, "observe_prob", epath, required=False)
         parsed_epochs.append(dict(
-            samples=int(_get(e, "samples", epath)),
-            observe_prob=None if op is None else float(op),
+            samples=_number(e, "samples", epath, int),
+            observe_prob=_number(e, "observe_prob", epath, required=False),
             redraw_subspace=bool(_get(e, "redraw_subspace", epath,
                                       required=False, default=False)),
             scale_variance=scale,
@@ -173,8 +202,8 @@ def _parse_scenario(raw) -> dict:
         "kind": "synthetic", "d": d, "rank": rank, "spectrum": spectrum,
         "variances": variances, "num_groups": len(variances),
         "observe_prob": observe_prob,
-        "group_probs": None if group_probs is None else tuple(map(float, group_probs)),
-        "group_counts": None if group_counts is None else tuple(map(int, group_counts)),
+        "group_probs": group_probs,
+        "group_counts": group_counts,
         "epochs": parsed_epochs,
     }
 
@@ -185,49 +214,59 @@ def _parse_estimator(raw, path) -> dict:
         raise ConfigError(f"{path}.kind",
                           f"unknown estimator {kind!r}; expected one of "
                           f"{', '.join(ESTIMATOR_KINDS)}")
-    out = {"kind": kind, "rank": int(_get(raw, "rank", path))}
+    out = {"kind": kind, "rank": _number(raw, "rank", path, int)}
     if kind == "shasta":
         out.update(
             weights=_get(raw, "weights", path, required=False, default="1/t"),
-            c_f=float(_get(raw, "c_f", path, required=False, default=0.1)),
-            c_v=float(_get(raw, "c_v", path, required=False, default=0.1)),
-            delta=float(_get(raw, "delta", path, required=False, default=0.1)),
+            c_f=_number(raw, "c_f", path, required=False, default=0.1),
+            c_v=_number(raw, "c_v", path, required=False, default=0.1),
+            delta=_number(raw, "delta", path, required=False, default=0.1),
             variance_mode=_get(raw, "variance_mode", path, required=False,
                                default="grouped"),
         )
     elif kind == "petrels":
         out.update(
-            forgetting=float(_get(raw, "forgetting", path, required=False,
-                                  default=1.0)),
-            delta=float(_get(raw, "delta", path, required=False, default=0.1)),
+            forgetting=_number(raw, "forgetting", path, required=False,
+                               default=1.0),
+            delta=_number(raw, "delta", path, required=False, default=0.1),
         )
     elif kind == "grouse":
-        out.update(step=float(_get(raw, "step", path, required=False,
-                                   default=0.01)))
+        out.update(step=_number(raw, "step", path, required=False,
+                                default=0.01))
     elif kind == "batch-mm":
         out.update(
-            iterations=int(_get(raw, "iterations", path, required=False,
-                                default=100)),
-            tol=_get(raw, "tol", path, required=False),
+            iterations=_number(raw, "iterations", path, int, required=False,
+                               default=100),
+            tol=_number(raw, "tol", path, required=False),
         )
-        if out["tol"] is not None:
-            out["tol"] = float(out["tol"])
+        if out["iterations"] < 1:
+            raise ConfigError(f"{path}.iterations", "must be >= 1")
     elif kind == "ppca":
-        group = _get(raw, "group", path, required=False)
-        out.update(group=None if group is None else int(group))
+        out.update(group=_number(raw, "group", path, int, required=False))
     return out
 
 
 def _check_estimator(spec: dict, path: str, scenario: dict) -> None:
     """Refuse, before any output exists, settings that would fail once the
     run had started.  A synthetic run scores every checkpoint against the
-    planted basis, so the ranks must agree.  A streaming estimator's own
-    constructor checks its other settings, built here on a rank x rank
+    planted basis, so the ranks must agree.  A ppca estimator's group must
+    be one of the scenario's, and its rank below d.  A streaming estimator's
+    own constructor checks its other settings, built here on a rank x rank
     stand-in basis."""
     if scenario["kind"] == "synthetic" and spec["rank"] != scenario["rank"]:
         raise ConfigError(f"{path}.rank",
                           f"must equal scenario.rank ({scenario['rank']}), "
                           "the planted rank every checkpoint is scored against")
+    if spec["kind"] == "ppca":
+        group = spec["group"]
+        if group is not None and not 0 <= group < scenario["num_groups"]:
+            raise ConfigError(f"{path}.group",
+                              f"must name one of the scenario's "
+                              f"{scenario['num_groups']} groups (0-based)")
+        if spec["rank"] >= scenario["d"]:
+            raise ConfigError(f"{path}.rank",
+                              "must be below scenario.d for ppca, which "
+                              "needs d - rank trailing eigenvalues")
     if spec["kind"] in STREAMING_KINDS:
         rank, num_groups = spec["rank"], scenario["num_groups"]
         try:
@@ -523,7 +562,7 @@ def parse_timing_config(raw: dict) -> dict:
         "scenario": scenario,
         "streaming": streaming,
         "batch": batch,
-        "seeds": tuple(int(s) for s in _get(run, "seeds", "run")),
+        "seeds": _numbers(run, "seeds", "run", int),
         "checkpoint_every": _checkpoint_every(run, default=1000),
         "output_dir": str(_get(run, "output_dir", "run")),
     }

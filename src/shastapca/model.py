@@ -18,6 +18,7 @@ sample observing no coordinates is legal and carries no information.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -84,8 +85,7 @@ class ObservedSample:
         return ObservedSample(np.arange(values.size), values, group)
 
 
-@dataclass(frozen=True)
-class PosteriorStats:
+class PosteriorStats(NamedTuple):
     """Posterior moments of the latent coefficients given one sample.
 
     m: k-by-k symmetric positive definite matrix; the posterior covariance
@@ -161,11 +161,18 @@ class ObservedParts(NamedTuple):
 
     def mean(self, vg) -> np.ndarray:
         """The posterior mean zbar = Q (proj/(lambda + v_g))."""
+        if isinstance(vg, float):
+            return self.evecs @ ((1.0 / (self.evals + vg)) * self.proj)
         scale = 1.0 / (self.evals + np.asarray(vg)[..., None])
         return (self.evecs @ (scale * self.proj)[..., None])[..., 0]
 
     def posterior(self, vg) -> PosteriorStats:
         """The mean, as `mean`, and m = Q diag(1/(lambda + v_g)) Q'."""
+        if isinstance(vg, float):
+            scale = 1.0 / (self.evals + vg)
+            half = self.evecs * np.sqrt(scale)
+            return PosteriorStats(m=half @ half.T,
+                                  zbar=self.evecs @ (scale * self.proj))
         scale = 1.0 / (self.evals + np.asarray(vg)[..., None])
         half = self.evecs * np.sqrt(scale)[..., None, :]
         zbar = (self.evecs @ (scale * self.proj)[..., None])[..., 0]
@@ -173,6 +180,8 @@ class ObservedParts(NamedTuple):
 
     def fit_trace(self, vg):
         """tr(F_o' F_o m) = sum lambda/(lambda + v_g)."""
+        if isinstance(vg, float):
+            return (self.evals / (self.evals + vg)).sum()
         return (self.evals / (self.evals + np.asarray(vg)[..., None])).sum(axis=-1)
 
     def log_likelihood(self, vg, nobs, ysq):
@@ -194,10 +203,16 @@ class ObservedParts(NamedTuple):
 def observed_parts(fo: np.ndarray, values: np.ndarray) -> ObservedParts:
     """ObservedParts from a sample's observed factor rows fo (|omega| x k)
     and its observed values.  The rows must be finite; if they are not, the
-    sample is rejected."""
-    if not np.isfinite(fo).all():
+    sample is rejected.
+
+    A non-finite entry of fo makes its column's diagonal entry of the Gram,
+    and so the Gram's sum, non-finite; a finite sum therefore clears fo in
+    one reduction, and fo itself is scanned only when the sum is not finite
+    (such an entry, or overflow)."""
+    gram = fo.T @ fo
+    if not (math.isfinite(gram.sum()) or np.isfinite(fo).all()):
         raise RejectedSample("observed factor rows must be finite")
-    evals, evecs = _gram_spectrum(fo.T @ fo)
+    evals, evecs = _gram_spectrum(gram)
     return ObservedParts(fo, evals, evecs, evecs.T @ (fo.T @ values))
 
 
@@ -205,7 +220,8 @@ def _gram_spectrum(gram: np.ndarray):
     """eigh of one k x k Gram matrix or a stack of them, with every
     eigenvalue at or below k ZERO_EIGENVALUE lambda_max set to 0."""
     evals, evecs = np.linalg.eigh(gram)
-    evals[evals <= (gram.shape[-1] * ZERO_EIGENVALUE) * evals[..., -1:]] = 0.0
+    top = evals[-1] if evals.ndim == 1 else evals[..., -1:]
+    evals[evals <= (gram.shape[-1] * ZERO_EIGENVALUE) * top] = 0.0
     return evals, evecs
 
 

@@ -31,6 +31,18 @@ in one batched call, checks the new rows for finiteness and scatters them
 back.  The checkpoint stores the lazy form itself, scales included, so a
 resumed stream matches an uninterrupted one bit for bit.
 
+At the sizes the paper streams (k = 3, |omega| up to a few hundred) a tick
+is bound by the fixed cost of its calls, not by arithmetic.  Its budget is
+two LAPACK wrappers (the k x k eigh and the batched row solve) and about 44
+numpy calls on small arrays: 4 gather F_o, 6 form the rest of the parts
+(the Gram, its finiteness sum, the eigenvalue cut-off, Q' F_o' y_o), 10 give
+the variance step its residual power, and 24 make the factor step
+(posterior 7, the row update 10, offsets 2, finiteness 2, scatter 3).  The
+variance step's L-sized update runs on Python floats, and each finiteness
+check is one sum, a non-finite entry making the sum non-finite; the exact
+scan runs only when a sum is not finite (such an entry, or overflow, which
+numpy reports with a RuntimeWarning).
+
 Ticks are all or nothing: each step computes into locals, checks that the
 new variances and the new observed rows are finite, and only then writes the
 state; `ingest` advances t only after both steps succeed and undoes the
@@ -259,18 +271,24 @@ def v_step(state: ShastaState, sample: ObservedSample, w: float,
     resid = sample.values - parts.fo @ parts.mean(floored)
     rho_t = float(resid @ resid) + vg * float(parts.fit_trace(floored))
 
-    theta_bar = (1.0 - w) * state.theta_bar
-    rho_bar = (1.0 - w) * state.rho_bar
+    # L is small, so the accumulators and the variances update as Python
+    # floats: the same IEEE operations as numpy's elementwise ones, without
+    # a numpy call per operation.
+    decay = 1.0 - w
+    theta_bar = [decay * x for x in state.theta_bar.tolist()]
+    rho_bar = [decay * x for x in state.rho_bar.tolist()]
     theta_bar[g] += w * sample.nobs
     rho_bar[g] += w * rho_t
-
-    seen = theta_bar > 0
-    v = state.v.copy()
-    v[seen] = floor_variances((1.0 - c_v) * v[seen]
-                              + c_v * (rho_bar[seen] / theta_bar[seen]))
-    if not np.isfinite(v).all():
-        raise RejectedSample("variance update is not finite; sample rejected")
-    state.v, state.theta_bar, state.rho_bar = v, theta_bar, rho_bar
+    v = state.v.tolist()
+    for i, theta in enumerate(theta_bar):
+        if theta > 0.0:
+            v[i] = max((1.0 - c_v) * v[i] + c_v * (rho_bar[i] / theta),
+                       VARIANCE_FLOOR)
+            if not math.isfinite(v[i]):
+                raise RejectedSample("variance update is not finite; "
+                                     "sample rejected")
+    state.v = np.array(v)
+    state.theta_bar, state.rho_bar = np.array(theta_bar), np.array(rho_bar)
     return state
 
 
@@ -326,8 +344,12 @@ def f_step(state: ShastaState, sample: ObservedSample, w: float,
                 dev_o *= 1.0 - c_f
             else:
                 dev_o /= state.gamma
-        if not (np.isfinite(rows).all()
-                and np.isfinite(fhat_o if dev_o is None else dev_o).all()):
+        # A non-finite entry makes its array's sum non-finite, so a finite
+        # total clears both arrays in two reductions; the exact scans run
+        # only when it is not finite (such an entry, or overflow).
+        written = fhat_o if dev_o is None else dev_o
+        if not (math.isfinite(rows.sum() + written.sum())
+                or (np.isfinite(rows).all() and np.isfinite(written).all())):
             raise RejectedSample("factor update is not finite; sample rejected")
 
     if fold_sigma:

@@ -523,9 +523,33 @@ class TestCli:
             ("estimator.rank", dict(shasta, rank=1)),
             ("estimator.rank", dict(shasta, rank=12)),
             ("estimator.rank", {"kind": "batch-mm", "rank": 3}),
+            ("estimator.iterations",
+             {"kind": "batch-mm", "rank": 2, "iterations": 0}),
+            ("estimator.group", {"kind": "ppca", "rank": 2, "group": 5}),
+            ("estimator.group", {"kind": "ppca", "rank": 2, "group": -1}),
+            ("estimator.c_f", dict(shasta, c_f="abc")),
+            ("estimator.rank", dict(shasta, rank="two")),
+            ("estimator.tol", {"kind": "batch-mm", "rank": 2, "tol": "tight"}),
         ]:
             raw = smoke_raw(tmp_path / "out", estimator=estimator)
             assert_config_error(tmp_path, capsys, "run", raw, field)
+        # A non-numeric scenario or run value names its field too.
+        for section, key, value, field in [
+            ("scenario", "d", "ten", "scenario.d"),
+            ("scenario", "rank", 11, "scenario.rank"),
+            ("scenario", "observe_prob", "most", "scenario.observe_prob"),
+            ("scenario", "spectrum", [2.0, "one"], "scenario.spectrum"),
+            ("scenario", "group_counts", [50, None], "scenario.group_counts"),
+            ("run", "seeds", ["zero"], "run.seeds"),
+            ("run", "checkpoint_every", "often", "run.checkpoint_every"),
+        ]:
+            raw = smoke_raw(tmp_path / "out")
+            raw[section][key] = value
+            assert_config_error(tmp_path, capsys, "run", raw, field)
+        # PPCA needs d - rank trailing eigenvalues.
+        raw = smoke_raw(tmp_path / "out", estimator={"kind": "ppca", "rank": 2})
+        raw["scenario"]["d"] = 2
+        assert_config_error(tmp_path, capsys, "run", raw, "estimator.rank")
 
     def test_ingest_check_reports_stats(self, tmp_path, capsys):
         path = tmp_path / "data.csv"

@@ -13,7 +13,9 @@ from shastapca.model import (
     DatasetEvaluator,
     ObservedSample,
     dataset_log_likelihood,
+    VARIANCE_FLOOR,
     minorizer_value,
+    observed_parts,
     posterior_stats,
     sample_log_likelihood,
     solve_rows,
@@ -101,6 +103,26 @@ class TestPosteriorStats:
         # SPD to working precision
         np.testing.assert_allclose(stats.m, stats.m.T, atol=1e-12)
         assert np.all(np.linalg.eigvalsh(stats.m) > 0)
+
+    def test_scalar_vg_matches_stacked_form_bitwise(self):
+        # A float v_g takes the single-sample forms of mean, posterior and
+        # fit_trace; a 0-d array takes the stacked ones.  Both must give
+        # the same bits, across the DEGENERATE inputs and at the floor.
+        rng = np.random.default_rng(9)
+        f0 = rng.standard_normal((8, 3))
+        v0 = np.array([0.3])
+        s0 = ObservedSample(np.array([0, 2, 4, 5, 7]), rng.standard_normal(5), 0)
+        for case in DEGENERATE:
+            f, v, (s,) = degenerate(rng, case, f0, v0, [s0])
+            parts = observed_parts(f[s.omega], s.values)
+            for vg in (float(v[0]), VARIANCE_FLOOR, 7.5):
+                one, stacked = parts.posterior(vg), parts.posterior(np.asarray(vg))
+                assert one.m.tobytes() == stacked.m.tobytes(), case
+                assert one.zbar.tobytes() == stacked.zbar.tobytes(), case
+                assert (parts.mean(vg).tobytes()
+                        == parts.mean(np.asarray(vg)).tobytes()), case
+                assert (parts.fit_trace(vg).tobytes()
+                        == parts.fit_trace(np.asarray(vg)).tobytes()), case
 
     def test_reads_only_observed_rows(self):
         rng = np.random.default_rng(3)

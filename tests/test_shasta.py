@@ -355,6 +355,120 @@ class TestAtomicTick:
                 == (tmp_path / "after.bin").read_bytes())
 
 
+def numpy_v_step(state, sample, w, c_v, parts):
+    """The variance step with numpy's elementwise operations on the L-sized
+    arrays and the stacked form of the posterior formulas (a 0-d v_g): the
+    new (v, theta_bar, rho_bar)."""
+    g = sample.group
+    vg = float(state.v[g])
+    floored = np.asarray(max(vg, VARIANCE_FLOOR))
+    resid = sample.values - parts.fo @ parts.mean(floored)
+    rho_t = float(resid @ resid) + vg * float(parts.fit_trace(floored))
+    theta_bar = (1.0 - w) * state.theta_bar
+    rho_bar = (1.0 - w) * state.rho_bar
+    theta_bar[g] += w * sample.nobs
+    rho_bar[g] += w * rho_t
+    seen = theta_bar > 0
+    v = state.v.copy()
+    v[seen] = np.maximum((1.0 - c_v) * v[seen]
+                         + c_v * (rho_bar[seen] / theta_bar[seen]),
+                         VARIANCE_FLOOR)
+    return v, theta_bar, rho_bar
+
+
+class TestLeanTick:
+    @pytest.mark.parametrize("num_groups,mode", [
+        (1, "grouped"), (3, "grouped"), (4, "grouped"),
+        (1, "memoryless-single"),
+    ])
+    def test_v_step_matches_numpy_formula_bitwise(self, num_groups, mode):
+        # The last of three or four groups is never observed and keeps its
+        # initial variance; every 25th sample is empty, and the values span
+        # nine decades, so memoryless-single, which refits v from each
+        # sample alone, lands on the floor on some ticks.
+        cfg = make_config(num_groups=num_groups, weights="0.5/sqrt(t)",
+                          c_v=0.3, variance_mode=mode)
+        state = fresh_state(cfg, d=10, seed=40)
+        rng = np.random.default_rng(41)
+        observed = max(1, num_groups - 1)
+        for t in range(1, 301):
+            sample = random_sample(rng, 10, observed, observe_prob=0.5,
+                                   scale=10.0 ** rng.integers(-7, 3))
+            if t % 25 == 0:
+                sample = ObservedSample(np.array([], dtype=np.intp),
+                                        np.array([]), sample.group)
+            w, c_v = cfg.weights(t), cfg.c_v
+            if mode == "memoryless-single":
+                w, c_v = 1.0, 1.0
+            want = numpy_v_step(state, sample, w, c_v,
+                                step_parts(state, sample))
+            ingest(state, sample, cfg)
+            for name, ref in zip(("v", "theta_bar", "rho_bar"), want):
+                assert getattr(state, name).tobytes() == ref.tobytes(), (name, t)
+        if num_groups > 1:
+            assert state.theta_bar[-1] == 0.0
+            assert state.v[-1] == fresh_state(cfg, d=10, seed=40).v[-1]
+
+    def streamed(self, weights=0.1):
+        """A state after 20 ticks at weight 0.1, a config with `weights` for
+        the next tick, and a sample observing three rows."""
+        warm = make_config(num_groups=1, weights=0.1)
+        state = fresh_state(warm, d=8, seed=42)
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            ingest(state, ObservedSample.full(rng.standard_normal(8), 0), warm)
+        return (make_config(num_groups=1, weights=weights), state,
+                ObservedSample(np.array([1, 3, 5]), rng.standard_normal(3), 0))
+
+    def assert_rejected_unchanged(self, tmp_path, cfg, state, sample):
+        save_state(state, tmp_path / "before.bin")
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            with pytest.raises(RejectedSample):
+                ingest(state, sample, cfg)
+        save_state(state, tmp_path / "after.bin")
+        assert ((tmp_path / "before.bin").read_bytes()
+                == (tmp_path / "after.bin").read_bytes())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["fhat", "dev", "systems_r",
+                                       "systems_s"])
+    def test_non_finite_entry_is_rejected_and_state_kept(self, tmp_path,
+                                                         where, bad):
+        # A non-finite entry of the observed rows of F (through fhat or G)
+        # or of the observed row systems is refused, and the tick changes
+        # nothing.
+        cfg, state, sample = self.streamed()
+        target = {"fhat": state.fhat, "dev": state.dev,
+                  "systems_r": state.systems[:, :, :2],
+                  "systems_s": state.systems[:, :, 2]}[where]
+        target[3, 0] = bad
+        self.assert_rejected_unchanged(tmp_path, cfg, state, sample)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflowing_offsets_are_rejected_and_state_kept(self, tmp_path,
+                                                             monkeypatch,
+                                                             sign):
+        # Finite row systems whose solutions overflow: R_j = 1e-300 I and
+        # S_j = +-1e10 give fhat_j = +-inf, so the new offsets
+        # G_o = (F_o - fhat_o) / gamma are not finite while the rows are.
+        # A weight of 1e-300 leaves the systems as they are set here.
+        cfg, state, sample = self.streamed(weights=1e-300)
+        state.systems[sample.omega, :, :2] = 1e-300 * np.eye(2)
+        state.systems[sample.omega, :, 2] = sign * 1e10
+        solved = []
+
+        def spy(r, s):
+            fhat_o = solve_rows(r, s)
+            solved.append((np.isfinite(r).all() and np.isfinite(s).all(),
+                           np.isinf(fhat_o).any()))
+            return fhat_o
+
+        solve_rows = shasta.solve_rows
+        monkeypatch.setattr(shasta, "solve_rows", spy)
+        self.assert_rejected_unchanged(tmp_path, cfg, state, sample)
+        assert solved == [(True, True)]
+
+
 class TestStationarityRegression:
     def test_full_data_gradient_norm_shrinks_over_pass(self):
         # Static instance, one streaming pass: the finite-difference gradient

@@ -209,3 +209,26 @@ def test_large_sample_near_the_floor_is_accepted_as_by_the_eager_tick():
     both(ObservedSample.full(rng.standard_normal(d), 0))
     assert state.t == ref.t
     assert np.isfinite(state.f).all()
+
+
+def test_rows_whose_sum_overflows_are_accepted_as_by_the_eager_tick():
+    # delta = 1e307 starts every row system at 1e307 I: each entry of the
+    # observed rows stays finite, but their sum (40 diagonal entries of
+    # about 1e307) overflows.  The one-reduction finiteness check then
+    # falls back to the exact scan, which accepts the tick as the eager
+    # tick does.
+    d, k = 20, 2
+    cfg = ShastaConfig(rank=k, num_groups=1, weights=0.1, c_f=0.5, c_v=0.5,
+                       delta=1e307)
+    rng = np.random.default_rng(13)
+    f0 = rng.standard_normal((d, k)) / np.sqrt(d)
+    v0 = np.array([0.5])
+    state, ref = init_state(cfg, f0, v0), EagerShasta(cfg, f0, v0)
+    for _ in range(5):
+        sample = ObservedSample.full(rng.standard_normal(d), 0)
+        with np.errstate(over="ignore"):  # the overflowing sum warns
+            ingest(state, sample, cfg)
+            assert np.isinf(state.systems.sum())
+        ref.ingest(sample)
+        assert np.isfinite(state.systems).all()
+    assert_matches_oracle(state, ref, "t=5")

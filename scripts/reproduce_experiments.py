@@ -51,6 +51,14 @@ BASELINES = {
 }
 
 
+def estimator_label(estimator: dict) -> str:
+    """The estimator's output subdirectory: its kind, and its ppca group."""
+    label = estimator["kind"]
+    if estimator.get("group") is not None:
+        label += f"_g{estimator['group']}"
+    return label
+
+
 def run_config(name: str, quick: bool) -> None:
     with open(REPO / "configs" / f"{name}.yaml") as fh:
         base = yaml.safe_load(fh)
@@ -60,9 +68,7 @@ def run_config(name: str, quick: bool) -> None:
     for estimator in variants:
         raw = copy.deepcopy(base)
         raw["estimator"] = estimator
-        label = estimator["kind"]
-        if estimator.get("group") is not None:
-            label += f"_g{estimator['group']}"
+        label = estimator_label(estimator)
         raw["run"]["output_dir"] = str(REPO / "runs" / name / label)
         if estimator["kind"] in ("petrels", "grouse"):
             raw["run"]["loglik_gap"] = False

@@ -8,7 +8,12 @@ run's output directory dropped.  Two checkouts that print the same digests
 wrote the same numbers, byte for byte; a refactor that should not change
 any result can show so by running this script before and after.
 
+With no config, the script digests a standard set (see `standard_set`):
+seed 0 of every bundled config, then of static_full with each baseline
+estimator scripts/reproduce_experiments.py runs on it.
+
 Usage (from the root of a checkout):
+    python scripts/trace_digest.py
     python scripts/trace_digest.py configs/smoke.yaml configs/static_half.yaml
     python scripts/trace_digest.py configs/dynamic_subspace.yaml --seeds 0 1
     python scripts/trace_digest.py configs/static_full.yaml \\
@@ -32,8 +37,14 @@ import yaml
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
+sys.path.insert(0, str(REPO / "scripts"))
 
-from shastapca.harness import parse_config, run_experiment  # noqa: E402
+from reproduce_experiments import BASELINES, estimator_label  # noqa: E402
+from shastapca.harness import (  # noqa: E402
+    ConfigError,
+    parse_config,
+    run_experiment,
+)
 
 ELAPSED_COLUMN = "elapsed_s"
 ELAPSED_FIELD = "elapsed_seconds"
@@ -67,36 +78,71 @@ def summary_bytes(path: Path) -> bytes:
     return json.dumps(summary, indent=2, sort_keys=True).encode()
 
 
-def digest_config(config_path: Path, seeds, estimator, workdir: Path):
-    """Yield (label, sha256 hex) for every output of one config's run."""
+def load_raw(config_path: Path, estimator=None) -> dict:
+    """The config's YAML, with its estimator block replaced if one is given."""
     with open(config_path) as fh:
         raw = yaml.safe_load(fh)
-    if seeds is not None:
-        raw["run"]["seeds"] = list(seeds)
     if estimator is not None:
         raw["estimator"] = estimator
-    out_dir = workdir / config_path.stem
+    return raw
+
+
+def standard_set():
+    """(config, estimator block or None, label) for each run digested when
+    no config is given: every bundled config that parse_config accepts, then
+    static_full with each baseline block scripts/reproduce_experiments.py
+    runs on it."""
+    runs = []
+    for path in sorted((REPO / "configs").glob("*.yaml")):
+        try:
+            parse_config(load_raw(path))
+        except ConfigError:
+            continue  # a timing config
+        runs.append((path, None, path.stem))
+    static_full = REPO / "configs" / "static_full.yaml"
+    return runs + [(static_full, block, f"static_full/{estimator_label(block)}")
+                   for block in BASELINES["static_full"]]
+
+
+def digest_config(config_path: Path, seeds, estimator, workdir: Path,
+                  label=None):
+    """Yield (label, sha256 hex) for every output of one config's run; the
+    label defaults to the config's stem."""
+    label = label or config_path.stem
+    raw = load_raw(config_path, estimator)
+    if seeds is not None:
+        raw["run"]["seeds"] = list(seeds)
+    out_dir = workdir / label
     raw["run"]["output_dir"] = str(out_dir)
     run_experiment(parse_config(raw))
     for path in sorted(out_dir.glob("trace_seed*.csv")):
-        yield f"{config_path.stem}/{path.name}", hashlib.sha256(trace_bytes(path)).hexdigest()
-    yield (f"{config_path.stem}/summary.json",
+        yield f"{label}/{path.name}", hashlib.sha256(trace_bytes(path)).hexdigest()
+    yield (f"{label}/summary.json",
            hashlib.sha256(summary_bytes(out_dir / "summary.json")).hexdigest())
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("configs", nargs="+", type=Path)
+    parser.add_argument("configs", nargs="*", type=Path,
+                        help="configs to run (default: the standard set)")
     parser.add_argument("--seeds", nargs="+", type=int,
-                        help="seeds to run (default: each config's own)")
+                        help="seeds to run (default: each config's own, "
+                             "seed 0 for the standard set)")
     parser.add_argument("--estimator", type=yaml.safe_load,
                         help="estimator block (YAML) replacing each config's")
     args = parser.parse_args(argv)
+    if args.configs:
+        runs = [(path, args.estimator, None) for path in args.configs]
+        seeds = args.seeds
+    elif args.estimator is not None:
+        parser.error("--estimator needs a config")
+    else:
+        runs, seeds = standard_set(), args.seeds or [0]
     lines = []
     with tempfile.TemporaryDirectory() as workdir:
-        for config_path in args.configs:
-            for label, digest in digest_config(config_path, args.seeds,
-                                               args.estimator, Path(workdir)):
+        for config_path, estimator, name in runs:
+            for label, digest in digest_config(config_path, seeds, estimator,
+                                               Path(workdir), name):
                 lines.append(f"{digest}  {label}")
                 print(lines[-1], flush=True)
     print(f"{hashlib.sha256(''.join(lines).encode()).hexdigest()}  all")

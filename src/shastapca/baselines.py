@@ -13,7 +13,7 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from .datagen import orthonormalize
-from .model import ObservedSample, ParameterError
+from .model import ObservedSample, ParameterError, solve_rows
 
 
 @runtime_checkable
@@ -60,13 +60,7 @@ class Petrels:
         r_o += np.outer(zhat, zhat)
         self.r[omega] = r_o
         resid = sample.values - fo @ zhat
-        rhs = resid[:, None] * zhat[None, :]
-        try:
-            delta_f = np.linalg.solve(r_o, rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            delta_f = np.stack([np.linalg.lstsq(rj, bj, rcond=None)[0]
-                                for rj, bj in zip(r_o, rhs)])
-        self.f[omega] += delta_f
+        self.f[omega] += solve_rows(r_o, resid[:, None] * zhat[None, :])
 
     def current_subspace(self) -> np.ndarray:
         u, _, _ = np.linalg.svd(self.f, full_matrices=False)

@@ -7,8 +7,7 @@ cadence, output directory).  Each seed produces one `trace_seed<N>.csv`; a
 seed, every numeric output byte is deterministic except elapsed-time fields.
 
 Every streaming run, synthetic or CSV, and the streaming pass of a timing run
-go through one loop, `_checkpoints`, which pauses the stream at each
-checkpoint for the caller to score the estimate.  Batch MM runs are scored
+are fed and scored by one function, `score_stream`.  Batch MM runs are scored
 and timestamped per iterate of `batch.batch_iterates`.
 
 CSV dataset format: a header row with a `group` column, an optional
@@ -30,7 +29,8 @@ import yaml
 
 from .baselines import Grouse, Petrels
 from .batch import BatchProblem, batch_iterates, ppca_closed_form, random_init
-from .datagen import Epoch, ScenarioScript, make_rng, orthonormalize, run_script
+from .datagen import (Epoch, PlantedModel, ScenarioScript, make_rng,
+                      orthonormalize, run_script)
 from .metrics import MetricTrace, subspace_error
 from .model import DatasetEvaluator, ObservedSample, ParameterError
 from .shasta import ShastaConfig, ShastaPCA
@@ -123,29 +123,34 @@ def parse_config(raw: dict) -> ExperimentConfig:
                           f"{estimator['kind']!r} cannot run on a csv scenario; "
                           "it needs a streaming estimator")
     _check_estimator(estimator, "estimator", scenario)
-    run = _get(raw, "run", "config")
-    seeds = _numbers(run, "seeds", "run", int)
-    if not seeds:
-        raise ConfigError("run.seeds", "need at least one seed")
-    cadence = _checkpoint_every(run, default=100)
-    loglik = bool(_get(run, "loglik_gap", "run", required=False, default=False))
+    run = _parse_run(raw, default_every=100)
+    loglik = bool(_get(raw["run"], "loglik_gap", "run", required=False,
+                       default=False))
     if loglik and scenario["kind"] == "synthetic" and len(scenario["epochs"]) > 1:
         raise ConfigError("run.loglik_gap",
                           "only defined for single-epoch synthetic scenarios")
     if loglik and scenario["kind"] == "csv":
         raise ConfigError("run.loglik_gap", "needs a planted synthetic scenario")
-    output_dir = str(_get(run, "output_dir", "run"))
-    return ExperimentConfig(scenario=scenario, estimator=estimator, seeds=seeds,
-                            checkpoint_every=cadence, output_dir=output_dir,
-                            loglik_gap=loglik, raw=raw)
+    return ExperimentConfig(scenario=scenario, estimator=estimator,
+                            loglik_gap=loglik, raw=raw, **run)
 
 
-def _checkpoint_every(run, default: int) -> int:
-    cadence = _number(run, "checkpoint_every", "run", int, required=False,
-                      default=default)
-    if cadence < 1:
+def _parse_run(raw, default_every: int) -> dict:
+    """The `run` block of an experiment or a timing config: its seeds,
+    checkpoint cadence and output directory."""
+    run = _get(raw, "run", "config")
+    seeds = _numbers(run, "seeds", "run", int)
+    if not seeds:
+        raise ConfigError("run.seeds", "need at least one seed")
+    every = _number(run, "checkpoint_every", "run", int, required=False,
+                    default=default_every)
+    if every < 1:
         raise ConfigError("run.checkpoint_every", "must be >= 1")
-    return cadence
+    output_dir = _get(run, "output_dir", "run")
+    if output_dir is None:
+        raise ConfigError("run.output_dir", "must name a directory")
+    return {"seeds": seeds, "checkpoint_every": every,
+            "output_dir": str(output_dir)}
 
 
 def _parse_scenario(raw) -> dict:
@@ -175,6 +180,8 @@ def _parse_scenario(raw) -> dict:
     if (group_probs is None) == (group_counts is None):
         raise ConfigError("scenario",
                           "specify exactly one of group_probs / group_counts")
+    if group_counts is not None and len(group_counts) != len(variances):
+        raise ConfigError("scenario.group_counts", "needs one count per group")
 
     epochs = _get(raw, "epochs", "scenario", required=False)
     if epochs is None:
@@ -250,7 +257,8 @@ def _check_estimator(spec: dict, path: str, scenario: dict) -> None:
     """Refuse, before any output exists, settings that would fail once the
     run had started.  A synthetic run scores every checkpoint against the
     planted basis, so the ranks must agree.  A ppca estimator's group must
-    be one of the scenario's, and its rank below d.  A streaming estimator's
+    be one of the scenario's, its rank below d, and, where group_counts
+    fixes it, its sample count above the rank.  A streaming estimator's
     own constructor checks its other settings, built here on a rank x rank
     stand-in basis."""
     if scenario["kind"] == "synthetic" and spec["rank"] != scenario["rank"]:
@@ -267,6 +275,14 @@ def _check_estimator(spec: dict, path: str, scenario: dict) -> None:
             raise ConfigError(f"{path}.rank",
                               "must be below scenario.d for ppca, which "
                               "needs d - rank trailing eigenvalues")
+        counts = scenario["group_counts"]
+        if counts is not None:
+            n, field = ((sum(counts), "rank") if group is None
+                        else (counts[group], "group"))
+            if n <= spec["rank"]:
+                raise ConfigError(f"{path}.{field}",
+                                  f"ppca needs more samples than the rank "
+                                  f"({spec['rank']}); the scenario fixes {n}")
     if spec["kind"] in STREAMING_KINDS:
         rank, num_groups = spec["rank"], scenario["num_groups"]
         try:
@@ -384,21 +400,52 @@ def build_estimator(spec: dict, d: int, num_groups: int, f0, v0):
     raise ConfigError("estimator.kind", f"{kind!r} is not a streaming estimator")
 
 
-def _checkpoints(est, pairs, every: int, keep=None):
-    """Feed (sample, info) pairs to a streaming estimator, yielding (t, info,
-    elapsed seconds) after every `every`-th sample and after the last one (at
-    t = 0 for an empty stream).  The clock keeps running while the caller
-    handles a checkpoint.  Each sample is also appended to `keep`, if given."""
-    start = time.perf_counter()
+def _checkpoints(est, pairs, every: int):
+    """Feed (sample, info) pairs to a streaming estimator, yielding (t, info)
+    after every `every`-th sample and after the last one (at t = 0 for an
+    empty stream)."""
     t, info = 0, None
     for t, (sample, info) in enumerate(pairs, start=1):
         est.ingest(sample)
-        if keep is not None:
-            keep.append(sample)
         if t % every == 0:
-            yield t, info, time.perf_counter() - start
+            yield t, info
     if t == 0 or t % every:
-        yield t, info, time.perf_counter() - start
+        yield t, info
+
+
+def score_stream(est, pairs, every: int, num_groups: int, loglik=None):
+    """Feed (sample, info) pairs to a streaming estimator and score it at each
+    of `_checkpoints`: the subspace error against the planted basis `info.u`
+    (a CSV stream has none, so against its final basis), SHASTA's variances
+    and, given `loglik` = (evaluator, ref), SHASTA's evaluator(F, v) - ref.
+    Returns (trace, seconds ingesting, seconds scoring); a record's elapsed
+    time is read at its checkpoint, before its own scoring."""
+    shasta = isinstance(est, ShastaPCA)
+    evaluator, ref = loglik if shasta and loglik is not None else (None, None)
+    points = []  # [t, error (a CSV checkpoint's basis), v, gap, elapsed]
+    ingest_s = score_s = 0.0
+    start = resumed = time.perf_counter()
+    for t, info in _checkpoints(est, pairs, every):
+        paused = time.perf_counter()
+        ingest_s += paused - resumed
+        basis = est.current_subspace()
+        points.append([
+            t, (subspace_error(basis, info.u)
+                if isinstance(info, PlantedModel) else basis),
+            est.variances.copy() if shasta else None,
+            None if evaluator is None else evaluator(est.factors,
+                                                     est.variances) - ref,
+            paused - start])
+        resumed = time.perf_counter()
+        score_s += resumed - paused
+    trace = MetricTrace(num_groups=num_groups)
+    final_basis = points[-1][1]
+    for t, err, v, gap, elapsed in points:
+        if isinstance(err, np.ndarray):
+            err = subspace_error(err, final_basis)
+        trace.append(t, err, loglik_gap=gap, v_estimates=v,
+                     elapsed_seconds=elapsed)
+    return trace, ingest_s, score_s + time.perf_counter() - resumed
 
 
 def _final(trace: MetricTrace, samples: int, variances=None) -> dict:
@@ -432,16 +479,11 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
 
 def _run_one_seed(config: ExperimentConfig, seed: int):
-    """One seed's trace and summary entry.
-
-    A synthetic run scores each checkpoint against the planted subspace
-    active at that sample.  A CSV run has no planted truth, so it scores each
-    checkpoint against the run's final subspace (a convergence diagnostic).
-    """
+    """One seed's trace and summary entry; a streaming run is scored by
+    `score_stream`."""
     scenario, spec = config.scenario, config.estimator
-    synthetic = scenario["kind"] == "synthetic"
     num_groups = scenario["num_groups"]
-    if synthetic:
+    if scenario["kind"] == "synthetic":
         d = scenario["d"]
         stream = run_script(scenario_script(scenario),
                             seed=np.random.SeedSequence((seed, 0)))
@@ -449,31 +491,19 @@ def _run_one_seed(config: ExperimentConfig, seed: int):
         d = csv_dimension(scenario["path"])
         stream = read_csv_samples(scenario["path"])
     f0, v0 = shared_init(seed, d, spec["rank"], num_groups)
-    if synthetic and spec["kind"] in ("batch-mm", "ppca"):
+    if spec["kind"] in ("batch-mm", "ppca"):
         return _run_batch_seed(config, list(stream), d, num_groups, f0, v0)
+    loglik = None
+    if config.loglik_gap and spec["kind"] == "shasta":
+        # Each gap is taken over the whole (single-epoch) stream.
+        stream = list(stream)
+        evaluator = DatasetEvaluator([s for s, _ in stream], d)
+        truth = stream[-1][1]
+        loglik = evaluator, evaluator(truth.factors, truth.v_star)
     est = build_estimator(spec, d, num_groups, f0, v0)
-    has_v = spec["kind"] == "shasta"
-    samples = [] if config.loglik_gap and has_v else None  # for the gaps
-
-    points = []  # [t, error (basis for CSV), v, f for the gap, elapsed]
-    for t, truth, elapsed in _checkpoints(est, stream, config.checkpoint_every,
-                                          samples):
-        basis = est.current_subspace()
-        points.append([t, subspace_error(basis, truth.u) if synthetic else basis,
-                       est.variances.copy() if has_v else None,
-                       None if samples is None else est.factors.copy(), elapsed])
-    if not synthetic:
-        final_basis = points[-1][1]
-        for point in points:
-            point[1] = subspace_error(point[1], final_basis)
-    if samples is not None:
-        evaluator = DatasetEvaluator(samples, d)
-        ref = evaluator(truth.factors, truth.v_star)
-    trace = MetricTrace(num_groups=num_groups)
-    for t, err, v_est, f, elapsed in points:
-        trace.append(t, err, v_estimates=v_est, elapsed_seconds=elapsed,
-                     loglik_gap=None if f is None else evaluator(f, v_est) - ref)
-    return trace, _final(trace, t)
+    trace, _, _ = score_stream(est, stream, config.checkpoint_every,
+                               num_groups, loglik)
+    return trace, _final(trace, trace.records[-1].t)
 
 
 def _run_batch_seed(config: ExperimentConfig, pairs, d, num_groups, f0, v0):
@@ -557,15 +587,8 @@ def parse_timing_config(raw: dict) -> dict:
     if batch["kind"] != "batch-mm":
         raise ConfigError("batch_estimator.kind", "must be batch-mm")
     _check_estimator(batch, "batch_estimator", scenario)
-    run = _get(raw, "run", "config")
-    return {
-        "scenario": scenario,
-        "streaming": streaming,
-        "batch": batch,
-        "seeds": _numbers(run, "seeds", "run", int),
-        "checkpoint_every": _checkpoint_every(run, default=1000),
-        "output_dir": str(_get(run, "output_dir", "run")),
-    }
+    return {"scenario": scenario, "streaming": streaming, "batch": batch,
+            **_parse_run(raw, default_every=1000)}
 
 
 def load_timing_config(path) -> dict:
@@ -593,29 +616,16 @@ def timing_run(config: dict) -> dict:
         if config["streaming"] is not None:
             est = build_estimator(config["streaming"], scenario["d"],
                                   num_groups, f0, v0)
-            s_trace = MetricTrace(num_groups=num_groups)
-            # Estimator time runs from each resumption of the stream to its
-            # next checkpoint; metric time is the scoring of the checkpoint.
-            start = resumed = time.perf_counter()
-            estimator_time = metric_time = 0.0
-            for t, _, elapsed in _checkpoints(est, pairs,
-                                              config["checkpoint_every"]):
-                paused = time.perf_counter()
-                estimator_time += paused - resumed
-                err = subspace_error(est.current_subspace(), truth.u)
-                gap = (evaluator(est.factors, est.variances) - ref
-                       if hasattr(est, "factors") else None)
-                s_trace.append(t, err, loglik_gap=gap, elapsed_seconds=elapsed)
-                resumed = time.perf_counter()
-                metric_time += resumed - paused
-            stream_time = time.perf_counter() - start
+            s_trace, ingest_s, score_s = score_stream(
+                est, pairs, config["checkpoint_every"], num_groups,
+                (evaluator, ref))
             s_trace.write_csv(out_dir / f"streaming_seed{seed}.csv")
             row.update(
                 streaming_final_gap=s_trace.records[-1].loglik_gap,
                 streaming_final_subspace_error=s_trace.records[-1].subspace_error,
-                streaming_seconds=stream_time,
-                streaming_estimator_seconds=estimator_time,
-                streaming_metric_seconds=metric_time,
+                streaming_seconds=ingest_s + score_s,
+                streaming_estimator_seconds=ingest_s,
+                streaming_metric_seconds=score_s,
             )
 
         # The timer covers the lazy build of the problem's dense arrays.

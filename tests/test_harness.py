@@ -13,12 +13,14 @@ from shastapca.datagen import Epoch, ScenarioScript, run_script
 from shastapca.harness import (
     ConfigError,
     CsvFormatError,
+    build_estimator,
     csv_dimension,
     load_config,
     parse_config,
     parse_timing_config,
     read_csv_samples,
     run_experiment,
+    shared_init,
     timing_run,
     zero_fill,
 )
@@ -319,6 +321,33 @@ class TestCsvIngestion:
                    for seed in range(20))
 
 
+    def test_csv_checkpoint_variances_are_the_replay_variances(self, tmp_path):
+        # Each checkpoint records the variances SHASTA had at that row, as a
+        # replay of the same rows from the seed's shared init shows.
+        script = ScenarioScript(
+            d=8, k=2, spectrum=(2.0, 1.0), v_star=(0.05, 0.5),
+            group_probs=(0.5, 0.5), observe_prob=0.7,
+            epochs=(Epoch(samples=120),))
+        data = tmp_path / "stream.csv"
+        write_csv_stream([s for s, _ in run_script(script, seed=6)], 8, data)
+        raw = {
+            "scenario": {"kind": "csv", "path": str(data), "num_groups": 2},
+            "estimator": {"kind": "shasta", "rank": 2, "weights": "1/t"},
+            "run": {"seeds": [3], "checkpoint_every": 50,
+                    "output_dir": str(tmp_path / "out")},
+        }
+        config = parse_config(raw)
+        run_experiment(config)
+        trace = MetricTrace.read_csv(tmp_path / "out" / "trace_seed3.csv")
+        est = build_estimator(config.estimator, 8, 2, *shared_init(3, 8, 2, 2))
+        replay = {}
+        for t, (sample, _) in enumerate(read_csv_samples(data), start=1):
+            est.ingest(sample)
+            replay[t] = est.variances.copy()
+        assert [r.t for r in trace.records] == [50, 100, 120]
+        for rec in trace.records:
+            np.testing.assert_array_equal(rec.v_estimates, replay[rec.t])
+
     def test_header_only_csv_run(self, tmp_path):
         # An empty stream still gets one checkpoint, at t = 0.
         data = tmp_path / "empty.csv"
@@ -408,6 +437,32 @@ class TestTimingRun:
         assert streaming.records[-1].t == 600
         assert batch.records[-1].t == table["seeds"]["0"]["batch_iterations"]
 
+    def test_streaming_trace_is_the_run_trace(self, tmp_path):
+        # One scorer: for the same scenario, SHASTA estimator, cadence and
+        # seed, the timing run's streaming trace is the trace `run` writes,
+        # variances and log-likelihood gaps included, elapsed times aside.
+        raw = smoke_raw(tmp_path / "run", seeds=(2,))
+        run_experiment(parse_config(raw))
+        timing = {
+            "scenario": raw["scenario"],
+            "streaming_estimator": raw["estimator"],
+            "batch_estimator": {"kind": "batch-mm", "rank": 2,
+                                "iterations": 2},
+            "run": {"seeds": [2], "checkpoint_every": 50,
+                    "output_dir": str(tmp_path / "timing")},
+        }
+        timing_run(parse_timing_config(timing))
+
+        def without_elapsed(path):
+            return [line.rsplit(",", 1)[0]
+                    for line in path.read_text().splitlines()]
+
+        run_trace = without_elapsed(tmp_path / "run" / "trace_seed2.csv")
+        assert run_trace[0] == "t,subspace_error,loglik_gap,v_1,v_2"
+        assert len(run_trace) == 5
+        assert without_elapsed(
+            tmp_path / "timing" / "streaming_seed2.csv") == run_trace
+
     def test_batch_only_config_degenerates_to_batch_trace(self, tmp_path):
         raw = {
             "scenario": {
@@ -488,13 +543,14 @@ class TestTimingRun:
 
 def assert_config_error(tmp_path, capsys, command, raw, field):
     """The CLI refuses `raw` with exit 2 and a JSON error naming `field`,
-    and creates no output directory."""
+    and creates no output directory (for a null output_dir, none named
+    'None' in the working directory)."""
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(yaml.safe_dump(raw))
     assert cli_main([command, str(cfg_path)]) == 2, field
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config" and err["field"] == field, err
-    assert not Path(raw["run"]["output_dir"]).exists(), field
+    assert not Path(str(raw["run"]["output_dir"])).exists(), field
 
 
 class TestCli:
@@ -506,10 +562,12 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["seeds"] == 1
 
-    def test_bad_config_reports_json_error(self, tmp_path, capsys):
+    def test_bad_config_reports_json_error(self, tmp_path, capsys,
+                                           monkeypatch):
         # Each case exits 2 naming its field before any output exists; the
         # estimator cases used to fail only once the run had started.  The
         # cases run in one test, so that its id stays as it was.
+        monkeypatch.chdir(tmp_path)
         raw = smoke_raw(tmp_path / "out")
         del raw["scenario"]["spectrum"]
         assert_config_error(tmp_path, capsys, "run", raw, "scenario.spectrum")
@@ -540,16 +598,35 @@ class TestCli:
             ("scenario", "observe_prob", "most", "scenario.observe_prob"),
             ("scenario", "spectrum", [2.0, "one"], "scenario.spectrum"),
             ("scenario", "group_counts", [50, None], "scenario.group_counts"),
+            ("scenario", "group_counts", [50, 100, 50], "scenario.group_counts"),
             ("run", "seeds", ["zero"], "run.seeds"),
             ("run", "checkpoint_every", "often", "run.checkpoint_every"),
         ]:
             raw = smoke_raw(tmp_path / "out")
             raw[section][key] = value
             assert_config_error(tmp_path, capsys, "run", raw, field)
-        # PPCA needs d - rank trailing eigenvalues.
+        # PPCA needs d - rank trailing eigenvalues, and more samples than
+        # the rank: in its group, or in the stream when it has none.
         raw = smoke_raw(tmp_path / "out", estimator={"kind": "ppca", "rank": 2})
         raw["scenario"]["d"] = 2
         assert_config_error(tmp_path, capsys, "run", raw, "estimator.rank")
+        for counts, group, field in [([198, 2], 1, "estimator.group"),
+                                     ([1, 1], None, "estimator.rank")]:
+            raw = smoke_raw(tmp_path / "out", estimator={
+                "kind": "ppca", "rank": 2, "group": group})
+            raw["scenario"]["group_counts"] = counts
+            assert_config_error(tmp_path, capsys, "run", raw, field)
+        # Both commands read the run block alike: no seeds, or no output
+        # directory (which used to create one named 'None'), is refused.
+        timing = {key: smoke_raw(tmp_path / "out")[key]
+                  for key in ("scenario", "run")}
+        timing["batch_estimator"] = {"kind": "batch-mm", "rank": 2}
+        for command, base in [("run", smoke_raw(tmp_path / "out")),
+                              ("timing", timing)]:
+            for key, value, field in [("seeds", [], "run.seeds"),
+                                      ("output_dir", None, "run.output_dir")]:
+                raw = dict(base, run=dict(base["run"], **{key: value}))
+                assert_config_error(tmp_path, capsys, command, raw, field)
 
     def test_ingest_check_reports_stats(self, tmp_path, capsys):
         path = tmp_path / "data.csv"

@@ -35,3 +35,19 @@ def test_elapsed_times_are_dropped(tmp_path):
     b.write_text("\n".join(rows).format("9.5") + "\n")
     assert script.trace_bytes(a) == script.trace_bytes(b)
     assert script.trace_bytes(a) == b"t,subspace_error,loglik_gap,v_1\n50,0.25,,0.5\n"
+
+
+def test_standard_set_configs_exist_and_parse():
+    # The default set (not run here): every bundled run config, then
+    # static_full with each baseline block the reproduction script runs.
+    script = load_script()
+    runs = script.standard_set()
+    labels = [label for _, _, label in runs]
+    assert labels[:6] == ["dynamic_subspace", "dynamic_variances_v1",
+                          "dynamic_variances_v2", "smoke", "static_full",
+                          "static_half"]
+    assert [block for _, block, _ in runs[6:]] == script.BASELINES["static_full"]
+    assert len(set(labels)) == len(labels)
+    for path, block, label in runs:
+        assert path.exists(), label
+        script.parse_config(script.load_raw(path, block))

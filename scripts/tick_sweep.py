@@ -8,10 +8,10 @@ c_f = c_v = 0.1), PETRELS (forgetting PETRELS_FORGETTING) and GROUSE (step
 GROUSE_STEP), the three on the same samples from the same initial factors.
 It prints the best of REPEATS timings of TICKS ticks, in microseconds per
 tick, then each estimator's ratio of the largest d's cost to the smallest's.
-A tick whose cost does not depend on d prints a ratio near 1; PETRELS
-discounts all d row systems and GROUSE rotates all d rows of its basis on
-every tick, so theirs grow with d.  The repeats cycle through every
-estimator and d, so that all are timed in the same stretches of wall time.
+A tick whose cost does not depend on d prints a ratio near 1; GROUSE
+rotates all d rows of its basis on every tick, so its ratio grows with d.
+The repeats cycle through every estimator and d, so that all are timed in
+the same stretches of wall time.
 
 A second sweep times SHASTA alone at d = NOBS_SWEEP_DIM for each |omega| in
 NOBS_SWEEP and fits cost = fixed + per_row |omega| by least squares: the

@@ -13,7 +13,7 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from .datagen import orthonormalize
-from .model import ObservedSample, ParameterError, solve_rows
+from .model import ObservedSample, ParameterError
 
 
 @runtime_checkable
@@ -24,47 +24,118 @@ class StreamingEstimator(Protocol):
 
 
 class Petrels:
-    """Recursive least-squares factor tracking with a forgetting factor.
+    """Recursive least-squares factor tracking with a forgetting factor
+    (Chi, Eldar and Calderbank, *PETRELS*, IEEE TSP 2013).
 
-    Each row j keeps its own k x k system r[j], seeded at delta * I, that
-    discounts by `forgetting` per tick and rank-one updates with the current
-    coefficient estimate.  The row update
+    Row j of the factors solves its discounted least-squares system
+    R_j f_j = S_j over the past coefficient estimates zhat, anchored at the
+    initial factors: R_j starts at delta * I, decays by `forgetting` per tick,
+    and gains zhat zhat' on each tick that observes row j.  The state keeps
+    the inverse systems, scaled by the running product s of `forgetting`:
+    p[j] = s R_j^{-1}.  The decay then only multiplies s, and a tick updates
+    the observed rows by the matrix-inversion lemma:
 
-        f_j <- f_j + r_j^{-1} zhat (y_j - zhat' f_j)
+        pz = p_j zhat,   den = s + pz' zhat,
+        p_j <- p_j - (pz pz') / den,
+        f_j <- f_j + (pz / den) (y_j - zhat' f_j).
 
-    is the solved form of the discounted least-squares system anchored at the
-    initial factors, so no separate right-hand side is stored.
+    That is O(|omega| k^2) per tick, with no solve and nothing d-sized, and
+    no `LinAlgError` path.  The downdate is the outer product of one vector
+    with itself, so every p[j] stays bitwise symmetric.  Before s falls
+    below SCALE_FLOOR it is folded into p (p /= s, s = 1), an O(d k^2) pass
+    that a forgetting of 0.998 needs once every 34,500 ticks.
+
+    Two floors keep p finite and well conditioned; neither acts while every
+    R_j stays above it.  A row left unobserved while s shrinks has an R_j
+    that decays towards zero (it underflows after about 1,070 ticks at
+    forgetting 0.5), so p[j] would grow by 1 / s at every fold until it
+    overflowed: a fold keeps each R_j at or above SCALE_FLOOR delta I.  A
+    forgetting far below 1 leaves an R_j negligible beside the new zhat
+    zhat', and the downdate then cancels to nothing: the observed rows' R_j
+    are kept at or above MEMORY_FLOOR |zhat|^2 I before each update.  The
+    rows are searched for the second floor only when a bound on every
+    eigenvalue of p, kept since the last fold, allows one below it; a stream
+    whose rows stay well above the floor pays one scalar comparison a tick.
     """
+
+    SCALE_FLOOR = 1e-30
+    MEMORY_FLOOR = 1e-8
 
     def __init__(self, f0: np.ndarray, forgetting: float = 1.0,
                  delta: float = 0.1):
         if not 0.0 < forgetting <= 1.0:
             raise ParameterError("forgetting", "must lie in (0, 1]")
-        if delta <= 0.0:
-            raise ParameterError("delta", "must be positive")
+        if not (0.0 < delta < math.inf and 1.0 / delta < math.inf):
+            raise ParameterError("delta", "must be positive, with a finite "
+                                 "reciprocal")
         f0 = np.asarray(f0, dtype=np.float64)
         d, k = f0.shape
         self.f = f0.copy()
-        self.r = np.broadcast_to(delta * np.eye(k), (d, k, k)).copy()
+        self.p = np.broadcast_to(np.eye(k) / delta, (d, k, k)).copy()
+        self.s = 1.0
+        self._peak = 1.0 / delta  # bounds every eigenvalue of p
         self.forgetting = float(forgetting)
+        self.delta = float(delta)
+
+    @property
+    def r(self) -> np.ndarray:
+        """The row systems R_j = s p[j]^{-1}, materialized (O(d k^3))."""
+        return self.s * np.linalg.inv(self.p)
 
     def ingest(self, sample: ObservedSample) -> None:
-        if self.forgetting != 1.0:
-            self.r *= self.forgetting
+        s = self.s * self.forgetting
+        if s < self.SCALE_FLOOR:
+            self._fold(self.s)
+            s = self.forgetting
+            if s < self.SCALE_FLOOR:  # forgetting itself is below the floor
+                self._fold(s)
+                s = 1.0
+        self.s = s
         omega = sample.omega
         if omega.size == 0:
             return
-        fo = self.f[omega]
+        fo = self.f.take(omega, axis=0)
         zhat, *_ = np.linalg.lstsq(fo, sample.values, rcond=None)
-        r_o = self.r[omega]
-        r_o += np.outer(zhat, zhat)
-        self.r[omega] = r_o
+        m, k = fo.shape
+        p_o = self.p.take(omega, axis=0)
+        floor = self.MEMORY_FLOOR * float(zhat @ zhat)
+        if self._peak * floor > s:
+            _floor_systems(p_o, s, floor)
+        pz = (p_o.reshape(m * k, k) @ zhat).reshape(m, k)
+        den = s + pz @ zhat
+        downdate = pz[:, :, None] @ pz[:, None, :]
+        downdate /= den[:, None, None]
+        p_o -= downdate
+        self.p[omega] = p_o
         resid = sample.values - fo @ zhat
-        self.f[omega] += solve_rows(r_o, resid[:, None] * zhat[None, :])
+        pz *= (resid / den)[:, None]
+        pz += fo
+        self.f[omega] = pz
+
+    def _fold(self, scale: float) -> None:
+        _floor_systems(self.p, scale, self.SCALE_FLOOR * self.delta)
+        self.p /= scale
+        self._peak = self.p.shape[1] * float(self.p.max())
 
     def current_subspace(self) -> np.ndarray:
         u, _, _ = np.linalg.svd(self.f, full_matrices=False)
         return u
+
+
+def _floor_systems(p: np.ndarray, s: float, floor: float) -> None:
+    """Keep each row system s p[i]^{-1} at or above floor * I, in place: cap
+    at s / floor the eigenvalues of each p[i] whose trace exceeds s / floor.
+    The other p[i] are left as they are, as their eigenvalues are all below
+    their trace.  (The largest entry of a definite p[i] is on its diagonal,
+    so k times it bounds the trace.)"""
+    m, k, _ = p.shape
+    if not p.max() * (k * floor) > s:
+        return
+    trace = p.reshape(m, k * k)[:, ::k + 1].sum(axis=1)
+    rows = np.flatnonzero(trace * floor > s)
+    e, q = np.linalg.eigh(p[rows])
+    capped = (q * np.minimum(e, s / floor)[:, None, :]) @ q.transpose(0, 2, 1)
+    p[rows] = 0.5 * (capped + capped.transpose(0, 2, 1))
 
 
 class Grouse:

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import ObservedSample
+from .model import ObservedSample, ParameterError
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -47,25 +47,25 @@ class PlantedModel:
         spectrum = np.asarray(self.spectrum, dtype=np.float64)
         v_star = np.asarray(self.v_star, dtype=np.float64)
         if np.linalg.norm(u.T @ u - np.eye(u.shape[1])) > 1e-10:
-            raise ValueError("basis columns must be orthonormal")
+            raise ParameterError("u", "must have orthonormal columns")
         if np.any(np.diff(spectrum) > 0) or np.any(spectrum <= 0):
-            raise ValueError("spectrum must be positive and descending")
+            raise ParameterError("spectrum", "must be positive and descending")
         if np.any(v_star <= 0):
-            raise ValueError("true variances must be positive")
+            raise ParameterError("v_star", "(true variances) must be positive")
         if (self.group_probs is None) == (self.group_counts is None):
-            raise ValueError("specify exactly one of group_probs / group_counts")
+            raise ParameterError("group_probs", "or group_counts: specify exactly one")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "spectrum", spectrum)
         object.__setattr__(self, "v_star", v_star)
         if self.group_probs is not None:
             p = np.asarray(self.group_probs, dtype=np.float64)
             if p.size != v_star.size or abs(p.sum() - 1.0) > 1e-9 or np.any(p < 0):
-                raise ValueError("group_probs must be a distribution over groups")
+                raise ParameterError("group_probs", "must be a distribution over groups")
             object.__setattr__(self, "group_probs", p)
         if self.group_counts is not None:
             c = np.asarray(self.group_counts, dtype=np.int64)
             if c.size != v_star.size or np.any(c < 0):
-                raise ValueError("group_counts must be nonnegative, one per group")
+                raise ParameterError("group_counts", "must be nonnegative, one per group")
             object.__setattr__(self, "group_counts", c)
 
     @property
@@ -173,9 +173,9 @@ class Epoch:
 
     def __post_init__(self):
         if self.samples < 1:
-            raise ValueError("epoch needs at least one sample")
+            raise ParameterError("samples", "must be at least 1")
         if self.observe_prob is not None and not 0.0 < self.observe_prob <= 1.0:
-            raise ValueError("observation probability must lie in (0, 1]")
+            raise ParameterError("observe_prob", "must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -193,14 +193,14 @@ class ScenarioScript:
 
     def __post_init__(self):
         if not self.epochs:
-            raise ValueError("script needs at least one epoch")
+            raise ParameterError("epochs", "must list at least one epoch")
         if not 0.0 < self.observe_prob <= 1.0:
-            raise ValueError("observation probability must lie in (0, 1]")
+            raise ParameterError("observe_prob", "must lie in (0, 1]")
         object.__setattr__(self, "epochs", tuple(self.epochs))
         if self.group_counts is not None:
             total = sum(e.samples for e in self.epochs)
             if int(np.sum(self.group_counts)) != total:
-                raise ValueError("group_counts must sum to the scripted length")
+                raise ParameterError("group_counts", "must sum to the scripted length")
 
     @property
     def total_samples(self) -> int:

@@ -180,8 +180,6 @@ def _parse_scenario(raw) -> dict:
     if (group_probs is None) == (group_counts is None):
         raise ConfigError("scenario",
                           "specify exactly one of group_probs / group_counts")
-    if group_counts is not None and len(group_counts) != len(variances):
-        raise ConfigError("scenario.group_counts", "needs one count per group")
 
     epochs = _get(raw, "epochs", "scenario", required=False)
     if epochs is None:
@@ -198,6 +196,9 @@ def _parse_scenario(raw) -> dict:
                      _number(scale, "factor", f"{epath}.scale_variance"))
             if not 0 <= scale[0] < len(variances):
                 raise ConfigError(f"{epath}.scale_variance.group", "out of range")
+            if not scale[1] > 0.0:
+                raise ConfigError(f"{epath}.scale_variance.factor",
+                                  "must be positive, as the variances it scales")
         parsed_epochs.append(dict(
             samples=_number(e, "samples", epath, int),
             observe_prob=_number(e, "observe_prob", epath, required=False),
@@ -205,7 +206,7 @@ def _parse_scenario(raw) -> dict:
                                       required=False, default=False)),
             scale_variance=scale,
         ))
-    return {
+    scenario = {
         "kind": "synthetic", "d": d, "rank": rank, "spectrum": spectrum,
         "variances": variances, "num_groups": len(variances),
         "observe_prob": observe_prob,
@@ -213,6 +214,28 @@ def _parse_scenario(raw) -> dict:
         "group_counts": group_counts,
         "epochs": parsed_epochs,
     }
+    _check_scenario(scenario)
+    return scenario
+
+
+def _check_scenario(scenario: dict) -> None:
+    """Refuse, before any output exists, a synthetic scenario that datagen
+    would refuse once the run had started: build its epochs, its script and
+    its planted model, on a d x rank stand-in basis."""
+    for i, epoch in enumerate(scenario["epochs"]):
+        try:
+            Epoch(**epoch)
+        except ParameterError as exc:
+            raise ConfigError(f"scenario.epochs[{i}].{exc.field}", str(exc)) from None
+    try:
+        scenario_script(scenario)
+        PlantedModel(u=np.eye(scenario["d"], scenario["rank"]),
+                     spectrum=scenario["spectrum"], v_star=scenario["variances"],
+                     group_probs=scenario["group_probs"],
+                     group_counts=scenario["group_counts"])
+    except ParameterError as exc:
+        field = "variances" if exc.field == "v_star" else exc.field
+        raise ConfigError(f"scenario.{field}", str(exc)) from None
 
 
 def _parse_estimator(raw, path) -> dict:

@@ -35,7 +35,8 @@ ZERO_EIGENVALUE = 4 * np.finfo(np.float64).eps
 
 
 class ParameterError(ValueError):
-    """An estimator setting out of its range; `field` names the setting."""
+    """An estimator or data-model setting out of its range; `field` names
+    the setting."""
 
     def __init__(self, field: str, message: str):
         self.field = field
@@ -112,7 +113,8 @@ def check_factors(f: np.ndarray) -> np.ndarray:
 
 def solve_rows(r: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Solve r[j] x_j = s[j] for a stack of row systems in one batched call.
-    If any system is singular, every row falls back to least squares."""
+    If any system is singular, every row falls back to least squares.  Its
+    callers are SHASTA's factor step and the batch f-step."""
     try:
         return np.linalg.solve(r, s[..., None])[..., 0]
     except np.linalg.LinAlgError:

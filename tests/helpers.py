@@ -11,7 +11,8 @@ import struct
 
 import numpy as np
 
-from shastapca.model import VARIANCE_FLOOR, ObservedSample, observed_parts
+from shastapca.model import (VARIANCE_FLOOR, ObservedSample, observed_parts,
+                             solve_rows)
 
 
 def random_instance(rng, d, k, num_groups, observe_prob=1.0, n=1,
@@ -201,6 +202,34 @@ class EagerShasta:
             self.s_bar[j] += (w / vg) * sample.values[i] * z
             self.fhat[j] = np.linalg.solve(self.r_bar[j], self.s_bar[j])
         self.f = (1.0 - cfg.c_f) * self.f + cfg.c_f * self.fhat
+
+
+class EagerPetrels:
+    """PETRELS in its eager form: every tick discounts all d row systems
+    r[j] by `forgetting`, then adds zhat zhat' to the observed rows' systems
+    and solves them for the factor update.  The package keeps the inverse
+    systems instead and updates them by the matrix-inversion lemma."""
+
+    def __init__(self, f0, forgetting=1.0, delta=0.1):
+        f0 = np.asarray(f0, dtype=np.float64)
+        d, k = f0.shape
+        self.f = f0.copy()
+        self.r = np.broadcast_to(delta * np.eye(k), (d, k, k)).copy()
+        self.forgetting = float(forgetting)
+
+    def ingest(self, sample):
+        if self.forgetting != 1.0:
+            self.r *= self.forgetting
+        omega = sample.omega
+        if omega.size == 0:
+            return
+        fo = self.f[omega]
+        zhat, *_ = np.linalg.lstsq(fo, sample.values, rcond=None)
+        r_o = self.r[omega]
+        r_o += np.outer(zhat, zhat)
+        self.r[omega] = r_o
+        resid = sample.values - fo @ zhat
+        self.f[omega] += solve_rows(r_o, resid[:, None] * zhat[None, :])
 
 
 def relative_gap(got, want):

@@ -576,6 +576,8 @@ class TestCli:
             ("estimator.step", {"kind": "grouse", "rank": 2, "step": -0.1}),
             ("estimator.forgetting",
              {"kind": "petrels", "rank": 2, "forgetting": 1.5}),
+            ("estimator.delta",
+             {"kind": "petrels", "rank": 2, "delta": float("nan")}),
             ("estimator.c_f", dict(shasta, c_f=2.0)),
             ("estimator.weights", dict(shasta, weights="1/t^2")),
             ("estimator.rank", dict(shasta, rank=1)),
@@ -591,7 +593,9 @@ class TestCli:
         ]:
             raw = smoke_raw(tmp_path / "out", estimator=estimator)
             assert_config_error(tmp_path, capsys, "run", raw, field)
-        # A non-numeric scenario or run value names its field too.
+        # A non-numeric scenario or run value names its field too, and so
+        # does a scenario value datagen refuses, now when the config is
+        # parsed.
         for section, key, value, field in [
             ("scenario", "d", "ten", "scenario.d"),
             ("scenario", "rank", 11, "scenario.rank"),
@@ -599,12 +603,22 @@ class TestCli:
             ("scenario", "spectrum", [2.0, "one"], "scenario.spectrum"),
             ("scenario", "group_counts", [50, None], "scenario.group_counts"),
             ("scenario", "group_counts", [50, 100, 50], "scenario.group_counts"),
+            ("scenario", "spectrum", [1.0, 2.0], "scenario.spectrum"),
+            ("scenario", "variances", [1e-2, 0.0], "scenario.variances"),
+            ("scenario", "epochs", [{"samples": 0}], "scenario.epochs[0].samples"),
+            ("scenario", "epochs",
+             [{"samples": 200, "scale_variance": {"group": 0, "factor": -2.0}}],
+             "scenario.epochs[0].scale_variance.factor"),
             ("run", "seeds", ["zero"], "run.seeds"),
             ("run", "checkpoint_every", "often", "run.checkpoint_every"),
         ]:
             raw = smoke_raw(tmp_path / "out")
             raw[section][key] = value
             assert_config_error(tmp_path, capsys, "run", raw, field)
+        raw = smoke_raw(tmp_path / "out")
+        del raw["scenario"]["group_counts"]
+        raw["scenario"].update(group_probs=[1.0], epochs=[{"samples": 200}])
+        assert_config_error(tmp_path, capsys, "run", raw, "scenario.group_probs")
         # PPCA needs d - rank trailing eigenvalues, and more samples than
         # the rank: in its group, or in the stream when it has none.
         raw = smoke_raw(tmp_path / "out", estimator={"kind": "ppca", "rank": 2})

@@ -165,8 +165,8 @@ class Grouse:
     RESYNC_EVERY = 1000
 
     def __init__(self, u0: np.ndarray, step: float):
-        if step < 0.0:
-            raise ParameterError("step", "must be nonnegative")
+        if not 0.0 <= step < math.inf:
+            raise ParameterError("step", "must be nonnegative and finite")
         self.u = np.asarray(u0, dtype=np.float64).copy()
         self._drift = self._measured_drift()  # upper bound on ||u'u - I||
         if self._drift > 1e-8:

@@ -22,6 +22,7 @@ import numpy as np
 from .harness import (
     ConfigError,
     CsvFormatError,
+    csv_dimension,
     load_config,
     load_timing_config,
     read_csv_samples,
@@ -66,7 +67,6 @@ def cmd_ingest_check(args) -> int:
     d = None
     for sample, variance in read_csv_samples(args.csv):
         if d is None:
-            from .harness import csv_dimension
             d = csv_dimension(args.csv)
         rows += 1
         observed += sample.nobs

@@ -48,10 +48,11 @@ class PlantedModel:
         v_star = np.asarray(self.v_star, dtype=np.float64)
         if np.linalg.norm(u.T @ u - np.eye(u.shape[1])) > 1e-10:
             raise ParameterError("u", "must have orthonormal columns")
-        if np.any(np.diff(spectrum) > 0) or np.any(spectrum <= 0):
-            raise ParameterError("spectrum", "must be positive and descending")
-        if np.any(v_star <= 0):
-            raise ParameterError("v_star", "(true variances) must be positive")
+        if not (np.all(np.diff(spectrum) <= 0)
+                and np.all((spectrum > 0) & (spectrum < np.inf))):
+            raise ParameterError("spectrum", "must be positive, finite and descending")
+        if not np.all((v_star > 0) & (v_star < np.inf)):
+            raise ParameterError("v_star", "(true variances) must be positive and finite")
         if (self.group_probs is None) == (self.group_counts is None):
             raise ParameterError("group_probs", "or group_counts: specify exactly one")
         object.__setattr__(self, "u", u)
@@ -59,7 +60,8 @@ class PlantedModel:
         object.__setattr__(self, "v_star", v_star)
         if self.group_probs is not None:
             p = np.asarray(self.group_probs, dtype=np.float64)
-            if p.size != v_star.size or abs(p.sum() - 1.0) > 1e-9 or np.any(p < 0):
+            if not (p.size == v_star.size and abs(p.sum() - 1.0) <= 1e-9
+                    and np.all(p >= 0)):
                 raise ParameterError("group_probs", "must be a distribution over groups")
             object.__setattr__(self, "group_probs", p)
         if self.group_counts is not None:

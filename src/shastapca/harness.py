@@ -159,8 +159,10 @@ def _parse_scenario(raw) -> dict:
         path = _get(raw, "path", "scenario")
         if not Path(path).exists():
             raise ConfigError("scenario.path", f"dataset not found: {path}")
-        return {"kind": "csv", "path": str(path),
-                "num_groups": _number(raw, "num_groups", "scenario", int)}
+        num_groups = _number(raw, "num_groups", "scenario", int)
+        if num_groups < 1:
+            raise ConfigError("scenario.num_groups", "must be >= 1")
+        return {"kind": "csv", "path": str(path), "num_groups": num_groups}
     if kind != "synthetic":
         raise ConfigError("scenario.kind", f"unknown scenario kind {kind!r}")
 

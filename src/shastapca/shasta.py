@@ -82,11 +82,9 @@ from .model import (
 GROUPED = "grouped"
 MEMORYLESS_SINGLE = "memoryless-single"
 
-# SHASTAPCA-STATE2 checkpoints start with this 8-byte magic; the older
-# SHASTAPCA-STATE1 files, with the state in eager form, are still read.
+# SHASTAPCA-STATE2 checkpoints start with this 8-byte magic.
 CHECKPOINT_MAGIC = b"SHASTA-2"
-STATE1_MAGIC = b"SHASTAPCA-STATE1"
-# magic, d, t, k, L, sigma, gamma: 48 bytes, STATE1's header size.
+# magic, d, t, k, L, sigma, gamma: 48 bytes.
 _HEADER = struct.Struct("<8sQQIIdd")
 
 # A lazy scale is folded into its arrays before it falls below this value.
@@ -112,7 +110,7 @@ class WeightSchedule:
             raise ParameterError("weights", f"has unknown kind {self.kind!r}")
         if self.kind == "const" and not 0.0 < self.value <= 1.0:
             raise ParameterError("weights", "constant must lie in (0, 1]")
-        if self.kind == "inv_sqrt" and self.value <= 0.0:
+        if self.kind == "inv_sqrt" and not self.value > 0.0:
             raise ParameterError("weights", "scale a of a/sqrt(t) must be positive")
 
     def __call__(self, t: int) -> float:
@@ -163,8 +161,9 @@ class ShastaConfig:
         for name in ("c_f", "c_v"):
             if not 0.0 < getattr(self, name) <= 1.0:
                 raise ParameterError(name, "must lie in (0, 1]")
-        if self.delta <= 0.0:
-            raise ParameterError("delta", "(surrogate init scale) must be positive")
+        if not 0.0 < self.delta < math.inf:
+            raise ParameterError("delta", "(surrogate init scale) must be "
+                                 "positive and finite")
         if self.variance_mode not in (GROUPED, MEMORYLESS_SINGLE):
             raise ParameterError("variance_mode",
                                  f"is unknown: {self.variance_mode!r}")
@@ -405,16 +404,23 @@ def ingest(state: ShastaState, sample: ObservedSample,
     return state
 
 
+def _arrays(d: int, k: int, num_groups: int) -> tuple:
+    """The arrays of a STATE2 checkpoint in file order, after the header:
+    each ShastaState field's name and its shape, stored as float64."""
+    return (("dev", (d, k)), ("v", (num_groups,)), ("fhat", (d, k)),
+            ("systems", (d, k, k + 1)), ("theta_bar", (num_groups,)),
+            ("rho_bar", (num_groups,)))
+
+
 def save_state(state: ShastaState, path) -> None:
     """Checkpoint the lazy state to a SHASTAPCA-STATE2 file, atomically.
 
     Layout: a 48-byte little-endian header (the 8-byte magic "SHASTA-2",
     d and t as uint64, k and L as uint32, sigma and gamma as float64), then
-    float64 arrays in order G (d*k), v (L), fhat (d*k), the stored row
-    systems [R_j | S_j] (d*k*(k+1), row by row), theta_bar (L), rho_bar (L).
-    Byte size, 48 + 8 (3 d k + d k^2 + 3 L), depends only on (d, k, L) and
-    equals SHASTAPCA-STATE1's.  Nothing is materialized, so a stream resumed
-    from the file continues bit for bit as if it had not stopped.
+    the float64 arrays `_arrays` lists, in its order and shapes, C-ordered.
+    The byte size, 48 + 8 (3 d k + d k^2 + 3 L), depends only on (d, k, L).
+    Nothing is materialized, so a stream resumed from the file continues bit
+    for bit as if it had not stopped.
 
     The bytes go to a temporary file beside `path`, which then replaces it:
     a write that fails midway leaves any previous checkpoint intact.  There
@@ -426,9 +432,9 @@ def save_state(state: ShastaState, path) -> None:
         with open(tmp, "wb") as fh:
             fh.write(_HEADER.pack(CHECKPOINT_MAGIC, state.d, state.t, state.k,
                                   state.num_groups, state.sigma, state.gamma))
-            for arr in (state.dev, state.v, state.fhat, state.systems,
-                        state.theta_bar, state.rho_bar):
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").data)
+            for name, _ in _arrays(state.d, state.k, state.num_groups):
+                fh.write(np.ascontiguousarray(getattr(state, name),
+                                              dtype="<f8").data)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -437,58 +443,37 @@ def save_state(state: ShastaState, path) -> None:
 
 
 def load_state(path) -> ShastaState:
-    """Read a `save_state` checkpoint (SHASTAPCA-STATE2), or a
-    SHASTAPCA-STATE1 one: a 16-byte magic, uint64 (d, k, L, t), then float64
-    F, v, fhat, rbar, sbar, theta_bar, rho_bar, the eager state, which loads
-    with sigma = gamma = 1 and G = F - fhat.
+    """Read a `save_state` checkpoint.
 
-    The header's (d, k, L) are checked against the file's size, and STATE2's
-    sigma and gamma against (0, 1], before any array is allocated; a file
-    that does not fit, or whose arrays hold a non-finite value, raises
-    ValueError.
+    The header's (d, k, L) are checked against the file's size, and sigma
+    and gamma against (0, 1], before any array is allocated; a file with
+    another magic, one that does not fit its header, or one whose arrays
+    hold a non-finite value raises ValueError.
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
-        state1 = header.startswith(STATE1_MAGIC)
-        if not (state1 or header.startswith(CHECKPOINT_MAGIC)):
+        if not header.startswith(CHECKPOINT_MAGIC):
             raise ValueError(f"not a state checkpoint: bad magic {header[:16]!r}")
         if len(header) != _HEADER.size:
             raise ValueError("truncated state checkpoint header")
-        if state1:
-            d, k, num_groups, t = struct.unpack_from("<QQQQ", header, 16)
-            sigma = gamma = 1.0
-        else:
-            _, d, t, k, num_groups, sigma, gamma = _HEADER.unpack(header)
+        _, d, t, k, num_groups, sigma, gamma = _HEADER.unpack(header)
         if min(d, k, num_groups) < 1:
             raise ValueError(f"state checkpoint header has d={d}, k={k}, "
                              f"L={num_groups}; each must be >= 1")
         if not (0.0 < sigma <= 1.0 and 0.0 < gamma <= 1.0):
             raise ValueError(f"state checkpoint header has scales sigma={sigma}, "
                              f"gamma={gamma}; each must lie in (0, 1]")
+        arrays = _arrays(d, k, num_groups)
         size = os.fstat(fh.fileno()).st_size
-        expected = 48 + 8 * (3 * d * k + d * k * k + 3 * num_groups)
+        expected = _HEADER.size + 8 * sum(math.prod(shape) for _, shape in arrays)
         if size != expected:
             raise ValueError(f"state checkpoint is {size} bytes, but its header "
                              f"(d={d}, k={k}, L={num_groups}) needs {expected}")
-
-        def read(*shape):
-            buf = fh.read(8 * int(np.prod(shape)))
-            return np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-
-        if state1:
-            f, v, fhat = read(d, k), read(num_groups), read(d, k)
-            systems = np.concatenate((read(d, k, k), read(d, k, 1)), axis=2)
-            dev = f - fhat
-        else:
-            dev, v, fhat = read(d, k), read(num_groups), read(d, k)
-            systems = read(d, k, k + 1)
-        theta_bar, rho_bar = read(num_groups), read(num_groups)
-    if not all(np.isfinite(a).all()
-               for a in (dev, v, fhat, systems, theta_bar, rho_bar)):
+        fields = {name: np.frombuffer(fh.read(8 * math.prod(shape)), dtype="<f8")
+                  .reshape(shape).copy() for name, shape in arrays}
+    if not all(np.isfinite(a).all() for a in fields.values()):
         raise ValueError("state checkpoint holds non-finite values")
-    return ShastaState(dev=dev, v=v, systems=systems, fhat=fhat,
-                       theta_bar=theta_bar, rho_bar=rho_bar, t=int(t),
-                       sigma=sigma, gamma=gamma)
+    return ShastaState(**fields, t=int(t), sigma=sigma, gamma=gamma)
 
 
 class ShastaPCA:

@@ -245,7 +245,7 @@ def crafted_checkpoints(valid: bytes) -> dict:
     """Checkpoint files whose header does not fit them, by name; `valid` is
     a STATE2 checkpoint written by save_state, whose body some of them
     reuse."""
-    from shastapca.shasta import CHECKPOINT_MAGIC, STATE1_MAGIC
+    from shastapca.shasta import CHECKPOINT_MAGIC
 
     def header(d=4, t=0, k=2, num_groups=2, sigma=1.0, gamma=1.0):
         return CHECKPOINT_MAGIC + struct.pack("<QQIIdd", d, t, k, num_groups,
@@ -262,5 +262,4 @@ def crafted_checkpoints(valid: bytes) -> dict:
         "short_header": valid[:40],
         "truncated": valid[:-1],
         "trailing": valid + b"\0",
-        "state1_huge_d": STATE1_MAGIC + struct.pack("<QQQQ", 2**64 - 1, 3, 2, 0),
     }

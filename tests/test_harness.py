@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -574,6 +575,13 @@ class TestCli:
         shasta = smoke_raw(None)["estimator"]
         for field, estimator in [
             ("estimator.step", {"kind": "grouse", "rank": 2, "step": -0.1}),
+            ("estimator.step",
+             {"kind": "grouse", "rank": 2, "step": float("nan")}),
+            ("estimator.step",
+             {"kind": "grouse", "rank": 2, "step": float("inf")}),
+            ("estimator.delta", dict(shasta, delta=float("nan"))),
+            ("estimator.delta", dict(shasta, delta=float("inf"))),
+            ("estimator.weights", dict(shasta, weights="nan/sqrt(t)")),
             ("estimator.forgetting",
              {"kind": "petrels", "rank": 2, "forgetting": 1.5}),
             ("estimator.delta",
@@ -604,7 +612,14 @@ class TestCli:
             ("scenario", "group_counts", [50, None], "scenario.group_counts"),
             ("scenario", "group_counts", [50, 100, 50], "scenario.group_counts"),
             ("scenario", "spectrum", [1.0, 2.0], "scenario.spectrum"),
+            ("scenario", "spectrum", [float("nan"), 1.0], "scenario.spectrum"),
+            ("scenario", "spectrum", [2.0, float("nan")], "scenario.spectrum"),
+            ("scenario", "spectrum", [float("inf"), 1.0], "scenario.spectrum"),
             ("scenario", "variances", [1e-2, 0.0], "scenario.variances"),
+            ("scenario", "variances", [1e-2, float("nan")],
+             "scenario.variances"),
+            ("scenario", "variances", [1e-2, float("inf")],
+             "scenario.variances"),
             ("scenario", "epochs", [{"samples": 0}], "scenario.epochs[0].samples"),
             ("scenario", "epochs",
              [{"samples": 200, "scale_variance": {"group": 0, "factor": -2.0}}],
@@ -615,10 +630,22 @@ class TestCli:
             raw = smoke_raw(tmp_path / "out")
             raw[section][key] = value
             assert_config_error(tmp_path, capsys, "run", raw, field)
-        raw = smoke_raw(tmp_path / "out")
-        del raw["scenario"]["group_counts"]
-        raw["scenario"].update(group_probs=[1.0], epochs=[{"samples": 200}])
-        assert_config_error(tmp_path, capsys, "run", raw, "scenario.group_probs")
+        for probs in ([1.0], [0.5, float("nan")], [1.5, -0.5]):
+            raw = smoke_raw(tmp_path / "out")
+            del raw["scenario"]["group_counts"]
+            raw["scenario"].update(group_probs=probs, epochs=[{"samples": 200}])
+            assert_config_error(tmp_path, capsys, "run", raw,
+                                "scenario.group_probs")
+        # A csv scenario's group count is refused below one.
+        data = tmp_path / "stream.csv"
+        data.write_text("group,y0,y1\n0,1.0,2.0\n")
+        for num_groups in (0, -1):
+            raw = smoke_raw(tmp_path / "out")
+            raw["scenario"] = {"kind": "csv", "path": str(data),
+                               "num_groups": num_groups}
+            raw["run"]["loglik_gap"] = False
+            assert_config_error(tmp_path, capsys, "run", raw,
+                                "scenario.num_groups")
         # PPCA needs d - rank trailing eigenvalues, and more samples than
         # the rank: in its group, or in the stream when it has none.
         raw = smoke_raw(tmp_path / "out", estimator={"kind": "ppca", "rank": 2})
@@ -668,16 +695,35 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["d"] == 4 and report["samples_ingested"] == 0
 
-    def test_state_dump_bad_header_reports_json_error(self, tmp_path, capsys):
+    def test_state_dump_bad_header_reports_json_error(self, tmp_path, capsys,
+                                                      monkeypatch):
         from shastapca.shasta import ShastaConfig, init_state, save_state
         ckpt = tmp_path / "state.bin"
         save_state(init_state(ShastaConfig(rank=2, num_groups=2),
                               np.zeros((4, 2)), np.array([0.3, 0.4])), ckpt)
-        for name, data in crafted_checkpoints(ckpt.read_bytes()).items():
+        valid = ckpt.read_bytes()
+        for name, data in crafted_checkpoints(valid).items():
             ckpt.write_bytes(data)
             assert cli_main(["state-dump", str(ckpt)]) == 1, name
             err = json.loads(capsys.readouterr().err)
             assert err["error"] == "value" and "header" in err["message"], name
+        # A file of another layout is refused by its magic before any array
+        # is read: the first, eager layout's 16-byte magic ("SHASTAPCA-STATE"
+        # and its version digit, then uint64 d, k, L, t; no longer read), or
+        # an unknown version of this one.
+
+        def no_arrays(*args, **kwargs):
+            raise AssertionError("an array was read from a bad checkpoint")
+
+        monkeypatch.setattr(np, "frombuffer", no_arrays)
+        eager = (b"SHASTAPCA-STATE%d" % 1 + struct.pack("<QQQQ", 4, 2, 2, 0)
+                 + bytes(len(valid) - 48))
+        for data in (eager, b"SHASTA-3" + valid[8:]):
+            ckpt.write_bytes(data)
+            assert cli_main(["state-dump", str(ckpt)]) == 1, data[:16]
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "value", err
+            assert "bad magic" in err["message"], err
 
     def test_timing_zero_checkpoint_every_reports_json_error(self, tmp_path,
                                                              capsys):

@@ -22,6 +22,10 @@ Usage (from the root of a checkout):
 --estimator replaces the config's estimator block (YAML), as
 scripts/reproduce_experiments.py does for the baselines.  The last line
 digests all the lines before it.
+
+BLAS runs on one thread: the n x d products of batch-mm and ppca round
+differently with the thread count, so their bytes, and the digests, repeat
+only at a fixed count.
 """
 
 import argparse
@@ -29,11 +33,16 @@ import csv
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
 
-import yaml
+if __name__ == "__main__":  # before numpy loads; an import leaves it alone
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
+
+import yaml  # noqa: E402
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))

@@ -164,7 +164,7 @@ class Grouse:
     # Updates between exact measurements of the drift.
     RESYNC_EVERY = 1000
 
-    def __init__(self, u0: np.ndarray, step: float):
+    def __init__(self, u0: np.ndarray, step: float = 0.01):
         if not 0.0 <= step < math.inf:
             raise ParameterError("step", "must be nonnegative and finite")
         self.u = np.asarray(u0, dtype=np.float64).copy()

@@ -166,23 +166,19 @@ def mask_uniform(sample: ObservedSample, p: float, rng) -> ObservedSample:
 
 @dataclass(frozen=True)
 class Epoch:
-    """One scripted phase of a stream."""
+    """One scripted phase of a stream; the script that holds it checks it."""
 
     samples: int
     observe_prob: float | None = None     # None inherits the script default
     redraw_subspace: bool = False
     scale_variance: tuple[int, float] | None = None  # (group, factor)
 
-    def __post_init__(self):
-        if self.samples < 1:
-            raise ParameterError("samples", "must be at least 1")
-        if self.observe_prob is not None and not 0.0 < self.observe_prob <= 1.0:
-            raise ParameterError("observe_prob", "must lie in (0, 1]")
-
 
 @dataclass(frozen=True)
 class ScenarioScript:
-    """Base planted model parameters plus an ordered list of epochs."""
+    """Base planted model parameters plus an ordered list of epochs, each
+    checked here: an epoch's scale_variance must keep its group's variance,
+    as scaled so far, positive and finite.  Errors name it as epochs[i]."""
 
     d: int
     k: int
@@ -199,6 +195,22 @@ class ScenarioScript:
         if not 0.0 < self.observe_prob <= 1.0:
             raise ParameterError("observe_prob", "must lie in (0, 1]")
         object.__setattr__(self, "epochs", tuple(self.epochs))
+        v = [float(x) for x in self.v_star]  # as run_script scales them
+        for i, epoch in enumerate(self.epochs):
+            name = f"epochs[{i}]"
+            if epoch.samples < 1:
+                raise ParameterError(f"{name}.samples", "must be at least 1")
+            if epoch.observe_prob is not None and not 0.0 < epoch.observe_prob <= 1.0:
+                raise ParameterError(f"{name}.observe_prob", "must lie in (0, 1]")
+            if epoch.scale_variance is not None:
+                group, factor = epoch.scale_variance
+                if not 0 <= group < len(v):
+                    raise ParameterError(f"{name}.scale_variance.group", "out of range")
+                v[group] *= factor
+                if not 0.0 < v[group] < np.inf:
+                    raise ParameterError(f"{name}.scale_variance.factor",
+                                         f"takes a variance to {v[group]!r}; it "
+                                         "must stay positive and finite")
         if self.group_counts is not None:
             total = sum(e.samples for e in self.epochs)
             if int(np.sum(self.group_counts)) != total:

@@ -4,7 +4,9 @@ A YAML config declares a scenario (synthetic script or external CSV), one
 estimator with its hyperparameters, and run settings (seeds, checkpoint
 cadence, output directory).  Each seed produces one `trace_seed<N>.csv`; a
 `summary.json` aggregates final metrics across seeds.  Given a config and a
-seed, every numeric output byte is deterministic except elapsed-time fields.
+seed, every numeric output byte is deterministic except elapsed-time fields;
+those of batch-mm and ppca, whose n x d products go through BLAS, only at a
+fixed BLAS thread count.
 
 Every streaming run, synthetic or CSV, and the streaming pass of a timing run
 are fed and scored by one function, `score_stream`.  Batch MM runs are scored
@@ -35,9 +37,6 @@ from .metrics import MetricTrace, subspace_error
 from .model import DatasetEvaluator, ObservedSample, ParameterError
 from .shasta import ShastaConfig, ShastaPCA
 
-STREAMING_KINDS = ("shasta", "petrels", "grouse")
-ESTIMATOR_KINDS = STREAMING_KINDS + ("batch-mm", "ppca")
-
 
 class ConfigError(ValueError):
     """Invalid experiment config; `path` names the offending field."""
@@ -53,43 +52,95 @@ class CsvFormatError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Config parsing
+#
+# Each section declares once the keys it accepts, as (readers, required):
+# the reader of each key's value, and the keys it must give.  `_section`
+# refuses any other key.  A key a block leaves out is not filled in here: it
+# takes its default where it is used, an estimator setting from the
+# estimator's constructor.
 
 
-def _get(mapping, key, path, required=True, default=None):
-    if not isinstance(mapping, dict):
+def _as(kind, noun=None):
+    """A reader of a value as `kind`, refusing one that kind cannot read."""
+    def read(value, path):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            raise ConfigError(path, f"expected {noun}, got {value!r}") from None
+    return read
+
+
+def _nullable(read):
+    """`read`, with null read as None."""
+    return lambda value, path: None if value is None else read(value, path)
+
+
+_value, _flag = _as(lambda value: value), _as(bool)
+_float, _int = _as(float, "a number"), _as(int, "an integer")
+_floats = _as(lambda xs: tuple(float(x) for x in xs), "a list of numbers")
+_ints = _as(lambda xs: tuple(int(x) for x in xs), "a list of numbers")
+
+RUN_CONFIG = ({"scenario": _value, "estimator": _value, "run": _value},
+              ("scenario", "estimator", "run"))
+TIMING_CONFIG = ({"scenario": _value, "streaming_estimator": _value,
+                  "batch_estimator": _value, "run": _value},
+                 ("scenario", "batch_estimator", "run"))
+SYNTHETIC = ({"kind": _value, "d": _int, "rank": _int, "spectrum": _floats,
+              "variances": _floats, "observe_prob": _float,
+              "group_probs": _nullable(_floats),
+              "group_counts": _nullable(_ints),
+              "epochs": _nullable(_as(list, "a list of epochs"))},
+             ("d", "rank", "spectrum", "variances"))
+CSV = ({"kind": _value, "path": _as(Path, "a path"), "num_groups": _int},
+       ("path", "num_groups"))
+SCALE_VARIANCE = ({"group": _int, "factor": _float}, ("group", "factor"))
+EPOCH = ({"samples": _int, "observe_prob": _nullable(_float),
+          "redraw_subspace": _flag,
+          "scale_variance": _nullable(lambda value, path: tuple(
+              _section(value, path, SCALE_VARIANCE).values()))}, ("samples",))
+RUN = ({"seeds": _ints, "checkpoint_every": _int, "loglik_gap": _flag,
+        "output_dir": _value}, ("seeds", "output_dir"))
+# Each estimator kind's settings besides `kind` and `rank` (required).  A
+# block hands the settings it gives, and no others, to the estimator
+# (`build_estimator`).
+ESTIMATOR_SETTINGS = {
+    "shasta": {"weights": _value, "c_f": _float, "c_v": _float,
+               "delta": _float, "variance_mode": _value},
+    "petrels": {"forgetting": _float, "delta": _float},
+    "grouse": {"step": _float},
+    "batch-mm": {"iterations": _int, "tol": _nullable(_float)},
+    "ppca": {"group": _nullable(_int)},
+}
+ESTIMATOR_KINDS = tuple(ESTIMATOR_SETTINGS)
+STREAMING_KINDS = ("shasta", "petrels", "grouse")
+# batch-mm has no constructor to hold its default iteration count.
+BATCH_ITERATIONS = 100
+
+
+def _kind(raw, path, default=None):
+    """The `kind` of section `raw`, which decides the keys it declares."""
+    if not isinstance(raw, dict):
         raise ConfigError(path, "expected a mapping")
-    if key not in mapping:
-        if required:
+    if default is None and "kind" not in raw:
+        raise ConfigError(f"{path}.kind", "missing required field")
+    return raw.get("kind", default)
+
+
+def _section(raw, path, declared) -> dict:
+    """The keys section `raw` gives, each read by its declared reader; a key
+    the section does not declare, or a required one left out, is refused."""
+    keys, required = declared
+    if not isinstance(raw, dict):
+        raise ConfigError(path, "expected a mapping")
+    for key in raw:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}", "unknown key; expected one of "
+                                               + ", ".join(keys))
+    for key in required:
+        if key not in raw:
             raise ConfigError(f"{path}.{key}", "missing required field")
-        return default
-    return mapping[key]
-
-
-def _number(mapping, key, path, kind=float, required=True, default=None):
-    """`_get`, read as a float or an int (kind); a value kind cannot read
-    raises ConfigError naming the field.  An optional field with no default
-    may be absent or null, and reads as None."""
-    value = _get(mapping, key, path, required, default)
-    if value is None and not required and default is None:
-        return None
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{path}.{key}",
-                          f"expected {noun}, got {value!r}") from None
-
-
-def _numbers(mapping, key, path, kind=float, required=True):
-    """`_number` for a list of values."""
-    values = _get(mapping, key, path, required)
-    if values is None and not required:
-        return None
-    try:
-        return tuple(kind(x) for x in values)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}.{key}",
-                          f"expected a list of numbers, got {values!r}") from None
+    return {key: read(raw[key], f"{path}.{key}")
+            for key, read in keys.items() if key in raw}
 
 
 @dataclass(frozen=True)
@@ -116,166 +167,95 @@ def load_config(path) -> ExperimentConfig:
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    scenario = _parse_scenario(_get(raw, "scenario", "config"))
-    estimator = _parse_estimator(_get(raw, "estimator", "config"), "estimator")
-    if scenario["kind"] == "csv" and estimator["kind"] in ("batch-mm", "ppca"):
-        raise ConfigError("estimator.kind",
-                          f"{estimator['kind']!r} cannot run on a csv scenario; "
-                          "it needs a streaming estimator")
-    _check_estimator(estimator, "estimator", scenario)
-    run = _parse_run(raw, default_every=100)
-    loglik = bool(_get(raw["run"], "loglik_gap", "run", required=False,
-                       default=False))
-    if loglik and scenario["kind"] == "synthetic" and len(scenario["epochs"]) > 1:
-        raise ConfigError("run.loglik_gap",
-                          "only defined for single-epoch synthetic scenarios")
-    if loglik and scenario["kind"] == "csv":
-        raise ConfigError("run.loglik_gap", "needs a planted synthetic scenario")
-    return ExperimentConfig(scenario=scenario, estimator=estimator,
-                            loglik_gap=loglik, raw=raw, **run)
+    top = _section(raw, "config", RUN_CONFIG)
+    scenario = _parse_scenario(top["scenario"])
+    csv_kind = scenario["kind"] == "csv"
+    estimator = _estimator(top, "estimator", scenario,
+                           STREAMING_KINDS if csv_kind else ESTIMATOR_KINDS)
+    run = _parse_run(top, default_every=100)
+    if run["loglik_gap"] and (csv_kind or len(scenario["epochs"]) > 1):
+        raise ConfigError("run.loglik_gap", "only defined for single-epoch "
+                                            "synthetic scenarios")
+    return ExperimentConfig(scenario=scenario, estimator=estimator, raw=raw,
+                            **run)
 
 
-def _parse_run(raw, default_every: int) -> dict:
+def _parse_run(top: dict, default_every: int) -> dict:
     """The `run` block of an experiment or a timing config: its seeds,
-    checkpoint cadence and output directory."""
-    run = _get(raw, "run", "config")
-    seeds = _numbers(run, "seeds", "run", int)
-    if not seeds:
+    checkpoint cadence, output directory and `loglik_gap` flag."""
+    run = _section(top["run"], "run", RUN)
+    if not run["seeds"]:
         raise ConfigError("run.seeds", "need at least one seed")
-    every = _number(run, "checkpoint_every", "run", int, required=False,
-                    default=default_every)
-    if every < 1:
+    if run.setdefault("checkpoint_every", default_every) < 1:
         raise ConfigError("run.checkpoint_every", "must be >= 1")
-    output_dir = _get(run, "output_dir", "run")
-    if output_dir is None:
+    if run["output_dir"] is None:
         raise ConfigError("run.output_dir", "must name a directory")
-    return {"seeds": seeds, "checkpoint_every": every,
-            "output_dir": str(output_dir)}
+    run.setdefault("loglik_gap", False)
+    return dict(run, output_dir=str(run["output_dir"]))
 
 
 def _parse_scenario(raw) -> dict:
-    kind = _get(raw, "kind", "scenario", required=False, default="synthetic")
+    """A scenario's keys as given, a synthetic one's with its group count
+    and epochs added, once `_check_scenario` accepts them."""
+    kind = _kind(raw, "scenario", default="synthetic")
     if kind == "csv":
-        path = _get(raw, "path", "scenario")
-        if not Path(path).exists():
-            raise ConfigError("scenario.path", f"dataset not found: {path}")
-        num_groups = _number(raw, "num_groups", "scenario", int)
-        if num_groups < 1:
+        scenario = _section(raw, "scenario", CSV)
+        if not Path(scenario["path"]).exists():
+            raise ConfigError("scenario.path",
+                              f"dataset not found: {scenario['path']}")
+        if scenario["num_groups"] < 1:
             raise ConfigError("scenario.num_groups", "must be >= 1")
-        return {"kind": "csv", "path": str(path), "num_groups": num_groups}
+        return dict(scenario, path=str(scenario["path"]))
     if kind != "synthetic":
         raise ConfigError("scenario.kind", f"unknown scenario kind {kind!r}")
 
-    d = _number(raw, "d", "scenario", int)
-    rank = _number(raw, "rank", "scenario", int)
-    spectrum = _numbers(raw, "spectrum", "scenario")
-    variances = _numbers(raw, "variances", "scenario")
+    scenario = _section(raw, "scenario", SYNTHETIC)
+    d, rank = scenario["d"], scenario["rank"]
     if not 1 <= rank <= d:
         raise ConfigError("scenario.rank", f"must lie in [1, d = {d}]")
-    if len(spectrum) != rank:
+    if len(scenario["spectrum"]) != rank:
         raise ConfigError("scenario.spectrum", "needs one value per rank")
-    observe_prob = _number(raw, "observe_prob", "scenario", required=False,
-                           default=1.0)
-    group_probs = _numbers(raw, "group_probs", "scenario", required=False)
-    group_counts = _numbers(raw, "group_counts", "scenario", int,
-                            required=False)
-    if (group_probs is None) == (group_counts is None):
-        raise ConfigError("scenario",
-                          "specify exactly one of group_probs / group_counts")
-
-    epochs = _get(raw, "epochs", "scenario", required=False)
+    epochs = scenario.get("epochs")
     if epochs is None:
-        if group_counts is None:
+        if scenario.get("group_counts") is None:
             raise ConfigError("scenario.epochs",
                               "required unless group_counts fixes the length")
-        epochs = [{"samples": sum(group_counts)}]
-    parsed_epochs = []
-    for i, e in enumerate(epochs):
-        epath = f"scenario.epochs[{i}]"
-        scale = _get(e, "scale_variance", epath, required=False)
-        if scale is not None:
-            scale = (_number(scale, "group", f"{epath}.scale_variance", int),
-                     _number(scale, "factor", f"{epath}.scale_variance"))
-            if not 0 <= scale[0] < len(variances):
-                raise ConfigError(f"{epath}.scale_variance.group", "out of range")
-            if not scale[1] > 0.0:
-                raise ConfigError(f"{epath}.scale_variance.factor",
-                                  "must be positive, as the variances it scales")
-        parsed_epochs.append(dict(
-            samples=_number(e, "samples", epath, int),
-            observe_prob=_number(e, "observe_prob", epath, required=False),
-            redraw_subspace=bool(_get(e, "redraw_subspace", epath,
-                                      required=False, default=False)),
-            scale_variance=scale,
-        ))
-    scenario = {
-        "kind": "synthetic", "d": d, "rank": rank, "spectrum": spectrum,
-        "variances": variances, "num_groups": len(variances),
-        "observe_prob": observe_prob,
-        "group_probs": group_probs,
-        "group_counts": group_counts,
-        "epochs": parsed_epochs,
-    }
+        epochs = [{"samples": sum(scenario["group_counts"])}]
+    scenario.update(kind="synthetic", num_groups=len(scenario["variances"]),
+                    epochs=[_section(e, f"scenario.epochs[{i}]", EPOCH)
+                            for i, e in enumerate(epochs)])
     _check_scenario(scenario)
     return scenario
 
 
 def _check_scenario(scenario: dict) -> None:
     """Refuse, before any output exists, a synthetic scenario that datagen
-    would refuse once the run had started: build its epochs, its script and
-    its planted model, on a d x rank stand-in basis."""
-    for i, epoch in enumerate(scenario["epochs"]):
-        try:
-            Epoch(**epoch)
-        except ParameterError as exc:
-            raise ConfigError(f"scenario.epochs[{i}].{exc.field}", str(exc)) from None
+    would refuse once the run had started: build its planted model, on a
+    d x rank stand-in basis, and its script, which checks every epoch."""
     try:
-        scenario_script(scenario)
         PlantedModel(u=np.eye(scenario["d"], scenario["rank"]),
                      spectrum=scenario["spectrum"], v_star=scenario["variances"],
-                     group_probs=scenario["group_probs"],
-                     group_counts=scenario["group_counts"])
+                     group_probs=scenario.get("group_probs"),
+                     group_counts=scenario.get("group_counts"))
+        scenario_script(scenario)
     except ParameterError as exc:
         field = "variances" if exc.field == "v_star" else exc.field
         raise ConfigError(f"scenario.{field}", str(exc)) from None
 
 
-def _parse_estimator(raw, path) -> dict:
-    kind = _get(raw, "kind", path)
-    if kind not in ESTIMATOR_KINDS:
-        raise ConfigError(f"{path}.kind",
-                          f"unknown estimator {kind!r}; expected one of "
-                          f"{', '.join(ESTIMATOR_KINDS)}")
-    out = {"kind": kind, "rank": _number(raw, "rank", path, int)}
-    if kind == "shasta":
-        out.update(
-            weights=_get(raw, "weights", path, required=False, default="1/t"),
-            c_f=_number(raw, "c_f", path, required=False, default=0.1),
-            c_v=_number(raw, "c_v", path, required=False, default=0.1),
-            delta=_number(raw, "delta", path, required=False, default=0.1),
-            variance_mode=_get(raw, "variance_mode", path, required=False,
-                               default="grouped"),
-        )
-    elif kind == "petrels":
-        out.update(
-            forgetting=_number(raw, "forgetting", path, required=False,
-                               default=1.0),
-            delta=_number(raw, "delta", path, required=False, default=0.1),
-        )
-    elif kind == "grouse":
-        out.update(step=_number(raw, "step", path, required=False,
-                                default=0.01))
-    elif kind == "batch-mm":
-        out.update(
-            iterations=_number(raw, "iterations", path, int, required=False,
-                               default=100),
-            tol=_number(raw, "tol", path, required=False),
-        )
-        if out["iterations"] < 1:
-            raise ConfigError(f"{path}.iterations", "must be >= 1")
-    elif kind == "ppca":
-        out.update(group=_number(raw, "group", path, int, required=False))
-    return out
+def _estimator(top: dict, key: str, scenario: dict, kinds) -> dict:
+    """The estimator block `key` of a config: its kind, rank and the settings
+    it gives, refused unless its kind is one of `kinds`, and checked."""
+    kind = _kind(top[key], key)
+    if kind not in kinds:
+        raise ConfigError(f"{key}.kind", f"expected one of "
+                                         f"{', '.join(kinds)}, got {kind!r}")
+    spec = _section(top[key], key, ({"kind": _value, "rank": _int,
+                                     **ESTIMATOR_SETTINGS[kind]}, ("rank",)))
+    if spec.get("iterations", BATCH_ITERATIONS) < 1:
+        raise ConfigError(f"{key}.iterations", "must be >= 1")
+    _check_estimator(spec, key, scenario)
+    return spec
 
 
 def _check_estimator(spec: dict, path: str, scenario: dict) -> None:
@@ -291,7 +271,7 @@ def _check_estimator(spec: dict, path: str, scenario: dict) -> None:
                           f"must equal scenario.rank ({scenario['rank']}), "
                           "the planted rank every checkpoint is scored against")
     if spec["kind"] == "ppca":
-        group = spec["group"]
+        group = spec.get("group")
         if group is not None and not 0 <= group < scenario["num_groups"]:
             raise ConfigError(f"{path}.group",
                               f"must name one of the scenario's "
@@ -300,7 +280,7 @@ def _check_estimator(spec: dict, path: str, scenario: dict) -> None:
             raise ConfigError(f"{path}.rank",
                               "must be below scenario.d for ppca, which "
                               "needs d - rank trailing eigenvalues")
-        counts = scenario["group_counts"]
+        counts = scenario.get("group_counts")
         if counts is not None:
             n, field = ((sum(counts), "rank") if group is None
                         else (counts[group], "group"))
@@ -318,12 +298,13 @@ def _check_estimator(spec: dict, path: str, scenario: dict) -> None:
 
 
 def scenario_script(scenario: dict) -> ScenarioScript:
+    """The synthetic scenario's script, with its defaults for what is left out."""
+    given = {key: scenario[key] for key in
+             ("observe_prob", "group_probs", "group_counts") if key in scenario}
     return ScenarioScript(
         d=scenario["d"], k=scenario["rank"], spectrum=scenario["spectrum"],
-        v_star=scenario["variances"], observe_prob=scenario["observe_prob"],
-        group_probs=scenario["group_probs"], group_counts=scenario["group_counts"],
-        epochs=tuple(Epoch(**e) for e in scenario["epochs"]),
-    )
+        v_star=scenario["variances"],
+        epochs=tuple(Epoch(**e) for e in scenario["epochs"]), **given)
 
 
 # ---------------------------------------------------------------------------
@@ -411,18 +392,21 @@ def shared_init(seed: int, d: int, rank: int, num_groups: int):
 
 
 def build_estimator(spec: dict, d: int, num_groups: int, f0, v0):
+    """The streaming estimator `spec` names, given the settings `spec` holds
+    of those its kind declares; one it leaves out takes the constructor's
+    default."""
     kind = spec["kind"]
+    if kind not in STREAMING_KINDS:
+        raise ConfigError("estimator.kind",
+                          f"{kind!r} is not a streaming estimator")
+    settings = {key: spec[key] for key in ESTIMATOR_SETTINGS[kind]
+                if key in spec}
     if kind == "shasta":
-        cfg = ShastaConfig(rank=spec["rank"], num_groups=num_groups,
-                           weights=spec["weights"], c_f=spec["c_f"],
-                           c_v=spec["c_v"], delta=spec["delta"],
-                           variance_mode=spec["variance_mode"])
-        return ShastaPCA(cfg, f0, v0)
+        return ShastaPCA(ShastaConfig(rank=spec["rank"], num_groups=num_groups,
+                                      **settings), f0, v0)
     if kind == "petrels":
-        return Petrels(f0, forgetting=spec["forgetting"], delta=spec["delta"])
-    if kind == "grouse":
-        return Grouse(orthonormalize(f0), step=spec["step"])
-    raise ConfigError("estimator.kind", f"{kind!r} is not a streaming estimator")
+        return Petrels(f0, **settings)
+    return Grouse(orthonormalize(f0), **settings)
 
 
 def _checkpoints(est, pairs, every: int):
@@ -544,8 +528,9 @@ def _run_batch_seed(config: ExperimentConfig, pairs, d, num_groups, f0, v0):
         trace = _batch_trace(problem, f0, v0, spec, truth, ref, start)
         return trace, _final(trace, len(samples))
 
-    subset = (samples if spec["group"] is None
-              else [s for s in samples if s.group == spec["group"]])
+    group = spec.get("group")
+    subset = (samples if group is None
+              else [s for s in samples if s.group == group])
     f, sigma_sq = ppca_closed_form(zero_fill(subset, d), spec["rank"])
     v_hat = np.full(num_groups, max(sigma_sq, 1e-12))
     trace = MetricTrace(num_groups=num_groups)
@@ -560,7 +545,9 @@ def _batch_trace(problem, f0, v0, spec, truth, ref, start) -> MetricTrace:
     """Batch MM from (f0, v0), each iterate scored against the planted truth
     and timestamped as it arrives (seconds since `start`)."""
     trace = MetricTrace(num_groups=problem.num_groups)
-    for it in batch_iterates(problem, f0, v0, spec["iterations"], spec["tol"]):
+    for it in batch_iterates(problem, f0, v0,
+                             spec.get("iterations", BATCH_ITERATIONS),
+                             spec.get("tol")):
         u_hat = np.linalg.svd(it.f, full_matrices=False)[0]
         trace.append(it.iteration, subspace_error(u_hat, truth.u),
                      loglik_gap=None if ref is None else it.loglik - ref,
@@ -595,25 +582,20 @@ def _summarize(config: ExperimentConfig, per_seed: dict) -> dict:
 
 
 def parse_timing_config(raw: dict) -> dict:
-    scenario = _parse_scenario(_get(raw, "scenario", "config"))
+    top = _section(raw, "config", TIMING_CONFIG)
+    scenario = _parse_scenario(top["scenario"])
     if scenario["kind"] != "synthetic" or len(scenario["epochs"]) != 1:
         raise ConfigError("scenario", "timing runs need a single-epoch "
                                       "synthetic scenario")
-    streaming_raw = _get(raw, "streaming_estimator", "config", required=False)
+    # Without a streaming estimator the run degenerates to a batch trace.
     streaming = None
-    if streaming_raw is not None:
-        # Without a streaming estimator the run degenerates to a batch trace.
-        streaming = _parse_estimator(streaming_raw, "streaming_estimator")
-        if streaming["kind"] not in STREAMING_KINDS:
-            raise ConfigError("streaming_estimator.kind", "must be streaming")
-        _check_estimator(streaming, "streaming_estimator", scenario)
-    batch = _parse_estimator(_get(raw, "batch_estimator", "config"),
-                             "batch_estimator")
-    if batch["kind"] != "batch-mm":
-        raise ConfigError("batch_estimator.kind", "must be batch-mm")
-    _check_estimator(batch, "batch_estimator", scenario)
-    return {"scenario": scenario, "streaming": streaming, "batch": batch,
-            **_parse_run(raw, default_every=1000)}
+    if top.get("streaming_estimator") is not None:
+        streaming = _estimator(top, "streaming_estimator", scenario,
+                               STREAMING_KINDS)
+    batch = _estimator(top, "batch_estimator", scenario, ("batch-mm",))
+    run = _parse_run(top, default_every=1000)
+    del run["loglik_gap"]  # a timing run scores every gap
+    return {"scenario": scenario, "streaming": streaming, "batch": batch, **run}
 
 
 def load_timing_config(path) -> dict:

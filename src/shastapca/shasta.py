@@ -41,7 +41,7 @@ the variance step its residual power, and 24 make the factor step
 variance step's L-sized update runs on Python floats, and each finiteness
 check is one sum, a non-finite entry making the sum non-finite; the exact
 scan runs only when a sum is not finite (such an entry, or overflow, which
-numpy reports with a RuntimeWarning).
+cannot warn: `ingest` keeps numpy's floating-point warnings off).
 
 Ticks are all or nothing: each step computes into locals, checks that the
 new variances and the new observed rows are finite, and only then writes the
@@ -372,6 +372,7 @@ def f_step(state: ShastaState, sample: ObservedSample, w: float,
     return state
 
 
+@np.errstate(all="ignore")
 def ingest(state: ShastaState, sample: ObservedSample,
            cfg: ShastaConfig) -> ShastaState:
     """Advance one tick: variance update first, then the factor update.
@@ -379,7 +380,8 @@ def ingest(state: ShastaState, sample: ObservedSample,
     The observed rows F_o and the eigendecomposition of F_o' F_o are formed
     once and shared by both steps, which differ only in v_g.  All or
     nothing: if either step raises, the state (t included) is left exactly
-    as it was before the call.
+    as it was before the call.  An overflow leaves a value that is not
+    finite, which the checks find, so no warning filter need see it.
     """
     if not 0 <= sample.group < cfg.num_groups:
         raise ValueError(f"sample group {sample.group} outside "

@@ -27,6 +27,7 @@ from shastapca.harness import (
 )
 from shastapca.metrics import MetricTrace
 from shastapca.model import ObservedSample
+from shastapca.shasta import ShastaConfig
 
 from helpers import crafted_checkpoints, write_csv_stream
 
@@ -91,6 +92,42 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             parse_config(raw)
         assert "scale_variance" in str(err.value)
+
+    def test_left_out_settings_take_the_constructors_defaults(self, tmp_path):
+        # A block with only kind and rank builds what the harness's own
+        # copies of the defaults used to build: the parsed spec holds only
+        # what the block gives, and each estimator's defaults are its own.
+        def built(kind):
+            block = {"kind": kind, "rank": 2}
+            spec = parse_config(smoke_raw("x", block)).estimator
+            assert spec == block
+            return build_estimator(spec, 10, 2, *shared_init(0, 10, 2, 2))
+
+        assert built("shasta").cfg == ShastaConfig(
+            rank=2, num_groups=2, weights="1/t", c_f=0.1, c_v=0.1, delta=0.1,
+            variance_mode="grouped")
+        petrels = built("petrels")
+        assert (petrels.forgetting, petrels.delta) == (1.0, 0.1)
+        assert built("grouse").step == 0.01
+        # batch-mm runs 100 iterations with no early stop, with its tol
+        # left out or null; a null ppca group fits every group.
+        for block in ({"kind": "batch-mm", "rank": 2},
+                      {"kind": "batch-mm", "rank": 2, "tol": None}):
+            out = tmp_path / f"batch{len(block)}"
+            config = parse_config(smoke_raw(out, block))
+            assert config.estimator.get("tol") is None
+            run_experiment(config)
+            trace = MetricTrace.read_csv(out / "trace_seed0.csv")
+            assert [r.t for r in trace.records] == list(range(1, 101))
+        config = parse_config(smoke_raw(tmp_path / "ppca", {
+            "kind": "ppca", "rank": 2, "group": None}))
+        assert config.estimator["group"] is None
+        assert run_experiment(config)["seeds"]["0"]["samples"] == 200
+        # A null setting with a default other than none is refused.
+        with pytest.raises(ConfigError) as err:
+            parse_config(smoke_raw("x", {"kind": "shasta", "rank": 2,
+                                         "c_f": None}))
+        assert err.value.path == "estimator.c_f"
 
     def test_bundled_configs_parse(self):
         import pathlib
@@ -598,6 +635,10 @@ class TestCli:
             ("estimator.c_f", dict(shasta, c_f="abc")),
             ("estimator.rank", dict(shasta, rank="two")),
             ("estimator.tol", {"kind": "batch-mm", "rank": 2, "tol": "tight"}),
+            # A key the estimator's kind does not declare, a misspelling
+            # that used to be dropped (forgetting read as 1.0).
+            ("estimator.forgeting",
+             {"kind": "petrels", "rank": 2, "forgeting": 0.5}),
         ]:
             raw = smoke_raw(tmp_path / "out", estimator=estimator)
             assert_config_error(tmp_path, capsys, "run", raw, field)
@@ -624,8 +665,31 @@ class TestCli:
             ("scenario", "epochs",
              [{"samples": 200, "scale_variance": {"group": 0, "factor": -2.0}}],
              "scenario.epochs[0].scale_variance.factor"),
+            # A factor that takes its group's variance to inf, at once or
+            # over two epochs, is refused by the script, naming the epoch.
+            ("scenario", "epochs",
+             [{"samples": 200,
+               "scale_variance": {"group": 0, "factor": float("inf")}}],
+             "scenario.epochs[0].scale_variance.factor"),
+            ("scenario", "epochs",
+             [{"samples": 100, "scale_variance": {"group": 0, "factor": 1e300}},
+              {"samples": 100, "scale_variance": {"group": 0, "factor": 1e300}}],
+             "scenario.epochs[1].scale_variance.factor"),
             ("run", "seeds", ["zero"], "run.seeds"),
             ("run", "checkpoint_every", "often", "run.checkpoint_every"),
+            # Each section refuses a key it does not declare; num_groups
+            # belongs to a csv scenario only.
+            ("scenario", "observe_porb", 0.1, "scenario.observe_porb"),
+            ("scenario", "num_groups", 2, "scenario.num_groups"),
+            ("scenario", "epochs", [{"samples": 200, "redraw_subspcae": True}],
+             "scenario.epochs[0].redraw_subspcae"),
+            ("scenario", "epochs",
+             [{"samples": 200, "scale_variance": {"group": 0, "factr": 2.0}}],
+             "scenario.epochs[0].scale_variance.factr"),
+            ("run", "checkpoint_evry", 7, "run.checkpoint_evry"),
+            # Values of the wrong shape name their field too, where they
+            # used to escape as a TypeError traceback.
+            ("scenario", "epochs", 5, "scenario.epochs"),
         ]:
             raw = smoke_raw(tmp_path / "out")
             raw[section][key] = value
@@ -646,6 +710,14 @@ class TestCli:
             raw["run"]["loglik_gap"] = False
             assert_config_error(tmp_path, capsys, "run", raw,
                                 "scenario.num_groups")
+        # A csv scenario refuses a synthetic key, and a null path names its
+        # field; the top level refuses an unknown key too.
+        raw["scenario"].update(num_groups=1, d=2)
+        assert_config_error(tmp_path, capsys, "run", raw, "scenario.d")
+        raw["scenario"] = {"kind": "csv", "path": None, "num_groups": 1}
+        assert_config_error(tmp_path, capsys, "run", raw, "scenario.path")
+        raw = dict(smoke_raw(tmp_path / "out"), cf=0.9)
+        assert_config_error(tmp_path, capsys, "run", raw, "config.cf")
         # PPCA needs d - rank trailing eigenvalues, and more samples than
         # the rank: in its group, or in the stream when it has none.
         raw = smoke_raw(tmp_path / "out", estimator={"kind": "ppca", "rank": 2})
@@ -753,6 +825,16 @@ class TestCli:
              "streaming_estimator.rank"),
             ("batch_estimator", {"kind": "batch-mm", "rank": 1},
              "batch_estimator.rank"),
+            # Each section refuses a key it does not declare.
+            ("streaming_estimator", dict(shasta, detla=0.1),
+             "streaming_estimator.detla"),
+            ("batch_estimator",
+             {"kind": "batch-mm", "rank": 2, "iteration": 2},
+             "batch_estimator.iteration"),
+            ("scenario", dict(raw["scenario"], observe_porb=0.1),
+             "scenario.observe_porb"),
+            ("run", dict(raw["run"], checkpoint_evry=7), "run.checkpoint_evry"),
+            ("streaming_estimater", shasta, "config.streaming_estimater"),
         ]:
             assert_config_error(tmp_path, capsys, "timing",
                                 dict(raw, **{key: spec}), field)

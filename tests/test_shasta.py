@@ -1,5 +1,6 @@
 import copy
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -322,9 +323,12 @@ class TestAtomicTick:
         return cfg, state, rng
 
     def test_extreme_sample_leaves_state_unchanged(self, tmp_path):
+        # Its residual power overflows; the tick rejects the sample whatever
+        # the warning filters say, here with every warning an error.
         cfg, state, rng = self.stream()
         save_state(state, tmp_path / "before.bin")
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(RejectedSample):
                 ingest(state, ObservedSample.full(np.full(20, 1e200), 0), cfg)
         assert state.t == 50
@@ -422,7 +426,8 @@ class TestLeanTick:
 
     def assert_rejected_unchanged(self, tmp_path, cfg, state, sample):
         save_state(state, tmp_path / "before.bin")
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(RejectedSample):
                 ingest(state, sample, cfg)
         save_state(state, tmp_path / "after.bin")

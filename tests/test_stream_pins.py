@@ -9,6 +9,7 @@ in only before the scales underflow) and must match the eager tick of
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -216,7 +217,8 @@ def test_rows_whose_sum_overflows_are_accepted_as_by_the_eager_tick():
     # observed rows stays finite, but their sum (40 diagonal entries of
     # about 1e307) overflows.  The one-reduction finiteness check then
     # falls back to the exact scan, which accepts the tick as the eager
-    # tick does.
+    # tick does, whatever the warning filters say: here every warning is
+    # an error.
     d, k = 20, 2
     cfg = ShastaConfig(rank=k, num_groups=1, weights=0.1, c_f=0.5, c_v=0.5,
                        delta=1e307)
@@ -226,8 +228,10 @@ def test_rows_whose_sum_overflows_are_accepted_as_by_the_eager_tick():
     state, ref = init_state(cfg, f0, v0), EagerShasta(cfg, f0, v0)
     for _ in range(5):
         sample = ObservedSample.full(rng.standard_normal(d), 0)
-        with np.errstate(over="ignore"):  # the overflowing sum warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             ingest(state, sample, cfg)
+        with np.errstate(over="ignore"):
             assert np.isinf(state.systems.sum())
         ref.ingest(sample)
         assert np.isfinite(state.systems).all()

@@ -53,8 +53,7 @@ NOBS_SWEEP_DIM = 1000
 
 ESTIMATORS = {
     "shasta": lambda f0: ShastaPCA(
-        ShastaConfig(rank=f0.shape[1], num_groups=2, weights="1/t", c_f=0.1,
-                     c_v=0.1),
+        ShastaConfig(weights="1/t", c_f=0.1, c_v=0.1),
         f0, np.array([0.5, 0.5])),
     "petrels": lambda f0: Petrels(f0, forgetting=PETRELS_FORGETTING),
     "grouse": lambda f0: Grouse(orthonormalize(f0), step=GROUSE_STEP),

@@ -1,21 +1,25 @@
 #!/usr/bin/env python3
 """Digest the numeric outputs of experiment runs, elapsed times left out.
 
-Runs each given config for the given seeds into a temporary directory and
-prints the SHA-256 of every output file: each trace CSV with its `elapsed_s`
-column dropped, and `summary.json` with its `elapsed_seconds` fields and the
-run's output directory dropped.  Two checkouts that print the same digests
-wrote the same numbers, byte for byte; a refactor that should not change
-any result can show so by running this script before and after.
+Runs each given config for the given seeds into a temporary directory, a
+timing config (one with a `batch_estimator`) as `shasta-pca timing` does,
+and prints the SHA-256 of every output file: each trace CSV with its
+`elapsed_s` column dropped, and `summary.json` or `timing_summary.json`
+with its `*_seconds` fields and the run's output directory dropped.  Two
+checkouts that print the same digests wrote the same numbers, byte for
+byte; a refactor that should not change any result can show so by running
+this script before and after.
 
 With no config, the script digests a standard set (see `standard_set`):
-seed 0 of every bundled config, then of static_full with each baseline
-estimator scripts/reproduce_experiments.py runs on it.
+seed 0 of every bundled run config, then of static_full with each baseline
+estimator scripts/reproduce_experiments.py runs on it, then of every
+bundled timing config.
 
 Usage (from the root of a checkout):
     python scripts/trace_digest.py
     python scripts/trace_digest.py configs/smoke.yaml configs/static_half.yaml
     python scripts/trace_digest.py configs/dynamic_subspace.yaml --seeds 0 1
+    python scripts/trace_digest.py configs/timing_desk.yaml --seeds 0
     python scripts/trace_digest.py configs/static_full.yaml \\
         --estimator '{kind: grouse, rank: 3, step: 0.01}'
 
@@ -50,13 +54,14 @@ sys.path.insert(0, str(REPO / "scripts"))
 
 from reproduce_experiments import BASELINES, estimator_label  # noqa: E402
 from shastapca.harness import (  # noqa: E402
-    ConfigError,
     parse_config,
+    parse_timing_config,
     run_experiment,
+    timing_run,
 )
 
 ELAPSED_COLUMN = "elapsed_s"
-ELAPSED_FIELD = "elapsed_seconds"
+ELAPSED_SUFFIX = "_seconds"
 
 
 def trace_bytes(path: Path) -> bytes:
@@ -73,18 +78,25 @@ def trace_bytes(path: Path) -> bytes:
 def _drop_elapsed(node):
     if isinstance(node, dict):
         return {key: _drop_elapsed(value) for key, value in node.items()
-                if key != ELAPSED_FIELD}
+                if not key.endswith(ELAPSED_SUFFIX)}
     if isinstance(node, list):
         return [_drop_elapsed(value) for value in node]
     return node
 
 
 def summary_bytes(path: Path) -> bytes:
-    """summary.json without elapsed times or the (temporary) output dir."""
+    """A summary without elapsed times or the (temporary) output dir, which
+    summary.json records in its config."""
     with open(path) as fh:
         summary = _drop_elapsed(json.load(fh))
-    summary["config"]["run"].pop("output_dir", None)
+    if "config" in summary:
+        summary["config"]["run"].pop("output_dir", None)
     return json.dumps(summary, indent=2, sort_keys=True).encode()
+
+
+def is_timing(raw: dict) -> bool:
+    """Whether `raw` is a timing config, run by `shasta-pca timing`."""
+    return "batch_estimator" in raw
 
 
 def load_raw(config_path: Path, estimator=None) -> dict:
@@ -98,19 +110,16 @@ def load_raw(config_path: Path, estimator=None) -> dict:
 
 def standard_set():
     """(config, estimator block or None, label) for each run digested when
-    no config is given: every bundled config that parse_config accepts, then
-    static_full with each baseline block scripts/reproduce_experiments.py
-    runs on it."""
-    runs = []
-    for path in sorted((REPO / "configs").glob("*.yaml")):
-        try:
-            parse_config(load_raw(path))
-        except ConfigError:
-            continue  # a timing config
-        runs.append((path, None, path.stem))
+    no config is given: every bundled run config, then static_full with
+    each baseline block scripts/reproduce_experiments.py runs on it, then
+    every bundled timing config."""
+    paths = sorted((REPO / "configs").glob("*.yaml"))
+    timing = [path for path in paths if is_timing(load_raw(path))]
     static_full = REPO / "configs" / "static_full.yaml"
-    return runs + [(static_full, block, f"static_full/{estimator_label(block)}")
-                   for block in BASELINES["static_full"]]
+    return ([(path, None, path.stem) for path in paths if path not in timing]
+            + [(static_full, block, f"static_full/{estimator_label(block)}")
+               for block in BASELINES["static_full"]]
+            + [(path, None, path.stem) for path in timing])
 
 
 def digest_config(config_path: Path, seeds, estimator, workdir: Path,
@@ -123,11 +132,16 @@ def digest_config(config_path: Path, seeds, estimator, workdir: Path,
         raw["run"]["seeds"] = list(seeds)
     out_dir = workdir / label
     raw["run"]["output_dir"] = str(out_dir)
-    run_experiment(parse_config(raw))
-    for path in sorted(out_dir.glob("trace_seed*.csv")):
+    if is_timing(raw):
+        timing_run(parse_timing_config(raw))
+        summary = "timing_summary.json"
+    else:
+        run_experiment(parse_config(raw))
+        summary = "summary.json"
+    for path in sorted(out_dir.glob("*.csv")):
         yield f"{label}/{path.name}", hashlib.sha256(trace_bytes(path)).hexdigest()
-    yield (f"{label}/summary.json",
-           hashlib.sha256(summary_bytes(out_dir / "summary.json")).hexdigest())
+    yield (f"{label}/{summary}",
+           hashlib.sha256(summary_bytes(out_dir / summary)).hexdigest())
 
 
 def main(argv=None) -> int:

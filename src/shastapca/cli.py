@@ -64,10 +64,8 @@ def cmd_ingest_check(args) -> int:
     total_cells = 0
     groups = {}
     variances = []
-    d = None
+    d = csv_dimension(args.csv)
     for sample, variance in read_csv_samples(args.csv):
-        if d is None:
-            d = csv_dimension(args.csv)
         rows += 1
         observed += sample.nobs
         total_cells += d

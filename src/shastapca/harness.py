@@ -13,8 +13,8 @@ are fed and scored by one function, `score_stream`.  Batch MM runs are scored
 and timestamped per iterate of `batch.batch_iterates`.
 
 CSV dataset format: a header row with a `group` column, an optional
-`variance` column (reporting only), and d value columns; an empty value cell
-marks a missing entry.  Rows stream lazily, so file length never affects
+`variance` column (reporting only), and d value columns, each column named
+once; an empty value cell marks a missing entry.  Rows stream lazily, so file length never affects
 memory use.
 """
 
@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -75,16 +77,29 @@ def _nullable(read):
     return lambda value, path: None if value is None else read(value, path)
 
 
-_value, _flag = _as(lambda value: value), _as(bool)
-_float, _int = _as(float, "a number"), _as(int, "an integer")
+def _whole(value) -> int:
+    """`value` as an int if it is a whole number; a boolean is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1:
+        raise ValueError(value)
+    return int(value)
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(value)
+    return value
+
+
+_value, _flag = _as(lambda value: value), _as(_boolean, "true or false")
+_float, _int = _as(float, "a number"), _as(_whole, "an integer")
 _floats = _as(lambda xs: tuple(float(x) for x in xs), "a list of numbers")
-_ints = _as(lambda xs: tuple(int(x) for x in xs), "a list of numbers")
+_ints = _as(lambda xs: tuple(_whole(x) for x in xs), "a list of integers")
 
 RUN_CONFIG = ({"scenario": _value, "estimator": _value, "run": _value},
               ("scenario", "estimator", "run"))
 TIMING_CONFIG = ({"scenario": _value, "streaming_estimator": _value,
                   "batch_estimator": _value, "run": _value},
-                 ("scenario", "batch_estimator", "run"))
+                 ("scenario", "streaming_estimator", "batch_estimator", "run"))
 SYNTHETIC = ({"kind": _value, "d": _int, "rank": _int, "spectrum": _floats,
               "variances": _floats, "observe_prob": _float,
               "group_probs": _nullable(_floats),
@@ -195,8 +210,9 @@ def _parse_run(top: dict, default_every: int) -> dict:
 
 
 def _parse_scenario(raw) -> dict:
-    """A scenario's keys as given, a synthetic one's with its group count
-    and epochs added, once `_check_scenario` accepts them."""
+    """A scenario's keys as given, a csv one's with its header's d added, a
+    synthetic one's with its group count and epochs, once `_check_scenario`
+    accepts them."""
     kind = _kind(raw, "scenario", default="synthetic")
     if kind == "csv":
         scenario = _section(raw, "scenario", CSV)
@@ -205,7 +221,8 @@ def _parse_scenario(raw) -> dict:
                               f"dataset not found: {scenario['path']}")
         if scenario["num_groups"] < 1:
             raise ConfigError("scenario.num_groups", "must be >= 1")
-        return dict(scenario, path=str(scenario["path"]))
+        return dict(scenario, path=str(scenario["path"]),
+                    d=csv_dimension(scenario["path"]))
     if kind != "synthetic":
         raise ConfigError("scenario.kind", f"unknown scenario kind {kind!r}")
 
@@ -260,12 +277,17 @@ def _estimator(top: dict, key: str, scenario: dict, kinds) -> dict:
 
 def _check_estimator(spec: dict, path: str, scenario: dict) -> None:
     """Refuse, before any output exists, settings that would fail once the
-    run had started.  A synthetic run scores every checkpoint against the
-    planted basis, so the ranks must agree.  A ppca estimator's group must
-    be one of the scenario's, its rank below d, and, where group_counts
-    fixes it, its sample count above the rank.  A streaming estimator's
-    own constructor checks its other settings, built here on a rank x rank
-    stand-in basis."""
+    run had started.  Every estimator's rank lies in [1, d], a ppca one's
+    below d, since ppca needs d - rank trailing eigenvalues.  A synthetic
+    run scores every checkpoint against the planted basis, so the ranks
+    must agree.  A ppca estimator's group must be one of the scenario's
+    and, where group_counts fixes it, its sample count above the rank.  A
+    streaming estimator's own constructor checks its other settings, built
+    here on a rank x rank stand-in basis."""
+    top = scenario["d"] - 1 if spec["kind"] == "ppca" else scenario["d"]
+    if not 1 <= spec["rank"] <= top:
+        raise ConfigError(f"{path}.rank", f"must lie in [1, {top}] for "
+                          f"{spec['kind']} at d = {scenario['d']}")
     if scenario["kind"] == "synthetic" and spec["rank"] != scenario["rank"]:
         raise ConfigError(f"{path}.rank",
                           f"must equal scenario.rank ({scenario['rank']}), "
@@ -276,10 +298,6 @@ def _check_estimator(spec: dict, path: str, scenario: dict) -> None:
             raise ConfigError(f"{path}.group",
                               f"must name one of the scenario's "
                               f"{scenario['num_groups']} groups (0-based)")
-        if spec["rank"] >= scenario["d"]:
-            raise ConfigError(f"{path}.rank",
-                              "must be below scenario.d for ppca, which "
-                              "needs d - rank trailing eigenvalues")
         counts = scenario.get("group_counts")
         if counts is not None:
             n, field = ((sum(counts), "rank") if group is None
@@ -311,64 +329,59 @@ def scenario_script(scenario: dict) -> ScenarioScript:
 # CSV ingestion
 
 
+def _columns(header) -> tuple:
+    """The group column, the variance column (or None) and the value columns
+    of a dataset's header row; `header` is None for an empty file."""
+    if header is None:
+        raise CsvFormatError("line 1: empty file")
+    if "group" not in header:
+        raise CsvFormatError("line 1: missing required 'group' column")
+    repeated = [name for name, count in Counter(header).items() if count > 1]
+    if repeated:
+        raise CsvFormatError(f"line 1: repeated column names {repeated}")
+    group_col = header.index("group")
+    var_col = header.index("variance") if "variance" in header else None
+    value_cols = [i for i in range(len(header))
+                  if i not in (group_col, var_col)]
+    if not value_cols:
+        raise CsvFormatError("line 1: no value columns")
+    return group_col, var_col, value_cols
+
+
 def read_csv_samples(path):
     """Lazily yield ObservedSample rows (and their optional variances).
 
     Yields (sample, variance_or_none).  Raises CsvFormatError with the 1-based
-    line number on malformed rows.
+    line number on a malformed header or row.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError("line 1: empty file") from None
-        if "group" not in header:
-            raise CsvFormatError("line 1: missing required 'group' column")
-        group_col = header.index("group")
-        var_col = header.index("variance") if "variance" in header else None
-        value_cols = [i for i in range(len(header))
-                      if i not in (group_col, var_col)]
-        if not value_cols:
-            raise CsvFormatError("line 1: no value columns")
-
+        header = next(reader, None)
+        group_col, var_col, value_cols = _columns(header)
         for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise CsvFormatError(
-                    f"line {lineno}: expected {len(header)} cells, got {len(row)}")
             try:
-                group = int(row[group_col])
-            except ValueError:
-                raise CsvFormatError(
-                    f"line {lineno}: group {row[group_col]!r} is not an integer"
-                ) from None
-            omega, values = [], []
-            for j, col in enumerate(value_cols):
-                cell = row[col]
-                if cell == "":
-                    continue
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise CsvFormatError(
-                        f"line {lineno}: value {cell!r} is not a number"
-                    ) from None
-                omega.append(j)
-            variance = None
-            if var_col is not None and row[var_col] != "":
-                variance = float(row[var_col])
-            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} cells, "
+                                     f"got {len(row)}")
+                omega, values = [], []
+                for j, col in enumerate(value_cols):
+                    cell = row[col]
+                    if cell != "":
+                        values.append(float(cell))
+                        omega.append(j)
+                variance = (None if var_col is None or row[var_col] == ""
+                            else float(row[var_col]))
                 sample = ObservedSample(np.array(omega, dtype=np.intp),
-                                        np.array(values), group)
+                                        np.array(values), int(row[group_col]))
             except ValueError as exc:
                 raise CsvFormatError(f"line {lineno}: {exc}") from None
             yield sample, variance
 
 
 def csv_dimension(path) -> int:
+    """The number of value columns of a dataset's header."""
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh))
-    return len([c for c in header if c not in ("group", "variance")])
+        return len(_columns(next(csv.reader(fh), None))[2])
 
 
 def zero_fill(samples, d: int) -> np.ndarray:
@@ -402,8 +415,7 @@ def build_estimator(spec: dict, d: int, num_groups: int, f0, v0):
     settings = {key: spec[key] for key in ESTIMATOR_SETTINGS[kind]
                 if key in spec}
     if kind == "shasta":
-        return ShastaPCA(ShastaConfig(rank=spec["rank"], num_groups=num_groups,
-                                      **settings), f0, v0)
+        return ShastaPCA(ShastaConfig(**settings), f0, v0)
     if kind == "petrels":
         return Petrels(f0, **settings)
     return Grouse(orthonormalize(f0), **settings)
@@ -491,13 +503,11 @@ def _run_one_seed(config: ExperimentConfig, seed: int):
     """One seed's trace and summary entry; a streaming run is scored by
     `score_stream`."""
     scenario, spec = config.scenario, config.estimator
-    num_groups = scenario["num_groups"]
+    d, num_groups = scenario["d"], scenario["num_groups"]
     if scenario["kind"] == "synthetic":
-        d = scenario["d"]
         stream = run_script(scenario_script(scenario),
                             seed=np.random.SeedSequence((seed, 0)))
     else:
-        d = csv_dimension(scenario["path"])
         stream = read_csv_samples(scenario["path"])
     f0, v0 = shared_init(seed, d, spec["rank"], num_groups)
     if spec["kind"] in ("batch-mm", "ppca"):
@@ -587,11 +597,8 @@ def parse_timing_config(raw: dict) -> dict:
     if scenario["kind"] != "synthetic" or len(scenario["epochs"]) != 1:
         raise ConfigError("scenario", "timing runs need a single-epoch "
                                       "synthetic scenario")
-    # Without a streaming estimator the run degenerates to a batch trace.
-    streaming = None
-    if top.get("streaming_estimator") is not None:
-        streaming = _estimator(top, "streaming_estimator", scenario,
-                               STREAMING_KINDS)
+    streaming = _estimator(top, "streaming_estimator", scenario,
+                           STREAMING_KINDS)
     batch = _estimator(top, "batch_estimator", scenario, ("batch-mm",))
     run = _parse_run(top, default_every=1000)
     del run["loglik_gap"]  # a timing run scores every gap
@@ -619,21 +626,19 @@ def timing_run(config: dict) -> dict:
         ref = evaluator(truth.factors, truth.v_star)
         f0, v0 = shared_init(seed, scenario["d"], scenario["rank"], num_groups)
 
-        row = {"init_gap": evaluator(f0, v0) - ref}
-        if config["streaming"] is not None:
-            est = build_estimator(config["streaming"], scenario["d"],
-                                  num_groups, f0, v0)
-            s_trace, ingest_s, score_s = score_stream(
-                est, pairs, config["checkpoint_every"], num_groups,
-                (evaluator, ref))
-            s_trace.write_csv(out_dir / f"streaming_seed{seed}.csv")
-            row.update(
-                streaming_final_gap=s_trace.records[-1].loglik_gap,
-                streaming_final_subspace_error=s_trace.records[-1].subspace_error,
-                streaming_seconds=ingest_s + score_s,
-                streaming_estimator_seconds=ingest_s,
-                streaming_metric_seconds=score_s,
-            )
+        est = build_estimator(config["streaming"], scenario["d"], num_groups,
+                              f0, v0)
+        s_trace, ingest_s, score_s = score_stream(
+            est, pairs, config["checkpoint_every"], num_groups, (evaluator, ref))
+        s_trace.write_csv(out_dir / f"streaming_seed{seed}.csv")
+        row = {
+            "init_gap": evaluator(f0, v0) - ref,
+            "streaming_final_gap": s_trace.records[-1].loglik_gap,
+            "streaming_final_subspace_error": s_trace.records[-1].subspace_error,
+            "streaming_seconds": ingest_s + score_s,
+            "streaming_estimator_seconds": ingest_s,
+            "streaming_metric_seconds": score_s,
+        }
 
         # The timer covers the lazy build of the problem's dense arrays.
         problem = BatchProblem(samples=samples, num_groups=num_groups,
@@ -653,7 +658,7 @@ def timing_run(config: dict) -> dict:
 
     def med(key):
         # A streaming estimator without factors (PETRELS, GROUSE) has no gap.
-        vals = [r[key] for r in rows.values() if r.get(key) is not None]
+        vals = [r[key] for r in rows.values() if r[key] is not None]
         return float(np.median(vals)) if vals else None
 
     table = {

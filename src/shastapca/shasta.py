@@ -144,8 +144,8 @@ class WeightSchedule:
 
 @dataclass(frozen=True)
 class ShastaConfig:
-    rank: int
-    num_groups: int
+    """The algorithm's settings; `init_state` takes the shape from f0, v0."""
+
     weights: WeightSchedule = field(default_factory=lambda: WeightSchedule("inv_t"))
     c_f: float = 0.1
     c_v: float = 0.1
@@ -154,10 +154,6 @@ class ShastaConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", WeightSchedule.parse(self.weights))
-        if self.rank < 1:
-            raise ParameterError("rank", "must be >= 1")
-        if self.num_groups < 1:
-            raise ParameterError("num_groups", "must be >= 1")
         for name in ("c_f", "c_v"):
             if not 0.0 < getattr(self, name) <= 1.0:
                 raise ParameterError(name, "must lie in (0, 1]")
@@ -167,9 +163,6 @@ class ShastaConfig:
         if self.variance_mode not in (GROUPED, MEMORYLESS_SINGLE):
             raise ParameterError("variance_mode",
                                  f"is unknown: {self.variance_mode!r}")
-        if self.variance_mode == MEMORYLESS_SINGLE and self.num_groups != 1:
-            raise ParameterError("variance_mode",
-                                 f"{MEMORYLESS_SINGLE!r} requires one group")
 
 
 @dataclass
@@ -223,14 +216,16 @@ class ShastaState:
 
 
 def init_state(cfg: ShastaConfig, f0: np.ndarray, v0: np.ndarray) -> ShastaState:
-    """Fresh state: rbar_j = delta I, sbar_j = 0, accumulators zero."""
+    """Fresh state of the shape of the d x k factors f0 and the L group
+    variances v0: rbar_j = delta I, sbar_j = 0, accumulators zero."""
     f0 = check_factors(f0)
     v0 = floor_variances(v0)
+    if v0.ndim != 1 or v0.size < 1:
+        raise ValueError("v0 must be a non-empty vector of group variances")
+    if cfg.variance_mode == MEMORYLESS_SINGLE and v0.size != 1:
+        raise ParameterError("variance_mode",
+                             f"{MEMORYLESS_SINGLE!r} requires one group")
     d, k = f0.shape
-    if k != cfg.rank:
-        raise ValueError(f"f0 has rank {k}, config says {cfg.rank}")
-    if v0.size != cfg.num_groups:
-        raise ValueError(f"v0 has {v0.size} groups, config says {cfg.num_groups}")
     systems = np.zeros((d, k, k + 1))
     systems[:, :, :k] = cfg.delta * np.eye(k)
     return ShastaState(
@@ -238,8 +233,8 @@ def init_state(cfg: ShastaConfig, f0: np.ndarray, v0: np.ndarray) -> ShastaState
         v=v0.copy(),
         systems=systems,
         fhat=np.zeros((d, k)),
-        theta_bar=np.zeros(cfg.num_groups),
-        rho_bar=np.zeros(cfg.num_groups),
+        theta_bar=np.zeros(v0.size),
+        rho_bar=np.zeros(v0.size),
         t=0,
     )
 
@@ -383,9 +378,9 @@ def ingest(state: ShastaState, sample: ObservedSample,
     as it was before the call.  An overflow leaves a value that is not
     finite, which the checks find, so no warning filter need see it.
     """
-    if not 0 <= sample.group < cfg.num_groups:
+    if not 0 <= sample.group < state.num_groups:
         raise ValueError(f"sample group {sample.group} outside "
-                         f"[0, {cfg.num_groups})")
+                         f"[0, {state.num_groups})")
     if sample.omega.size and sample.omega[-1] >= state.d:
         raise ValueError("sample observes a coordinate beyond the state's d")
     t = state.t + 1

@@ -294,8 +294,7 @@ def test_c8_bounded_memory(tmp_path):
     # Serialized state size after 1e2 and 1e5 ingests is identical; only the
     # sample counter advances with the stream.  Budget: 30 s.
     start = time.perf_counter()
-    cfg = ShastaConfig(rank=3, num_groups=2, weights=0.01, c_f=0.01, c_v=0.1,
-                       delta=0.1)
+    cfg = ShastaConfig(weights=0.01, c_f=0.01, c_v=0.1, delta=0.1)
     rng = np.random.default_rng(1008)
     f0 = rng.standard_normal((100, 3)) / 10.0
     v0 = np.array([0.1, 0.5])

@@ -299,8 +299,7 @@ class TestSharedInterface:
         d, k = 10, 2
         u0 = orthonormal(rng, d, k)
         estimators = [
-            ShastaPCA(ShastaConfig(rank=k, num_groups=1), u0.copy(),
-                      np.array([0.1])),
+            ShastaPCA(ShastaConfig(), u0.copy(), np.array([0.1])),
             Petrels(u0.copy()),
             Grouse(u0.copy(), step=0.01),
         ]

@@ -19,16 +19,16 @@ from shastapca.shasta import (
     save_state,
 )
 
-CFG = ShastaConfig(rank=2, num_groups=2, weights=0.1)
+CFG = ShastaConfig(weights=0.1)
 
 
-def streamed_state(ticks, d=6, seed=0, cfg=CFG):
+def streamed_state(ticks, d=6, seed=0, k=2, num_groups=2):
     rng = np.random.default_rng(seed)
-    state = init_state(cfg, rng.standard_normal((d, cfg.rank)),
-                       np.linspace(0.5, 0.7, cfg.num_groups))
+    state = init_state(CFG, rng.standard_normal((d, k)),
+                       np.linspace(0.5, 0.7, num_groups))
     for t in range(ticks):
         ingest(state, ObservedSample.full(rng.standard_normal(d),
-                                          t % cfg.num_groups), cfg)
+                                          t % num_groups), CFG)
     return state
 
 
@@ -38,8 +38,7 @@ def test_layout_is_magic_header_then_arrays(tmp_path):
     # among them), and what loads back must be bitwise what was saved.  The
     # shapes run in one test, so that its id stays as it was.
     for d, k, num_groups in [(6, 2, 2), (5, 1, 1), (7, 3, 1), (3, 1, 4)]:
-        cfg = ShastaConfig(rank=k, num_groups=num_groups, weights=0.1)
-        state = streamed_state(10, d=d, cfg=cfg)
+        state = streamed_state(10, d=d, k=k, num_groups=num_groups)
         folder = tmp_path / f"{d}-{k}-{num_groups}"
         folder.mkdir()
         save_state(state, folder / "state.bin")

@@ -103,9 +103,10 @@ class TestConfigParsing:
             assert spec == block
             return build_estimator(spec, 10, 2, *shared_init(0, 10, 2, 2))
 
-        assert built("shasta").cfg == ShastaConfig(
-            rank=2, num_groups=2, weights="1/t", c_f=0.1, c_v=0.1, delta=0.1,
-            variance_mode="grouped")
+        shasta = built("shasta")
+        assert shasta.cfg == ShastaConfig(weights="1/t", c_f=0.1, c_v=0.1,
+                                          delta=0.1, variance_mode="grouped")
+        assert (shasta.state.k, shasta.state.num_groups) == (2, 2)
         petrels = built("petrels")
         assert (petrels.forgetting, petrels.delta) == (1.0, 0.1)
         assert built("grouse").step == 0.01
@@ -501,24 +502,6 @@ class TestTimingRun:
         assert without_elapsed(
             tmp_path / "timing" / "streaming_seed2.csv") == run_trace
 
-    def test_batch_only_config_degenerates_to_batch_trace(self, tmp_path):
-        raw = {
-            "scenario": {
-                "kind": "synthetic", "d": 12, "rank": 2,
-                "spectrum": [2.0, 1.0], "variances": [0.1, 0.5],
-                "group_counts": [100, 100], "observe_prob": 0.6,
-            },
-            "batch_estimator": {"kind": "batch-mm", "rank": 2,
-                                "iterations": 10},
-            "run": {"seeds": [0], "checkpoint_every": 50,
-                    "output_dir": str(tmp_path / "batch_only")},
-        }
-        table = timing_run(parse_timing_config(raw))
-        assert table["median_streaming_seconds"] is None
-        assert table["median_batch_final_gap"] is not None
-        assert (tmp_path / "batch_only" / "batch_seed0.csv").exists()
-        assert not (tmp_path / "batch_only" / "streaming_seed0.csv").exists()
-
     def test_identical_seeds_identical_metrics(self, tmp_path):
         raw = {
             "scenario": {
@@ -554,6 +537,7 @@ class TestTimingRun:
                 "spectrum": [2.0, 1.0], "variances": [0.1, 0.5],
                 "group_counts": [100, 100], "observe_prob": 0.6,
             },
+            "streaming_estimator": {"kind": "shasta", "rank": 2},
             "batch_estimator": {"kind": "batch-mm", "rank": 2,
                                 "iterations": 40, "tol": 1e-7},
             "run": {"seeds": [4], "output_dir": str(tmp_path / "t")},
@@ -634,6 +618,11 @@ class TestCli:
             ("estimator.group", {"kind": "ppca", "rank": 2, "group": -1}),
             ("estimator.c_f", dict(shasta, c_f="abc")),
             ("estimator.rank", dict(shasta, rank="two")),
+            # Integers and flags are read, not coerced: 2.7 used to read as 2.
+            ("estimator.rank", dict(shasta, rank=2.7)),
+            ("estimator.rank", dict(shasta, rank=True)),
+            ("estimator.variance_mode",
+             dict(shasta, variance_mode="memoryless-single")),
             ("estimator.tol", {"kind": "batch-mm", "rank": 2, "tol": "tight"}),
             # A key the estimator's kind does not declare, a misspelling
             # that used to be dropped (forgetting read as 1.0).
@@ -677,6 +666,15 @@ class TestCli:
              "scenario.epochs[1].scale_variance.factor"),
             ("run", "seeds", ["zero"], "run.seeds"),
             ("run", "checkpoint_every", "often", "run.checkpoint_every"),
+            # Non-integral numbers, booleans and quoted flags, which used to
+            # be coerced: 2.9 to 2, [0.5, 1.7] to (0, 1), true to 1 and
+            # "false" to true.
+            ("scenario", "rank", 2.9, "scenario.rank"),
+            ("run", "seeds", [0.5, 1.7], "run.seeds"),
+            ("run", "checkpoint_every", True, "run.checkpoint_every"),
+            ("run", "loglik_gap", "false", "run.loglik_gap"),
+            ("scenario", "epochs", [{"samples": 200, "redraw_subspace": 1}],
+             "scenario.epochs[0].redraw_subspace"),
             # Each section refuses a key it does not declare; num_groups
             # belongs to a csv scenario only.
             ("scenario", "observe_porb", 0.1, "scenario.observe_porb"),
@@ -718,6 +716,21 @@ class TestCli:
         assert_config_error(tmp_path, capsys, "run", raw, "scenario.path")
         raw = dict(smoke_raw(tmp_path / "out"), cf=0.9)
         assert_config_error(tmp_path, capsys, "run", raw, "config.cf")
+        # Every streaming kind's rank lies in [1, d], d being a csv
+        # dataset's value-column count. PETRELS and GROUSE at rank 0 used
+        # to fail in the run, every kind at -1 with a numpy error, and
+        # every kind at d + 1 ran to the end.
+        three = tmp_path / "three.csv"
+        three.write_text("group,y0,y1,y2\n0,1.0,2.0,3.0\n")
+        for kind in ("shasta", "petrels", "grouse"):
+            for rank in (0, -1, 4):
+                raw = smoke_raw(tmp_path / "out",
+                                estimator={"kind": kind, "rank": rank})
+                raw["scenario"] = {"kind": "csv", "path": str(three),
+                                   "num_groups": 1}
+                raw["run"]["loglik_gap"] = False
+                assert_config_error(tmp_path, capsys, "run", raw,
+                                    "estimator.rank")
         # PPCA needs d - rank trailing eigenvalues, and more samples than
         # the rank: in its group, or in the stream when it has none.
         raw = smoke_raw(tmp_path / "out", estimator={"kind": "ppca", "rank": 2})
@@ -733,6 +746,7 @@ class TestCli:
         # directory (which used to create one named 'None'), is refused.
         timing = {key: smoke_raw(tmp_path / "out")[key]
                   for key in ("scenario", "run")}
+        timing["streaming_estimator"] = {"kind": "shasta", "rank": 2}
         timing["batch_estimator"] = {"kind": "batch-mm", "rank": 2}
         for command, base in [("run", smoke_raw(tmp_path / "out")),
                               ("timing", timing)]:
@@ -751,16 +765,32 @@ class TestCli:
         assert report["variance_column"]["count"] == 2
 
     def test_ingest_check_bad_file(self, tmp_path, capsys):
+        # Each is a data error naming its line: the bad variance cell used
+        # to escape as a value error with no line, and `run` used to
+        # create its output directory and then fail on the bad headers.
         path = tmp_path / "bad.csv"
-        path.write_text("group,y0\n0,notanumber\n")
-        assert cli_main(["ingest-check", str(path)]) == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "data" and "line 2" in err["message"]
+        for text, line in [("group,y0\n0,notanumber\n", 2),
+                           ("group,variance,y0,y1\n0,abc,1.0,2.0\n", 2),
+                           ("", 1), ("group,y0,group\n0,1.0,1\n", 1)]:
+            path.write_text(text)
+            commands = [["ingest-check", str(path)]]
+            if line == 1:
+                raw = smoke_raw(tmp_path / "out", {"kind": "shasta", "rank": 1})
+                raw["scenario"] = {"kind": "csv", "path": str(path),
+                                   "num_groups": 1}
+                raw["run"]["loglik_gap"] = False
+                (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(raw))
+                commands.append(["run", str(tmp_path / "cfg.yaml")])
+            for command in commands:
+                assert cli_main(command) == 1, (text, command)
+                err = json.loads(capsys.readouterr().err)
+                assert err["error"] == "data", err
+                assert err["message"].startswith(f"line {line}: "), err
+                assert not (tmp_path / "out").exists()
 
     def test_state_dump(self, tmp_path, capsys):
         from shastapca.shasta import ShastaConfig, init_state, save_state
-        state = init_state(ShastaConfig(rank=2, num_groups=1),
-                           np.zeros((4, 2)), np.array([0.3]))
+        state = init_state(ShastaConfig(), np.zeros((4, 2)), np.array([0.3]))
         ckpt = tmp_path / "state.bin"
         save_state(state, ckpt)
         assert cli_main(["state-dump", str(ckpt)]) == 0
@@ -771,8 +801,8 @@ class TestCli:
                                                       monkeypatch):
         from shastapca.shasta import ShastaConfig, init_state, save_state
         ckpt = tmp_path / "state.bin"
-        save_state(init_state(ShastaConfig(rank=2, num_groups=2),
-                              np.zeros((4, 2)), np.array([0.3, 0.4])), ckpt)
+        save_state(init_state(ShastaConfig(), np.zeros((4, 2)),
+                              np.array([0.3, 0.4])), ckpt)
         valid = ckpt.read_bytes()
         for name, data in crafted_checkpoints(valid).items():
             ckpt.write_bytes(data)
@@ -835,9 +865,15 @@ class TestCli:
              "scenario.observe_porb"),
             ("run", dict(raw["run"], checkpoint_evry=7), "run.checkpoint_evry"),
             ("streaming_estimater", shasta, "config.streaming_estimater"),
+            # A timing run always has a streaming estimator; a null one
+            # used to run the batch pass alone.
+            ("streaming_estimator", None, "streaming_estimator"),
         ]:
             assert_config_error(tmp_path, capsys, "timing",
                                 dict(raw, **{key: spec}), field)
+        del raw["streaming_estimator"]
+        assert_config_error(tmp_path, capsys, "timing", raw,
+                            "config.streaming_estimator")
 
     @pytest.mark.parametrize("estimator", [
         {"kind": "petrels", "rank": 2, "forgetting": 0.99},

@@ -7,7 +7,7 @@ import pytest
 
 from shastapca import RejectedSample, shasta
 from shastapca.batch import BatchProblem, batch_f_step
-from shastapca.model import ObservedSample, VARIANCE_FLOOR
+from shastapca.model import ObservedSample, ParameterError, VARIANCE_FLOOR
 from shastapca.shasta import (
     ShastaConfig,
     ShastaPCA,
@@ -24,18 +24,16 @@ from helpers import crafted_checkpoints, orthonormal, random_sample, step_parts
 
 
 def make_config(**kw):
-    base = dict(rank=2, num_groups=2, weights="1/t", c_f=0.5, c_v=0.5, delta=0.1)
+    base = dict(weights="1/t", c_f=0.5, c_v=0.5, delta=0.1)
     base.update(kw)
     return ShastaConfig(**base)
 
 
-def fresh_state(cfg, d, seed=0, f0=None, v0=None):
+def fresh_state(cfg, d, seed=0, k=2, num_groups=2):
+    """A state of random d x k factors and num_groups variances."""
     rng = np.random.default_rng(seed)
-    if f0 is None:
-        f0 = rng.standard_normal((d, cfg.rank)) / np.sqrt(d)
-    if v0 is None:
-        v0 = rng.uniform(0.2, 1.0, size=cfg.num_groups)
-    return init_state(cfg, f0, v0)
+    f0 = rng.standard_normal((d, k)) / np.sqrt(d)
+    return init_state(cfg, f0, rng.uniform(0.2, 1.0, size=num_groups))
 
 
 class TestWeightSchedule:
@@ -64,10 +62,6 @@ class TestWeightSchedule:
 
 
 class TestConfig:
-    def test_memoryless_single_needs_one_group(self):
-        with pytest.raises(ValueError):
-            make_config(variance_mode="memoryless-single", num_groups=2)
-
     def test_rejects_bad_averaging(self):
         with pytest.raises(ValueError):
             make_config(c_f=0.0)
@@ -75,7 +69,7 @@ class TestConfig:
 
 class TestInitState:
     def test_delta_identity_blocks(self):
-        cfg = ShastaConfig(rank=3, num_groups=2, delta=0.1)
+        cfg = ShastaConfig(delta=0.1)
         state = init_state(cfg, np.zeros((100, 3)), np.array([0.3, 0.4]))
         assert state.r_bar.shape == (100, 3, 3)
         for j in (0, 50, 99):
@@ -95,17 +89,26 @@ class TestInitState:
         assert state.theta_bar[1] == 0.0
 
     def test_shape_mismatch_rejected(self):
+        # k and L are f0's and v0's; v0 must be a non-empty vector.
         cfg = make_config()
-        with pytest.raises(ValueError):
-            init_state(cfg, np.zeros((5, 3)), np.array([0.1, 0.2]))
-        with pytest.raises(ValueError):
-            init_state(cfg, np.zeros((5, 2)), np.array([0.1]))
+        for v0 in (np.array([]), np.full((2, 1), 0.5), np.float64(0.5)):
+            with pytest.raises(ValueError, match="v0"):
+                init_state(cfg, np.zeros((5, 2)), v0)
+        state = init_state(cfg, np.zeros((5, 3)), np.array([0.1, 0.2, 0.3]))
+        assert (state.d, state.k, state.num_groups) == (5, 3, 3)
+
+    def test_memoryless_single_needs_one_group(self):
+        cfg = make_config(variance_mode="memoryless-single")
+        with pytest.raises(ParameterError) as err:
+            init_state(cfg, np.zeros((5, 2)), np.array([0.1, 0.2]))
+        assert err.value.field == "variance_mode"
+        assert init_state(cfg, np.zeros((5, 2)), np.array([0.1])).num_groups == 1
 
 
 class TestVStep:
     def test_first_sample_full_weight(self):
         # w=1, F=0, c_v=1: the variance becomes ||y||^2 / |omega|.
-        cfg = make_config(num_groups=1)
+        cfg = make_config()
         state = init_state(cfg, np.zeros((5, 2)), np.array([0.77]))
         s = ObservedSample(np.array([0, 2, 3]), np.array([1.0, -2.0, 2.0]), 0)
         v_step(state, s, w=1.0, c_v=1.0, parts=step_parts(state, s))
@@ -114,7 +117,7 @@ class TestVStep:
     def test_running_average_closed_form(self):
         # w_t = 1/t with F = 0 and c_v = 1 yields, per group, the ratio of
         # total observed power to total observed entries.
-        cfg = make_config(num_groups=2)
+        cfg = make_config()
         state = init_state(cfg, np.zeros((6, 2)), np.array([1.0, 1.0]))
         rng = np.random.default_rng(3)
         samples = [random_sample(rng, 6, 2, observe_prob=0.8) for _ in range(40)]
@@ -142,7 +145,7 @@ class TestVStep:
             ratio_before, rel=1e-15)
 
     def test_variance_floor(self):
-        cfg = make_config(num_groups=1)
+        cfg = make_config()
         state = init_state(cfg, np.zeros((3, 2)), np.array([0.5]))
         s = ObservedSample(np.array([0, 1]), np.zeros(2), 0)
         v_step(state, s, w=1.0, c_v=1.0, parts=step_parts(state, s))
@@ -153,7 +156,7 @@ class TestFStep:
     def test_vanishing_weight_is_identity_at_consistent_point(self):
         # From a fresh state with f0 = 0 the cached maximizer is 0, so a
         # negligible weight leaves both the surrogate and the iterate in place.
-        cfg = make_config(num_groups=1, c_f=0.7)
+        cfg = make_config(c_f=0.7)
         state = init_state(cfg, np.zeros((5, 2)), np.array([0.5]))
         before = copy.deepcopy(state)
         s = ObservedSample(np.array([1, 3]), np.array([1.0, -2.0]), 0)
@@ -164,8 +167,8 @@ class TestFStep:
 
     def test_never_observed_rows_go_to_zero(self):
         # c_F = 1: rows no sample observes solve (delta I)^-1 0 = 0.
-        cfg = make_config(num_groups=1, c_f=1.0)
-        state = fresh_state(cfg, d=6, seed=6)
+        cfg = make_config(c_f=1.0)
+        state = fresh_state(cfg, d=6, seed=6, num_groups=1)
         rng = np.random.default_rng(7)
         for _ in range(10):
             omega = np.sort(rng.choice(4, size=3, replace=False))
@@ -179,7 +182,7 @@ class TestFStep:
         # one-sample dataset (they differ only by the batch solver's ridge).
         rng = np.random.default_rng(8)
         d, k = 5, 2
-        cfg = ShastaConfig(rank=k, num_groups=1, weights=1.0, c_f=1.0, c_v=0.5)
+        cfg = ShastaConfig(weights=1.0, c_f=1.0, c_v=0.5)
         y = rng.standard_normal(d)
         sample = ObservedSample.full(y, 0)
         v = np.array([0.6])
@@ -253,7 +256,7 @@ class TestIngest:
     def test_memoryless_single_mode(self):
         # The L=1 heuristic: each tick's variance is the sample's own
         # posterior residual ratio, with no memory of earlier ticks.
-        cfg = ShastaConfig(rank=2, num_groups=1, weights=0.001, c_f=0.1,
+        cfg = ShastaConfig(weights=0.001, c_f=0.1,
                            variance_mode="memoryless-single")
         state = init_state(cfg, np.zeros((6, 2)), np.array([0.9]))
         rng = np.random.default_rng(15)
@@ -267,8 +270,7 @@ class TestIngest:
         # Interleaved planted-signal streams with variances 1e-4 and 1e-2 and
         # forgetting weights: the learned variances separate by two orders of
         # magnitude.
-        cfg = ShastaConfig(rank=2, num_groups=2, weights=0.01, c_f=0.01,
-                           c_v=0.1, delta=0.1)
+        cfg = ShastaConfig(weights=0.01, c_f=0.01, c_v=0.1, delta=0.1)
         rng = np.random.default_rng(16)
         d = 20
         u = orthonormal(rng, d, 2)
@@ -295,8 +297,7 @@ class TestIngest:
         def noiseless():
             return ObservedSample.full(f_star @ rng.standard_normal(k), 0)
 
-        cfg_warm = ShastaConfig(rank=k, num_groups=1, weights="1/t", c_f=1.0,
-                                c_v=1.0, delta=1e-6)
+        cfg_warm = ShastaConfig(weights="1/t", c_f=1.0, c_v=1.0, delta=1e-6)
         state = init_state(cfg_warm, f_star, np.array([1e-12]))
         for _ in range(500):
             ingest(state, noiseless(), cfg_warm)
@@ -304,7 +305,7 @@ class TestIngest:
         drifts = {}
         for c in (1e-2, 1e-4):
             probe = copy.deepcopy(state)
-            cfg = ShastaConfig(rank=k, num_groups=1, weights=0.01, c_f=c, c_v=c)
+            cfg = ShastaConfig(weights=0.01, c_f=c, c_v=c)
             before = probe.f.copy()
             ingest(probe, noiseless(), cfg)
             drifts[c] = np.linalg.norm(probe.f - before)
@@ -314,9 +315,8 @@ class TestIngest:
 
 class TestAtomicTick:
     def stream(self, n=50):
-        cfg = ShastaConfig(rank=2, num_groups=1, weights="1/t", c_f=0.1,
-                           c_v=0.1)
-        state = fresh_state(cfg, d=20, seed=30)
+        cfg = ShastaConfig(weights="1/t", c_f=0.1, c_v=0.1)
+        state = fresh_state(cfg, d=20, seed=30, num_groups=1)
         rng = np.random.default_rng(31)
         for _ in range(n):
             ingest(state, ObservedSample.full(rng.standard_normal(20), 0), cfg)
@@ -390,9 +390,8 @@ class TestLeanTick:
         # initial variance; every 25th sample is empty, and the values span
         # nine decades, so memoryless-single, which refits v from each
         # sample alone, lands on the floor on some ticks.
-        cfg = make_config(num_groups=num_groups, weights="0.5/sqrt(t)",
-                          c_v=0.3, variance_mode=mode)
-        state = fresh_state(cfg, d=10, seed=40)
+        cfg = make_config(weights="0.5/sqrt(t)", c_v=0.3, variance_mode=mode)
+        state = fresh_state(cfg, d=10, seed=40, num_groups=num_groups)
         rng = np.random.default_rng(41)
         observed = max(1, num_groups - 1)
         for t in range(1, 301):
@@ -411,17 +410,18 @@ class TestLeanTick:
                 assert getattr(state, name).tobytes() == ref.tobytes(), (name, t)
         if num_groups > 1:
             assert state.theta_bar[-1] == 0.0
-            assert state.v[-1] == fresh_state(cfg, d=10, seed=40).v[-1]
+            assert state.v[-1] == fresh_state(cfg, d=10, seed=40,
+                                              num_groups=num_groups).v[-1]
 
     def streamed(self, weights=0.1):
         """A state after 20 ticks at weight 0.1, a config with `weights` for
         the next tick, and a sample observing three rows."""
-        warm = make_config(num_groups=1, weights=0.1)
-        state = fresh_state(warm, d=8, seed=42)
+        warm = make_config(weights=0.1)
+        state = fresh_state(warm, d=8, seed=42, num_groups=1)
         rng = np.random.default_rng(43)
         for _ in range(20):
             ingest(state, ObservedSample.full(rng.standard_normal(8), 0), warm)
-        return (make_config(num_groups=1, weights=weights), state,
+        return (make_config(weights=weights), state,
                 ObservedSample(np.array([1, 3, 5]), rng.standard_normal(3), 0))
 
     def assert_rejected_unchanged(self, tmp_path, cfg, state, sample):
@@ -488,8 +488,7 @@ class TestStationarityRegression:
         pairs = list(run_script(script, seed=np.random.SeedSequence((0, 0))))
         evaluator = DatasetEvaluator([s for s, _ in pairs], 100)
         rng = np.random.default_rng(30)
-        cfg = ShastaConfig(rank=3, num_groups=2, weights="1/t", c_f=0.1,
-                           c_v=0.1, delta=0.1)
+        cfg = ShastaConfig(weights="1/t", c_f=0.1, c_v=0.1, delta=0.1)
         state = init_state(cfg, rng.standard_normal((100, 3)) / 10.0,
                            rng.uniform(0.1, 1.0, size=2))
 
@@ -654,7 +653,7 @@ class TestEstimatorFacade:
         rng = np.random.default_rng(24)
         u = orthonormal(rng, 12, 3)
         f = u * np.sqrt(np.array([4.0, 2.0, 1.0]))
-        est = ShastaPCA(ShastaConfig(rank=3, num_groups=1), f, np.array([0.1]))
+        est = ShastaPCA(ShastaConfig(), f, np.array([0.1]))
         basis = est.current_subspace()
         # span(basis) == span(u): cross-Gram has unit singular values.
         gram = basis.T @ u

@@ -137,8 +137,8 @@ def mixed_stream(rng, d, num_groups, ticks):
 def test_ingest_matches_two_posterior_oracle(mode, weights):
     d, k = 16, 3
     num_groups = 1 if mode == MEMORYLESS_SINGLE else 3
-    cfg = ShastaConfig(rank=k, num_groups=num_groups, weights=weights, c_f=0.2,
-                       c_v=0.3, delta=0.1, variance_mode=mode)
+    cfg = ShastaConfig(weights=weights, c_f=0.2, c_v=0.3, delta=0.1,
+                       variance_mode=mode)
     rng = np.random.default_rng(5)
     f0 = rng.standard_normal((d, k)) / np.sqrt(d)
     v0 = rng.uniform(0.1, 1.0, size=num_groups)
@@ -160,8 +160,7 @@ def test_lazy_scales_fold_without_changing_the_trajectory(monkeypatch, weights,
     # tests/test_shasta.py.
     monkeypatch.setattr(shasta, "SCALE_FLOOR", 1e-3)
     d, k, num_groups = 12, 3, 2
-    cfg = ShastaConfig(rank=k, num_groups=num_groups, weights=weights, c_f=c_f,
-                       c_v=0.3, delta=0.1)
+    cfg = ShastaConfig(weights=weights, c_f=c_f, c_v=0.3, delta=0.1)
     rng = np.random.default_rng(8)
     f0 = rng.standard_normal((d, k)) / np.sqrt(d)
     v0 = rng.uniform(0.1, 1.0, size=num_groups)
@@ -184,8 +183,7 @@ def test_large_sample_near_the_floor_is_accepted_as_by_the_eager_tick():
     # sample, so values of 1e80 add about 1e160 to the eager systems: well
     # inside float64, and inside it still after that scaling.
     d, k = 8, 2
-    cfg = ShastaConfig(rank=k, num_groups=1, weights=0.5, c_f=0.5, c_v=1e-200,
-                       delta=0.1)
+    cfg = ShastaConfig(weights=0.5, c_f=0.5, c_v=1e-200, delta=0.1)
     rng = np.random.default_rng(12)
     f0 = rng.standard_normal((d, k)) / np.sqrt(d)
     v0 = np.array([0.5])
@@ -220,8 +218,7 @@ def test_rows_whose_sum_overflows_are_accepted_as_by_the_eager_tick():
     # tick does, whatever the warning filters say: here every warning is
     # an error.
     d, k = 20, 2
-    cfg = ShastaConfig(rank=k, num_groups=1, weights=0.1, c_f=0.5, c_v=0.5,
-                       delta=1e307)
+    cfg = ShastaConfig(weights=0.1, c_f=0.5, c_v=0.5, delta=1e307)
     rng = np.random.default_rng(13)
     f0 = rng.standard_normal((d, k)) / np.sqrt(d)
     v0 = np.array([0.5])

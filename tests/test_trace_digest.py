@@ -1,6 +1,7 @@
 """scripts/trace_digest.py: digests ignore elapsed times and nothing else."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -35,19 +36,33 @@ def test_elapsed_times_are_dropped(tmp_path):
     b.write_text("\n".join(rows).format("9.5") + "\n")
     assert script.trace_bytes(a) == script.trace_bytes(b)
     assert script.trace_bytes(a) == b"t,subspace_error,loglik_gap,v_1\n50,0.25,,0.5\n"
+    # A timing summary drops every *_seconds field, and nothing else.
+    for path, seconds in ((a, 0.125), (b, 9.5)):
+        path.write_text(json.dumps({
+            "median_batch_seconds": seconds, "median_batch_final_gap": -1.5,
+            "seeds": {"0": {"streaming_seconds": seconds, "init_gap": -2.0}}}))
+    assert script.summary_bytes(a) == script.summary_bytes(b)
+    assert json.loads(script.summary_bytes(a)) == {
+        "median_batch_final_gap": -1.5, "seeds": {"0": {"init_gap": -2.0}}}
 
 
 def test_standard_set_configs_exist_and_parse():
     # The default set (not run here): every bundled run config, then
-    # static_full with each baseline block the reproduction script runs.
+    # static_full with each baseline block the reproduction script runs,
+    # then the timing config.
     script = load_script()
     runs = script.standard_set()
     labels = [label for _, _, label in runs]
     assert labels[:6] == ["dynamic_subspace", "dynamic_variances_v1",
                           "dynamic_variances_v2", "smoke", "static_full",
                           "static_half"]
-    assert [block for _, block, _ in runs[6:]] == script.BASELINES["static_full"]
+    assert ([block for _, block, _ in runs[6:-1]]
+            == script.BASELINES["static_full"])
+    assert labels[-1] == "timing_desk"
     assert len(set(labels)) == len(labels)
     for path, block, label in runs:
         assert path.exists(), label
-        script.parse_config(script.load_raw(path, block))
+        raw = script.load_raw(path, block)
+        parse = (script.parse_timing_config if label == "timing_desk"
+                 else script.parse_config)
+        parse(raw)

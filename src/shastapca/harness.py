@@ -8,9 +8,12 @@ seed, every numeric output byte is deterministic except elapsed-time fields;
 those of batch-mm and ppca, whose n x d products go through BLAS, only at a
 fixed BLAS thread count.
 
-Every streaming run, synthetic or CSV, and the streaming pass of a timing run
-are fed and scored by one function, `score_stream`.  Batch MM runs are scored
-and timestamped per iterate of `batch.batch_iterates`.
+Every estimator block, a run's and both passes of a timing run, is run by one
+function, `run_block`, from the seed's `shared_init` over the pairs
+`seed_pairs` draws; a streaming block is fed and scored by `score_stream`.
+A batch pass's clock covers building its `BatchProblem`, dense arrays
+included, and every iterate with its subspace error; the reference
+log-likelihood at the planted truth, and ppca's gap, are taken after it stops.
 
 CSV dataset format: a header row with a `group` column, an optional
 `variance` column (reporting only), and d value columns, each column named
@@ -32,7 +35,8 @@ import numpy as np
 import yaml
 
 from .baselines import Grouse, Petrels
-from .batch import BatchProblem, batch_iterates, ppca_closed_form, random_init
+from .batch import (BatchIterate, BatchProblem, batch_iterates,
+                    ppca_closed_form, random_init)
 from .datagen import (Epoch, PlantedModel, ScenarioScript, make_rng,
                       orthonormalize, run_script)
 from .metrics import MetricTrace, subspace_error
@@ -84,6 +88,13 @@ def _whole(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """`value` as a float; a boolean is not a number."""
+    if isinstance(value, bool):
+        raise ValueError(value)
+    return float(value)
+
+
 def _boolean(value) -> bool:
     if not isinstance(value, bool):
         raise ValueError(value)
@@ -91,8 +102,8 @@ def _boolean(value) -> bool:
 
 
 _value, _flag = _as(lambda value: value), _as(_boolean, "true or false")
-_float, _int = _as(float, "a number"), _as(_whole, "an integer")
-_floats = _as(lambda xs: tuple(float(x) for x in xs), "a list of numbers")
+_float, _int = _as(_real, "a number"), _as(_whole, "an integer")
+_floats = _as(lambda xs: tuple(_real(x) for x in xs), "a list of numbers")
 _ints = _as(lambda xs: tuple(_whole(x) for x in xs), "a list of integers")
 
 RUN_CONFIG = ({"scenario": _value, "estimator": _value, "run": _value},
@@ -371,6 +382,8 @@ def read_csv_samples(path):
                         omega.append(j)
                 variance = (None if var_col is None or row[var_col] == ""
                             else float(row[var_col]))
+                if variance is not None and not np.isfinite(variance):
+                    raise ValueError(f"variance {variance} is not finite")
                 sample = ObservedSample(np.array(omega, dtype=np.intp),
                                         np.array(values), int(row[group_col]))
             except ValueError as exc:
@@ -469,6 +482,77 @@ def score_stream(est, pairs, every: int, num_groups: int, loglik=None):
     return trace, ingest_s, score_s + time.perf_counter() - resumed
 
 
+def seed_pairs(scenario: dict, seed: int):
+    """A seed's (sample, info) pairs, drawn lazily: the synthetic script on
+    the seed's Philox stream 0, or a csv dataset's rows."""
+    if scenario["kind"] == "csv":
+        return read_csv_samples(scenario["path"])
+    return run_script(scenario_script(scenario),
+                      seed=np.random.SeedSequence((seed, 0)))
+
+
+def run_block(spec: dict, scenario: dict, seed: int, pairs, every: int,
+              loglik_gap: bool):
+    """Run estimator block `spec` from the seed's `shared_init` over its
+    (sample, info) pairs.  Returns the trace, the estimator's seconds, the
+    metric seconds, the seed's summary entry and the (evaluator, ref) that
+    scored its gaps as evaluator(F, v) - ref, ref being the value at the
+    planted truth, or None.  A streaming block is run by `score_stream`; a
+    SHASTA one's evaluator is built before its timers start.  A batch
+    block's clock covers building its BatchProblem, the problem's dense
+    arrays included, and every iterate with its subspace error; the
+    reference, and ppca's gap, are read off those arrays once it stops."""
+    d, num_groups = scenario["d"], scenario["num_groups"]
+    f0, v0 = shared_init(seed, d, spec["rank"], num_groups)
+    if spec["kind"] in STREAMING_KINDS:
+        loglik = None
+        if loglik_gap and spec["kind"] == "shasta":
+            # Each gap is taken over the whole (single-epoch) stream.
+            pairs = list(pairs)
+            evaluator = DatasetEvaluator([s for s, _ in pairs], d)
+            truth = pairs[-1][1]
+            loglik = evaluator, evaluator(truth.factors, truth.v_star)
+        est = build_estimator(spec, d, num_groups, f0, v0)
+        trace, seconds, metric_seconds = score_stream(est, pairs, every,
+                                                      num_groups, loglik)
+        return (trace, seconds, metric_seconds,
+                _final(trace, trace.records[-1].t), loglik)
+
+    pairs = list(pairs)
+    samples, truth = [s for s, _ in pairs], pairs[-1][1]
+    start = time.perf_counter()
+    problem = BatchProblem(samples=samples, num_groups=num_groups, d=d,
+                           k=spec["rank"])
+    if spec["kind"] == "batch-mm":
+        iterates = batch_iterates(problem, f0, v0,
+                                  spec.get("iterations", BATCH_ITERATIONS),
+                                  spec.get("tol"))
+    else:  # ppca: one fit, its variance reported but not traced
+        if spec.get("group") is not None:
+            samples = [s for s in samples if s.group == spec["group"]]
+        f, sigma_sq = ppca_closed_form(zero_fill(samples, d), spec["rank"])
+        iterates = [BatchIterate(f, np.full(num_groups, sigma_sq), 1, None)]
+    points = [(it, subspace_error(np.linalg.svd(it.f, full_matrices=False)[0],
+                                  truth.u), time.perf_counter() - start)
+              for it in iterates]
+    seconds = time.perf_counter() - start
+    loglik = None
+    if loglik_gap:
+        loglik = problem.dense, problem.dense(truth.factors, truth.v_star)
+    trace = MetricTrace(num_groups=num_groups)
+    for it, error, elapsed in points:
+        gap = None
+        if loglik is not None:
+            gap = (problem.dense(it.f, it.v) if it.loglik is None
+                   else it.loglik) - loglik[1]
+        trace.append(it.iteration, error, loglik_gap=gap,
+                     v_estimates=it.v if spec["kind"] == "batch-mm" else None,
+                     elapsed_seconds=elapsed)
+    final = _final(trace, len(samples), [float(x) for x in points[-1][0].v])
+    return (trace, seconds, time.perf_counter() - start - seconds, final,
+            loglik)
+
+
 def _final(trace: MetricTrace, samples: int, variances=None) -> dict:
     """A seed's summary entry, read off the trace's last record."""
     last = trace.records[-1]
@@ -489,81 +573,16 @@ def run_experiment(config: ExperimentConfig) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     per_seed = {}
     for seed in config.seeds:
-        trace, final = _run_one_seed(config, seed)
+        trace, _, _, per_seed[seed], _ = run_block(
+            config.estimator, config.scenario, seed,
+            seed_pairs(config.scenario, seed), config.checkpoint_every,
+            config.loglik_gap)
         trace.write_csv(out_dir / f"trace_seed{seed}.csv")
-        per_seed[seed] = final
     summary = _summarize(config, per_seed)
     with open(out_dir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return summary
-
-
-def _run_one_seed(config: ExperimentConfig, seed: int):
-    """One seed's trace and summary entry; a streaming run is scored by
-    `score_stream`."""
-    scenario, spec = config.scenario, config.estimator
-    d, num_groups = scenario["d"], scenario["num_groups"]
-    if scenario["kind"] == "synthetic":
-        stream = run_script(scenario_script(scenario),
-                            seed=np.random.SeedSequence((seed, 0)))
-    else:
-        stream = read_csv_samples(scenario["path"])
-    f0, v0 = shared_init(seed, d, spec["rank"], num_groups)
-    if spec["kind"] in ("batch-mm", "ppca"):
-        return _run_batch_seed(config, list(stream), d, num_groups, f0, v0)
-    loglik = None
-    if config.loglik_gap and spec["kind"] == "shasta":
-        # Each gap is taken over the whole (single-epoch) stream.
-        stream = list(stream)
-        evaluator = DatasetEvaluator([s for s, _ in stream], d)
-        truth = stream[-1][1]
-        loglik = evaluator, evaluator(truth.factors, truth.v_star)
-    est = build_estimator(spec, d, num_groups, f0, v0)
-    trace, _, _ = score_stream(est, stream, config.checkpoint_every,
-                               num_groups, loglik)
-    return trace, _final(trace, trace.records[-1].t)
-
-
-def _run_batch_seed(config: ExperimentConfig, pairs, d, num_groups, f0, v0):
-    spec = config.estimator
-    samples = [s for s, _ in pairs]
-    truth = pairs[-1][1]
-    start = time.perf_counter()
-    problem = BatchProblem(samples=samples, num_groups=num_groups, d=d,
-                           k=spec["rank"])
-    ref = (problem.dense(truth.factors, truth.v_star) if config.loglik_gap
-           else None)
-    if spec["kind"] == "batch-mm":
-        trace = _batch_trace(problem, f0, v0, spec, truth, ref, start)
-        return trace, _final(trace, len(samples))
-
-    group = spec.get("group")
-    subset = (samples if group is None
-              else [s for s in samples if s.group == group])
-    f, sigma_sq = ppca_closed_form(zero_fill(subset, d), spec["rank"])
-    v_hat = np.full(num_groups, max(sigma_sq, 1e-12))
-    trace = MetricTrace(num_groups=num_groups)
-    u_hat = np.linalg.svd(f, full_matrices=False)[0]
-    trace.append(1, subspace_error(u_hat, truth.u),
-                 loglik_gap=None if ref is None else problem.dense(f, v_hat) - ref,
-                 elapsed_seconds=time.perf_counter() - start)
-    return trace, _final(trace, len(subset), [float(sigma_sq)] * num_groups)
-
-
-def _batch_trace(problem, f0, v0, spec, truth, ref, start) -> MetricTrace:
-    """Batch MM from (f0, v0), each iterate scored against the planted truth
-    and timestamped as it arrives (seconds since `start`)."""
-    trace = MetricTrace(num_groups=problem.num_groups)
-    for it in batch_iterates(problem, f0, v0,
-                             spec.get("iterations", BATCH_ITERATIONS),
-                             spec.get("tol")):
-        u_hat = np.linalg.svd(it.f, full_matrices=False)[0]
-        trace.append(it.iteration, subspace_error(u_hat, truth.u),
-                     loglik_gap=None if ref is None else it.loglik - ref,
-                     v_estimates=it.v,
-                     elapsed_seconds=time.perf_counter() - start)
-    return trace
 
 
 def _summarize(config: ExperimentConfig, per_seed: dict) -> dict:
@@ -611,68 +630,47 @@ def load_timing_config(path) -> dict:
 
 def timing_run(config: dict) -> dict:
     """Metric-versus-wallclock comparison of a streaming and a batch solver
-    on the same data from the same random initialization."""
+    on the same data from the same random initialization: each seed's
+    pairs are drawn once and run through `run_block` for each block."""
     out_dir = Path(config["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    scenario = config["scenario"]
-    script = scenario_script(scenario)
-    num_groups = scenario["num_groups"]
+    scenario, every = config["scenario"], config["checkpoint_every"]
     rows = {}
     for seed in config["seeds"]:
-        pairs = list(run_script(script, seed=np.random.SeedSequence((seed, 0))))
-        samples = [s for s, _ in pairs]
-        truth = pairs[-1][1]
-        evaluator = DatasetEvaluator(samples, scenario["d"])
-        ref = evaluator(truth.factors, truth.v_star)
-        f0, v0 = shared_init(seed, scenario["d"], scenario["rank"], num_groups)
-
-        est = build_estimator(config["streaming"], scenario["d"], num_groups,
-                              f0, v0)
-        s_trace, ingest_s, score_s = score_stream(
-            est, pairs, config["checkpoint_every"], num_groups, (evaluator, ref))
+        pairs = list(seed_pairs(scenario, seed))
+        s_trace, ingest_s, score_s, streaming, _ = run_block(
+            config["streaming"], scenario, seed, pairs, every, True)
+        b_trace, batch_s, _, batch, (evaluator, ref) = run_block(
+            config["batch"], scenario, seed, pairs, every, True)
         s_trace.write_csv(out_dir / f"streaming_seed{seed}.csv")
-        row = {
+        b_trace.write_csv(out_dir / f"batch_seed{seed}.csv")
+        f0, v0 = shared_init(seed, scenario["d"], scenario["rank"],
+                             scenario["num_groups"])
+        rows[seed] = {
             "init_gap": evaluator(f0, v0) - ref,
-            "streaming_final_gap": s_trace.records[-1].loglik_gap,
-            "streaming_final_subspace_error": s_trace.records[-1].subspace_error,
+            "streaming_final_gap": streaming["final_loglik_gap"],
+            "streaming_final_subspace_error":
+                streaming["final_subspace_error"],
             "streaming_seconds": ingest_s + score_s,
             "streaming_estimator_seconds": ingest_s,
             "streaming_metric_seconds": score_s,
+            "batch_final_gap": batch["final_loglik_gap"],
+            "batch_final_subspace_error": batch["final_subspace_error"],
+            "batch_seconds": batch_s,
+            "batch_iterations": b_trace.records[-1].t,
         }
-
-        # The timer covers the lazy build of the problem's dense arrays.
-        problem = BatchProblem(samples=samples, num_groups=num_groups,
-                               d=scenario["d"], k=config["batch"]["rank"])
-        start = time.perf_counter()
-        b_trace = _batch_trace(problem, f0, v0, config["batch"], truth, ref, start)
-        batch_time = time.perf_counter() - start
-        b_trace.write_csv(out_dir / f"batch_seed{seed}.csv")
-
-        row.update(
-            batch_final_gap=b_trace.records[-1].loglik_gap,
-            batch_final_subspace_error=b_trace.records[-1].subspace_error,
-            batch_seconds=batch_time,
-            batch_iterations=b_trace.records[-1].t,
-        )
-        rows[seed] = row
 
     def med(key):
         # A streaming estimator without factors (PETRELS, GROUSE) has no gap.
         vals = [r[key] for r in rows.values() if r[key] is not None]
         return float(np.median(vals)) if vals else None
 
-    table = {
-        "seeds": {str(s): r for s, r in rows.items()},
-        "median_streaming_seconds": med("streaming_seconds"),
-        "median_streaming_estimator_seconds": med("streaming_estimator_seconds"),
-        "median_streaming_metric_seconds": med("streaming_metric_seconds"),
-        "median_batch_seconds": med("batch_seconds"),
-        "median_streaming_final_gap": med("streaming_final_gap"),
-        "median_batch_final_gap": med("batch_final_gap"),
-        "median_streaming_final_subspace_error":
-            med("streaming_final_subspace_error"),
-        "median_batch_final_subspace_error": med("batch_final_subspace_error"),
-    }
+    table = {f"median_{key}": med(key) for key in (
+        "streaming_seconds", "streaming_estimator_seconds",
+        "streaming_metric_seconds", "batch_seconds", "streaming_final_gap",
+        "batch_final_gap", "streaming_final_subspace_error",
+        "batch_final_subspace_error")}
+    table["seeds"] = {str(s): r for s, r in rows.items()}
     with open(out_dir / "timing_summary.json", "w") as fh:
         json.dump(table, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -127,7 +127,7 @@ class WeightSchedule:
         """Accepts a number (constant), "1/t", or "a/sqrt(t)" strings."""
         if isinstance(spec, WeightSchedule):
             return spec
-        if isinstance(spec, (int, float)):
+        if isinstance(spec, (int, float)) and not isinstance(spec, bool):
             return WeightSchedule("const", float(spec))
         text = str(spec).replace(" ", "")
         if text == "1/t":

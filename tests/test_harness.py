@@ -502,6 +502,66 @@ class TestTimingRun:
         assert without_elapsed(
             tmp_path / "timing" / "streaming_seed2.csv") == run_trace
 
+    def test_batch_trace_is_the_run_trace(self, tmp_path):
+        # One runner: the timing run's batch trace is the trace `run` writes
+        # for the same scenario, batch block and seed with loglik_gap,
+        # elapsed times aside.
+        batch = {"kind": "batch-mm", "rank": 2, "iterations": 30, "tol": 1e-8}
+        raw = smoke_raw(tmp_path / "run", estimator=batch, seeds=(2,))
+        run_experiment(parse_config(raw))
+        timing = {
+            "scenario": raw["scenario"],
+            "streaming_estimator": {"kind": "shasta", "rank": 2},
+            "batch_estimator": batch,
+            "run": {"seeds": [2], "output_dir": str(tmp_path / "timing")},
+        }
+        timing_run(parse_timing_config(timing))
+
+        def without_elapsed(path):
+            return [line.rsplit(",", 1)[0]
+                    for line in path.read_text().splitlines()]
+
+        run_trace = without_elapsed(tmp_path / "run" / "trace_seed2.csv")
+        assert run_trace[0] == "t,subspace_error,loglik_gap,v_1,v_2"
+        assert len(run_trace) > 2
+        assert all(row.split(",")[2] for row in run_trace[1:])
+        assert without_elapsed(
+            tmp_path / "timing" / "batch_seed2.csv") == run_trace
+
+    def test_dense_builds_per_seed(self, tmp_path, monkeypatch):
+        # A batch run with gaps builds the seed's n x d arrays once; a
+        # SHASTA timing run builds them at most twice, the batch pass's
+        # build inside its clock and the streaming pass's outside its
+        # timers.  Each build is slowed by a known delay to tell.
+        import time
+        from shastapca import model
+        delay, builds = 0.5, []
+        init = model.DatasetEvaluator.__init__
+
+        def slow_init(self, samples, d):
+            builds.append(d)
+            time.sleep(delay)
+            init(self, samples, d)
+
+        monkeypatch.setattr(model.DatasetEvaluator, "__init__", slow_init)
+        raw = smoke_raw(tmp_path / "run", seeds=(0, 1), estimator={
+            "kind": "batch-mm", "rank": 2, "iterations": 5})
+        run_experiment(parse_config(raw))
+        assert len(builds) == 2
+
+        builds.clear()
+        timing = {
+            "scenario": raw["scenario"],
+            "streaming_estimator": smoke_raw(None)["estimator"],
+            "batch_estimator": {"kind": "batch-mm", "rank": 2,
+                                "iterations": 5},
+            "run": {"seeds": [0], "output_dir": str(tmp_path / "timing")},
+        }
+        row = timing_run(parse_timing_config(timing))["seeds"]["0"]
+        assert len(builds) <= 2
+        assert row["batch_seconds"] >= delay
+        assert row["streaming_seconds"] < delay
+
     def test_identical_seeds_identical_metrics(self, tmp_path):
         raw = {
             "scenario": {
@@ -621,6 +681,10 @@ class TestCli:
             # Integers and flags are read, not coerced: 2.7 used to read as 2.
             ("estimator.rank", dict(shasta, rank=2.7)),
             ("estimator.rank", dict(shasta, rank=True)),
+            # Nor is a boolean read as a number: true used to read as 1.0.
+            ("estimator.c_f", dict(shasta, c_f=True)),
+            ("estimator.weights", dict(shasta, weights=True)),
+            ("estimator.tol", {"kind": "batch-mm", "rank": 2, "tol": False}),
             ("estimator.variance_mode",
              dict(shasta, variance_mode="memoryless-single")),
             ("estimator.tol", {"kind": "batch-mm", "rank": 2, "tol": "tight"}),
@@ -675,6 +739,12 @@ class TestCli:
             ("run", "loglik_gap", "false", "run.loglik_gap"),
             ("scenario", "epochs", [{"samples": 200, "redraw_subspace": 1}],
              "scenario.epochs[0].redraw_subspace"),
+            ("scenario", "observe_prob", True, "scenario.observe_prob"),
+            ("scenario", "spectrum", [True, 1.0], "scenario.spectrum"),
+            ("scenario", "variances", [1e-2, False], "scenario.variances"),
+            ("scenario", "epochs",
+             [{"samples": 200, "scale_variance": {"group": 0, "factor": True}}],
+             "scenario.epochs[0].scale_variance.factor"),
             # Each section refuses a key it does not declare; num_groups
             # belongs to a csv scenario only.
             ("scenario", "observe_porb", 0.1, "scenario.observe_porb"),
@@ -771,6 +841,10 @@ class TestCli:
         path = tmp_path / "bad.csv"
         for text, line in [("group,y0\n0,notanumber\n", 2),
                            ("group,variance,y0,y1\n0,abc,1.0,2.0\n", 2),
+                           # A non-finite variance used to pass and print
+                           # "min": NaN, which strict JSON refuses.
+                           ("group,variance,y0\n0,0.5,1.0\n1,nan,2.0\n", 3),
+                           ("group,variance,y0\n0,inf,1.0\n", 2),
                            ("", 1), ("group,y0,group\n0,1.0,1\n", 1)]:
             path.write_text(text)
             commands = [["ingest-check", str(path)]]

@@ -25,32 +25,26 @@ ROW_RIDGE = 1e-10
 
 @dataclass
 class BatchProblem:
-    """A fully materialized partially observed dataset."""
+    """A fully materialized partially observed dataset; the constructor
+    checks it and builds its dense arrays (`DatasetEvaluator`) once."""
 
     samples: list
     num_groups: int
     d: int
     k: int
-    _dense: DatasetEvaluator = field(default=None, repr=False, compare=False)
+    dense: DatasetEvaluator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.samples:
             raise ValueError("batch problem needs at least one sample")
         if self.k < 1 or self.k > self.d:
             raise ValueError("rank must satisfy 1 <= k <= d")
-        for i, s in enumerate(self.samples):
-            if not 0 <= s.group < self.num_groups:
-                raise ValueError(f"sample {i} has group {s.group} outside "
-                                 f"[0, {self.num_groups})")
-            if s.omega.size and s.omega[-1] >= self.d:
-                raise ValueError(f"sample {i} observes coordinate beyond d={self.d}")
-
-    @property
-    def dense(self) -> DatasetEvaluator:
-        """The dataset's mask/value arrays, built on first use."""
-        if self._dense is None:
-            self._dense = DatasetEvaluator(self.samples, self.d)
-        return self._dense
+        self.dense = DatasetEvaluator(self.samples, self.d)
+        groups = self.dense.groups
+        bad = np.flatnonzero((groups < 0) | (groups >= self.num_groups))
+        if bad.size:
+            raise ValueError(f"sample {bad[0]} has group {groups[bad[0]]} "
+                             f"outside [0, {self.num_groups})")
 
 
 @dataclass(frozen=True)
@@ -131,11 +125,16 @@ def batch_iterates(problem: BatchProblem, init_f: np.ndarray,
 
     Runs exactly `iters` iterations unless `tol` is given, in which case it
     stops early once the relative log-likelihood change drops below `tol`.
+    init_f must be the problem's d x k and init_v hold one entry per group.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
     f = check_factors(init_f).copy()
     v = floor_variances(init_v).copy()
+    want_f, want_v = (problem.d, problem.k), (problem.num_groups,)
+    if f.shape != want_f or v.shape != want_v:
+        raise ValueError(f"init_f is {f.shape} and init_v {v.shape}; the "
+                         f"problem needs {want_f} and {want_v}")
     evaluator = problem.dense
     prev = None
     for it in range(1, iters + 1):

@@ -11,14 +11,15 @@ fixed BLAS thread count.
 Every estimator block, a run's and both passes of a timing run, is run by one
 function, `run_block`, from the seed's `shared_init` over the pairs
 `seed_pairs` draws; a streaming block is fed and scored by `score_stream`.
-A batch pass's clock covers building its `BatchProblem`, dense arrays
-included, and every iterate with its subspace error; the reference
-log-likelihood at the planted truth, and ppca's gap, are taken after it stops.
+A batch pass's clock covers building its `BatchProblem` (the dense arrays that
+batch-mm and ppca read) and every iterate with its subspace error; the planted
+truth's log-likelihood, and ppca's gap, are taken after it stops.
 
 CSV dataset format: a header row with a `group` column, an optional
 `variance` column (reporting only), and d value columns, each column named
-once; an empty value cell marks a missing entry.  Rows stream lazily, so file length never affects
-memory use.
+once; an empty value cell marks a missing entry.  Rows stream lazily, but a
+CSV run keeps one d x k basis per checkpoint, to score each against the final
+basis, so its memory grows with the file's length over `checkpoint_every`.
 """
 
 from __future__ import annotations
@@ -397,15 +398,6 @@ def csv_dimension(path) -> int:
         return len(_columns(next(csv.reader(fh), None))[2])
 
 
-def zero_fill(samples, d: int) -> np.ndarray:
-    """Dense n x d matrix with zeros at missing entries, for estimators that
-    need fully sampled data."""
-    out = np.zeros((len(samples), d))
-    for i, s in enumerate(samples):
-        out[i, s.omega] = s.values
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Running experiments
 
@@ -499,9 +491,10 @@ def run_block(spec: dict, scenario: dict, seed: int, pairs, every: int,
     scored its gaps as evaluator(F, v) - ref, ref being the value at the
     planted truth, or None.  A streaming block is run by `score_stream`; a
     SHASTA one's evaluator is built before its timers start.  A batch
-    block's clock covers building its BatchProblem, the problem's dense
-    arrays included, and every iterate with its subspace error; the
-    reference, and ppca's gap, are read off those arrays once it stops."""
+    block's clock covers building its BatchProblem, whose constructor
+    builds the dense arrays that batch-mm iterates on and ppca fits, and
+    every iterate with its subspace error; the reference, and ppca's gap,
+    are read off those arrays once it stops."""
     d, num_groups = scenario["d"], scenario["num_groups"]
     f0, v0 = shared_init(seed, d, spec["rank"], num_groups)
     if spec["kind"] in STREAMING_KINDS:
@@ -523,14 +516,16 @@ def run_block(spec: dict, scenario: dict, seed: int, pairs, every: int,
     start = time.perf_counter()
     problem = BatchProblem(samples=samples, num_groups=num_groups, d=d,
                            k=spec["rank"])
+    dense = problem.dense
+    # The rows the block fits: those of a ppca block's `group`, if it has one.
+    rows = (dense.y if spec.get("group") is None
+            else dense.y[dense.groups == spec["group"]])
     if spec["kind"] == "batch-mm":
         iterates = batch_iterates(problem, f0, v0,
                                   spec.get("iterations", BATCH_ITERATIONS),
                                   spec.get("tol"))
     else:  # ppca: one fit, its variance reported but not traced
-        if spec.get("group") is not None:
-            samples = [s for s in samples if s.group == spec["group"]]
-        f, sigma_sq = ppca_closed_form(zero_fill(samples, d), spec["rank"])
+        f, sigma_sq = ppca_closed_form(rows, spec["rank"])
         iterates = [BatchIterate(f, np.full(num_groups, sigma_sq), 1, None)]
     points = [(it, subspace_error(np.linalg.svd(it.f, full_matrices=False)[0],
                                   truth.u), time.perf_counter() - start)
@@ -538,17 +533,17 @@ def run_block(spec: dict, scenario: dict, seed: int, pairs, every: int,
     seconds = time.perf_counter() - start
     loglik = None
     if loglik_gap:
-        loglik = problem.dense, problem.dense(truth.factors, truth.v_star)
+        loglik = dense, dense(truth.factors, truth.v_star)
     trace = MetricTrace(num_groups=num_groups)
     for it, error, elapsed in points:
         gap = None
         if loglik is not None:
-            gap = (problem.dense(it.f, it.v) if it.loglik is None
+            gap = (dense(it.f, it.v) if it.loglik is None
                    else it.loglik) - loglik[1]
         trace.append(it.iteration, error, loglik_gap=gap,
                      v_estimates=it.v if spec["kind"] == "batch-mm" else None,
                      elapsed_seconds=elapsed)
-    final = _final(trace, len(samples), [float(x) for x in points[-1][0].v])
+    final = _final(trace, len(rows), [float(x) for x in points[-1][0].v])
     return (trace, seconds, time.perf_counter() - start - seconds, final,
             loglik)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import dataset_log_likelihood
+from .model import DatasetEvaluator, check_factors
 
 
 def _basis_gram(u: np.ndarray, tol: float = 1e-8):
@@ -45,9 +45,10 @@ def subspace_error(u_hat: np.ndarray, u: np.ndarray) -> float:
 
 
 def loglik_gap(f, v, samples, f_star, v_star) -> float:
-    """Log-likelihood relative to the reference parameters on the same data."""
-    return (dataset_log_likelihood(f, v, samples)
-            - dataset_log_likelihood(f_star, v_star, samples))
+    """Log-likelihood relative to the reference parameters, on one build of
+    the data's dense arrays."""
+    evaluator = DatasetEvaluator(list(samples), check_factors(f).shape[0])
+    return evaluator(f, v) - evaluator(f_star, v_star)
 
 
 def variance_error(v_hat, v_star) -> np.ndarray:

@@ -244,11 +244,7 @@ def sample_log_likelihood(f: np.ndarray, v: np.ndarray, sample: ObservedSample) 
 
 def dataset_log_likelihood(f: np.ndarray, v: np.ndarray, samples) -> float:
     """Joint observed-data log-likelihood: half the sum of per-sample terms."""
-    f = check_factors(f)
-    samples = list(samples)
-    if not samples:
-        return 0.0
-    return DatasetEvaluator(samples, f.shape[0])(f, v)
+    return DatasetEvaluator(list(samples), check_factors(f).shape[0])(f, v)
 
 
 def minorizer_value(f: np.ndarray, v: np.ndarray, anchor_f: np.ndarray,

@@ -445,7 +445,8 @@ def load_state(path) -> ShastaState:
     The header's (d, k, L) are checked against the file's size, and sigma
     and gamma against (0, 1], before any array is allocated; a file with
     another magic, one that does not fit its header, or one whose arrays
-    hold a non-finite value raises ValueError.
+    hold a value no tick can write (non-finite, a variance below
+    VARIANCE_FLOOR, a negative theta_bar or rho_bar) raises ValueError.
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
@@ -470,6 +471,11 @@ def load_state(path) -> ShastaState:
                   .reshape(shape).copy() for name, shape in arrays}
     if not all(np.isfinite(a).all() for a in fields.values()):
         raise ValueError("state checkpoint holds non-finite values")
+    v, theta_bar, rho_bar = fields["v"], fields["theta_bar"], fields["rho_bar"]
+    if v.min() < VARIANCE_FLOOR or min(theta_bar.min(), rho_bar.min()) < 0:
+        raise ValueError(f"state checkpoint holds variances {v.tolist()} (floor "
+                         f"{VARIANCE_FLOOR}), theta_bar {theta_bar.tolist()} "
+                         f"and rho_bar {rho_bar.tolist()} (each must be >= 0)")
     return ShastaState(**fields, t=int(t), sigma=sigma, gamma=gamma)
 
 

@@ -23,7 +23,6 @@ from shastapca.harness import (
     run_experiment,
     shared_init,
     timing_run,
-    zero_fill,
 )
 from shastapca.metrics import subspace_error
 from shastapca.model import (
@@ -161,7 +160,7 @@ def test_c4_static_full_observation():
         u_batch = np.linalg.svd(final.f, full_matrices=False)[0]
         errs["batch"].append(subspace_error(u_batch, truth.u))
 
-        f_ppca, _ = ppca_closed_form(zero_fill(samples, 100), 3)
+        f_ppca, _ = ppca_closed_form(problem.dense.y, 3)
         u_ppca = np.linalg.svd(f_ppca, full_matrices=False)[0]
         errs["ppca"].append(subspace_error(u_ppca, truth.u))
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +41,26 @@ def planted_samples(rng, u, spectrum, v_star, groups):
         eps = np.sqrt(v_star[g]) * rng.standard_normal(u.shape[0])
         out.append(ObservedSample.full(f_star @ z + eps, g))
     return out
+
+
+class TestBatchProblem:
+    def test_builds_its_dense_arrays(self):
+        s = ObservedSample(np.array([1, 3]), np.array([5.0, -2.0]), 1)
+        dense = BatchProblem([s], num_groups=2, d=5, k=1).dense
+        np.testing.assert_array_equal(dense.y, [[0.0, 5.0, 0.0, -2.0, 0.0]])
+        np.testing.assert_array_equal(dense.w, [[0.0, 1.0, 0.0, 1.0, 0.0]])
+        np.testing.assert_array_equal(dense.groups, [1])
+
+    @pytest.mark.parametrize("bad, message", [
+        (ObservedSample(np.array([0, 2]), np.array([1.0, 2.0]), 2),
+         "sample 1 has group 2 outside"),
+        (ObservedSample(np.array([0, 3]), np.array([1.0, 2.0]), 0),
+         "sample 1 observes coordinate 3 >= d=3"),
+    ], ids=["group", "coordinate"])
+    def test_refuses_a_sample_outside_the_problem(self, bad, message):
+        good = ObservedSample.full([1.0, 2.0, 3.0], 0)
+        with pytest.raises(ValueError, match=message):
+            BatchProblem([good, bad, good], num_groups=2, d=3, k=1)
 
 
 class TestVStep:
@@ -322,6 +344,20 @@ class TestBatchSolve:
         p = random_problem(rng, 4, 1, 1, n=3, observe_prob=1.0)
         with pytest.raises(ValueError):
             batch_solve(p, np.zeros((4, 1)), np.array([1.0]), iters=0)
+
+    @pytest.mark.parametrize("f_shape, v_size, num_groups", [
+        ((6, 3), 2, 2), ((6, 1), 2, 2), ((8, 2), 2, 2), ((6, 2), 3, 2),
+        ((6, 2), 2, 3),
+    ], ids=["wide_f", "narrow_f", "tall_f", "long_v", "more_groups"])
+    def test_rejects_init_of_another_shape(self, f_shape, v_size, num_groups):
+        # d=6, k=2: init_f must be 6 x 2 and init_v hold one entry per group.
+        rng = np.random.default_rng(12)
+        samples = [random_sample(rng, 6, 2, 0.7) for _ in range(10)]
+        p = BatchProblem(samples, num_groups=num_groups, d=6, k=2)
+        want = (f"init_f is {f_shape} and init_v ({v_size},); the problem "
+                f"needs (6, 2) and ({num_groups},)")
+        with pytest.raises(ValueError, match=re.escape(want)):
+            batch_solve(p, np.ones(f_shape), np.ones(v_size), iters=3)
 
 
 class TestPPCA:

@@ -23,7 +23,6 @@ from shastapca.harness import (
     run_experiment,
     shared_init,
     timing_run,
-    zero_fill,
 )
 from shastapca.metrics import MetricTrace
 from shastapca.model import ObservedSample
@@ -207,13 +206,6 @@ class TestRunExperiment:
         raw["run"]["loglik_gap"] = False
         summary = run_experiment(parse_config(raw))
         assert summary["seeds"]["0"]["samples"] == 50
-
-
-class TestZeroFill:
-    def test_missing_entries_become_zeros(self):
-        s = ObservedSample(np.array([1, 3]), np.array([5.0, -2.0]), 0)
-        dense = zero_fill([s], d=5)
-        np.testing.assert_array_equal(dense, [[0.0, 5.0, 0.0, -2.0, 0.0]])
 
 
 class TestCsvIngestion:
@@ -529,10 +521,11 @@ class TestTimingRun:
             tmp_path / "timing" / "batch_seed2.csv") == run_trace
 
     def test_dense_builds_per_seed(self, tmp_path, monkeypatch):
-        # A batch run with gaps builds the seed's n x d arrays once; a
-        # SHASTA timing run builds them at most twice, the batch pass's
-        # build inside its clock and the streaming pass's outside its
-        # timers.  Each build is slowed by a known delay to tell.
+        # A batch-mm or ppca run with gaps builds the seed's n x d arrays
+        # once, inside its clock; a SHASTA timing run builds them at most
+        # twice, the batch pass's build inside its clock and the streaming
+        # pass's outside its timers.  Each build is slowed by a known delay
+        # to tell.
         import time
         from shastapca import model
         delay, builds = 0.5, []
@@ -548,6 +541,14 @@ class TestTimingRun:
             "kind": "batch-mm", "rank": 2, "iterations": 5})
         run_experiment(parse_config(raw))
         assert len(builds) == 2
+
+        builds.clear()
+        raw = smoke_raw(tmp_path / "ppca", seeds=(0, 1),
+                        estimator={"kind": "ppca", "rank": 2})
+        summary = run_experiment(parse_config(raw))
+        assert len(builds) == 2
+        for seed in ("0", "1"):
+            assert summary["seeds"][seed]["elapsed_seconds"] >= delay
 
         builds.clear()
         timing = {

@@ -599,6 +599,37 @@ class TestBoundedState:
         with pytest.raises(ValueError, match="non-finite"):
             load_state(path)
 
+    def test_load_rejects_out_of_range_values(self, tmp_path, capsys):
+        # No tick writes a variance below the floor or a negative
+        # accumulator, so a checkpoint holding one is refused, and state-dump
+        # reports it as a JSON value error; the bounds themselves load.
+        import json
+        from shastapca.cli import main as cli_main
+        path = tmp_path / "state.bin"
+        save_state(fresh_state(make_config(), d=4), path)
+        valid = path.read_bytes()
+        offsets, at = {}, 48
+        for name, shape in shasta._arrays(4, 2, 2):
+            offsets[name], at = at, at + 8 * int(np.prod(shape))
+
+        def patched(name, values):
+            data = bytearray(valid)
+            data[offsets[name]:offsets[name] + 16] = struct.pack("<2d", *values)
+            path.write_bytes(bytes(data))
+
+        for name, values in (("v", (-3.0, 0.0)),
+                             ("v", (0.5, VARIANCE_FLOOR / 2)),
+                             ("theta_bar", (0.0, -1.0)),
+                             ("rho_bar", (-1e-300, 0.0))):
+            patched(name, values)
+            with pytest.raises(ValueError, match="theta_bar"):
+                load_state(path)
+            assert cli_main(["state-dump", str(path)]) == 1, (name, values)
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "value", err
+        patched("v", (VARIANCE_FLOOR, 2.0))
+        np.testing.assert_array_equal(load_state(path).v, [VARIANCE_FLOOR, 2.0])
+
     def test_resume_across_a_fold_is_bitwise(self, tmp_path):
         # w = c_f = 0.5 takes sigma and gamma below SCALE_FLOOR at tick 100,
         # where both are folded into the arrays.  Checkpoints written just

@@ -3,9 +3,9 @@
 Each iteration updates the noise variances with the factors held fixed, then
 updates the factors row by row with the variances held fixed.  Both updates
 maximize the EM surrogate in closed form, so the observed-data log-likelihood
-is non-decreasing across iterations.  Each step reads every sample's
-posterior off the model's one k x k kernel (`DatasetEvaluator.parts`: one
-Gram and one batched eigendecomposition at the step's factors).  Also
+is non-decreasing across iterations.  Each iteration forms the model's one
+k x k kernel (`DatasetEvaluator.parts`: one Gram and one batched
+eigendecomposition) once, at its factors, and both steps read it.  Also
 provides the closed-form homoscedastic PPCA solution used as a batch
 baseline.
 """
@@ -57,21 +57,20 @@ class BatchIterate:
     loglik: float
 
 
-def batch_v_step(f: np.ndarray, v_prev: np.ndarray, problem: BatchProblem) -> np.ndarray:
+def batch_v_step(parts, v_prev: np.ndarray, problem: BatchProblem) -> np.ndarray:
     """Exact maximizer of the surrogate in the variances, factors fixed.
 
     For each group: v = rho / theta with theta the total observed-entry count
     and rho the posterior-expected residual power.  Groups with no observed
-    entries keep their previous value.
+    entries keep their previous value.  parts must be `problem.dense.parts(F)`
+    at the fixed factors F (its `fo`); it is not checked.
     """
-    f = check_factors(f)
     v_prev = floor_variances(v_prev)
     dense = problem.dense
     vg = v_prev[dense.groups]
-    parts = dense.parts(f)
 
     # w (y - zbar F'), in one n x d buffer.
-    resid = parts.mean(vg) @ f.T
+    resid = parts.mean(vg) @ parts.fo.T
     np.subtract(dense.y, resid, out=resid)
     resid *= dense.w
     rss = np.einsum("nd,nd->n", resid, resid)
@@ -88,28 +87,26 @@ def batch_v_step(f: np.ndarray, v_prev: np.ndarray, problem: BatchProblem) -> np
     return floor_variances(v_new)
 
 
-def batch_f_step(f_prev: np.ndarray, v: np.ndarray, problem: BatchProblem) -> np.ndarray:
+def batch_f_step(parts, v: np.ndarray, problem: BatchProblem) -> np.ndarray:
     """Row-separable maximizer of the surrogate in the factors, variances fixed.
 
     Row j solves R_j f_j = s_j where R_j and s_j accumulate the posterior
     second moments of every sample observing coordinate j, inversely weighted
     by that sample's group variance.  Rows observed by no sample carry
     forward, and each solve is ridge-stabilized relative to trace(R_j).
+    parts is as for `batch_v_step`, at the previous factors F.
     """
-    f_prev = check_factors(f_prev)
-    v = floor_variances(v)
     dense = problem.dense
     k = problem.k
-    vg = v[dense.groups]
-    stats = dense.parts(f_prev).posterior(vg)
-    zbar = stats.zbar
+    vg = floor_variances(v)[dense.groups]
+    m, zbar = parts.posterior(vg)
 
-    contrib = zbar[:, :, None] * zbar[:, None, :] / vg[:, None, None] + stats.m
+    contrib = zbar[:, :, None] * zbar[:, None, :] / vg[:, None, None] + m
     r = (dense.w.T @ contrib.reshape(-1, k * k)).reshape(problem.d, k, k)
     s = dense.y.T @ (zbar / vg[:, None])
 
     observed_rows = dense.w.sum(axis=0) > 0
-    f_new = f_prev.copy()
+    f_new = parts.fo.copy()
     if np.any(observed_rows):
         r_obs = r[observed_rows]
         eps = ROW_RIDGE * np.trace(r_obs, axis1=1, axis2=2) / k
@@ -129,6 +126,8 @@ def batch_iterates(problem: BatchProblem, init_f: np.ndarray,
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
+    if tol is not None and not tol >= 0.0:
+        raise ValueError("tol must be >= 0")
     f = check_factors(init_f).copy()
     v = floor_variances(init_v).copy()
     want_f, want_v = (problem.d, problem.k), (problem.num_groups,)
@@ -138,8 +137,10 @@ def batch_iterates(problem: BatchProblem, init_f: np.ndarray,
     evaluator = problem.dense
     prev = None
     for it in range(1, iters + 1):
-        v = batch_v_step(f, v, problem)
-        f = batch_f_step(f, v, problem)
+        parts = evaluator.parts(f)
+        v = batch_v_step(parts, v, problem)
+        f = batch_f_step(parts, v, problem)
+        del parts  # freed before the log-likelihood forms its own: peak memory
         loglik = evaluator(f, v)
         yield BatchIterate(f=f.copy(), v=v.copy(), iteration=it, loglik=loglik)
         if tol is not None and prev is not None:

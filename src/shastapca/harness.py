@@ -211,8 +211,10 @@ def _parse_run(top: dict, default_every: int) -> dict:
     """The `run` block of an experiment or a timing config: its seeds,
     checkpoint cadence, output directory and `loglik_gap` flag."""
     run = _section(top["run"], "run", RUN)
-    if not run["seeds"]:
-        raise ConfigError("run.seeds", "need at least one seed")
+    seeds = run["seeds"]
+    if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
+        raise ConfigError("run.seeds", "need distinct non-negative seeds, "
+                                       "at least one")
     if run.setdefault("checkpoint_every", default_every) < 1:
         raise ConfigError("run.checkpoint_every", "must be >= 1")
     if run["output_dir"] is None:
@@ -283,6 +285,9 @@ def _estimator(top: dict, key: str, scenario: dict, kinds) -> dict:
                                      **ESTIMATOR_SETTINGS[kind]}, ("rank",)))
     if spec.get("iterations", BATCH_ITERATIONS) < 1:
         raise ConfigError(f"{key}.iterations", "must be >= 1")
+    tol = spec.get("tol")
+    if tol is not None and not tol >= 0.0:
+        raise ConfigError(f"{key}.tol", "must be >= 0")
     _check_estimator(spec, key, scenario)
     return spec
 

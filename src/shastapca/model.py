@@ -204,16 +204,17 @@ class ObservedParts(NamedTuple):
 
 def observed_parts(fo: np.ndarray, values: np.ndarray) -> ObservedParts:
     """ObservedParts from a sample's observed factor rows fo (|omega| x k)
-    and its observed values.  The rows must be finite; if they are not, the
-    sample is rejected.
+    and its observed values.  The rows and their Gram must be finite; if
+    they are not, the sample is rejected.
 
     A non-finite entry of fo makes its column's diagonal entry of the Gram,
-    and so the Gram's sum, non-finite; a finite sum therefore clears fo in
-    one reduction, and fo itself is scanned only when the sum is not finite
-    (such an entry, or overflow)."""
+    and so the Gram's sum, non-finite; a finite sum therefore clears fo and
+    the Gram in one reduction, and the Gram itself is scanned only when the
+    sum is not finite (such an entry, or overflow)."""
     gram = fo.T @ fo
-    if not (math.isfinite(gram.sum()) or np.isfinite(fo).all()):
-        raise RejectedSample("observed factor rows must be finite")
+    if not (math.isfinite(gram.sum()) or np.isfinite(gram).all()):
+        raise RejectedSample("observed factor rows and their Gram must be "
+                             "finite")
     evals, evecs = _gram_spectrum(gram)
     return ObservedParts(fo, evals, evecs, evecs.T @ (fo.T @ values))
 

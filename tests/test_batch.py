@@ -13,6 +13,7 @@ from shastapca.batch import (
     random_init,
 )
 from shastapca.model import (
+    DatasetEvaluator,
     ObservedSample,
     dataset_log_likelihood,
     minorizer_value,
@@ -70,19 +71,20 @@ class TestVStep:
         d, n = 6, 9
         samples = [ObservedSample.full(rng.standard_normal(d), 0) for _ in range(n)]
         p = BatchProblem(samples, num_groups=1, d=d, k=2)
-        v = batch_v_step(np.zeros((d, 2)), np.array([0.5]), p)
+        v = batch_v_step(p.dense.parts(np.zeros((d, 2))), np.array([0.5]), p)
         want = sum(s.values @ s.values for s in samples) / (n * d)
         assert v[0] == pytest.approx(want, rel=1e-12)
 
     def test_single_scalar_sample(self):
         # d=1, y=2, F=0: v = ||y||^2 / |omega| = 4.
         p = BatchProblem([ObservedSample.full([2.0], 0)], num_groups=1, d=1, k=1)
-        v = batch_v_step(np.zeros((1, 1)), np.array([1.0]), p)
+        v = batch_v_step(p.dense.parts(np.zeros((1, 1))), np.array([1.0]), p)
         assert v[0] == pytest.approx(4.0)
 
     def test_unseen_group_carries_forward(self):
         p = BatchProblem([ObservedSample.full([1.0, 2.0], 0)], num_groups=2, d=2, k=1)
-        v = batch_v_step(np.zeros((2, 1)), np.array([0.5, 0.125]), p)
+        v = batch_v_step(p.dense.parts(np.zeros((2, 1))), np.array([0.5, 0.125]),
+                         p)
         assert v[1] == 0.125
 
     @given(seed=st.integers(0, 10_000))
@@ -95,7 +97,7 @@ class TestVStep:
         p = random_problem(rng, d, k, num_groups, n=12, observe_prob=0.7)
         f = rng.standard_normal((d, k))
         v_prev = rng.uniform(0.1, 1.0, size=num_groups)
-        v_new = batch_v_step(f, v_prev, p)
+        v_new = batch_v_step(p.dense.parts(f), v_prev, p)
 
         for g in range(num_groups):
             theta, rho = 0.0, 0.0
@@ -129,13 +131,14 @@ class TestFStep:
             vals[0] = 0.0
             samples.append(ObservedSample.full(vals, 0))
         p = BatchProblem(samples, num_groups=1, d=d, k=k)
-        f = batch_f_step(rng.standard_normal((d, k)), np.array([0.5]), p)
+        f = batch_f_step(p.dense.parts(rng.standard_normal((d, k))),
+                         np.array([0.5]), p)
         np.testing.assert_allclose(f[0], 0.0, atol=1e-12)
 
     def test_hand_worked_scalar_case(self):
         # k=1, d=1, y=1, f_prev=1, v=1: zbar=1/2, m=1/2, r=3/4, s=1/2, f=2/3.
         p = BatchProblem([ObservedSample.full([1.0], 0)], num_groups=1, d=1, k=1)
-        f = batch_f_step(np.ones((1, 1)), np.array([1.0]), p)
+        f = batch_f_step(p.dense.parts(np.ones((1, 1))), np.array([1.0]), p)
         assert f[0, 0] == pytest.approx(2.0 / 3.0, rel=1e-9)
 
     def test_unobserved_rows_carry_forward(self):
@@ -146,7 +149,7 @@ class TestFStep:
                    for _ in range(5)]
         p = BatchProblem(samples, num_groups=1, d=d, k=k)
         f_prev = rng.standard_normal((d, k))
-        f = batch_f_step(f_prev, np.array([1.0]), p)
+        f = batch_f_step(p.dense.parts(f_prev), np.array([1.0]), p)
         np.testing.assert_array_equal(f[4:], f_prev[4:])
 
     @given(seed=st.integers(0, 10_000))
@@ -159,7 +162,7 @@ class TestFStep:
         p = random_problem(rng, d, k, num_groups=2, n=10, observe_prob=0.8)
         f_prev = rng.standard_normal((d, k))
         v = rng.uniform(0.2, 1.5, size=2)
-        f_new = batch_f_step(f_prev, v, p)
+        f_new = batch_f_step(p.dense.parts(f_prev), v, p)
 
         def surrogate(f):
             return sum(minorizer_value(f, v, f_prev, v, s) for s in p.samples)
@@ -185,7 +188,7 @@ class TestFStep:
         for case in DEGENERATE:
             f_prev, v, samples = degenerate(rng, case, f0, v0, p0.samples)
             p = BatchProblem(samples, num_groups=2, d=d, k=k)
-            f_new = batch_f_step(f_prev, v, p)
+            f_new = batch_f_step(p.dense.parts(f_prev), v, p)
             assert np.isfinite(f_new).all(), case
 
             r = np.zeros((d, k, k))
@@ -222,8 +225,8 @@ class TestFStep:
                        for s in block_a]
         pert = BatchProblem(perturbed_a + block_b, num_groups=1, d=d, k=k)
 
-        f_base = batch_f_step(f_prev, v, base)
-        f_pert = batch_f_step(f_prev, v, pert)
+        f_base = batch_f_step(base.dense.parts(f_prev), v, base)
+        f_pert = batch_f_step(pert.dense.parts(f_prev), v, pert)
         np.testing.assert_array_equal(f_base[2:], f_pert[2:])
         assert not np.allclose(f_base[:2], f_pert[:2])
 
@@ -251,7 +254,7 @@ class TestFullyObservedEquivalence:
             theta[s.group] += d
             rho[s.group] += resid @ resid + vg * np.trace(f.T @ f @ m)
         v_direct = rho / theta
-        v_got = batch_v_step(f, v_prev, p)
+        v_got = batch_v_step(p.dense.parts(f), v_prev, p)
         np.testing.assert_allclose(v_got, v_direct, rtol=1e-12)
 
         # Direct f update at the updated variances, ridge included.
@@ -265,7 +268,7 @@ class TestFullyObservedEquivalence:
             s_rows += np.outer(smp.values, zbar) / vg
         eps = 1e-10 * np.trace(r) / k
         f_direct = np.linalg.solve(r + eps * np.eye(k), s_rows.T).T
-        f_got = batch_f_step(f, v_direct, p)
+        f_got = batch_f_step(p.dense.parts(f), v_direct, p)
         np.testing.assert_allclose(f_got, f_direct, rtol=1e-12, atol=1e-14)
 
 
@@ -276,11 +279,31 @@ class TestBatchSolve:
         p = random_problem(rng, d, k, num_groups=2, n=12, observe_prob=0.7)
         f0, v0 = random_init(rng, d, k, 2)
         (it,) = batch_solve(p, f0, v0, iters=1)
-        v1 = batch_v_step(f0, v0, p)
-        f1 = batch_f_step(f0, v1, p)
+        parts = p.dense.parts(f0)
+        v1 = batch_v_step(parts, v0, p)
+        f1 = batch_f_step(parts, v1, p)
         np.testing.assert_array_equal(it.f, f1)
         np.testing.assert_array_equal(it.v, v1)
         assert it.iteration == 1
+
+    def test_parts_formed_twice_per_iteration(self, monkeypatch):
+        # Both steps read one set of parts at the iteration's F, and the
+        # log-likelihood forms its own at the new F.
+        rng = np.random.default_rng(13)
+        p = random_problem(rng, 6, 2, 2, n=12, observe_prob=0.7)
+        f0, v0 = random_init(rng, 6, 2, 2)
+        seen = []
+        parts = DatasetEvaluator.parts
+
+        def counted(self, f):
+            seen.append(f.copy())
+            return parts(self, f)
+
+        monkeypatch.setattr(DatasetEvaluator, "parts", counted)
+        its = batch_solve(p, f0, v0, iters=4)
+        assert len(its) == 4 and len(seen) == 2 * len(its)
+        for got, want in zip(seen, [f0] + [it.f for it in its for _ in (0, 1)]):
+            np.testing.assert_array_equal(got, want)
 
     def test_iterate_loglik_matches_dataset(self):
         rng = np.random.default_rng(7)
@@ -344,6 +367,18 @@ class TestBatchSolve:
         p = random_problem(rng, 4, 1, 1, n=3, observe_prob=1.0)
         with pytest.raises(ValueError):
             batch_solve(p, np.zeros((4, 1)), np.array([1.0]), iters=0)
+
+    def test_tol_is_non_negative(self):
+        # A negative or NaN tol used to run every iteration; 0 still runs
+        # every iteration, and inf stops at the first change.
+        rng = np.random.default_rng(14)
+        p = random_problem(rng, 4, 1, 1, n=6, observe_prob=1.0)
+        f0, v0 = random_init(rng, 4, 1, 1)
+        for tol in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="tol must be >= 0"):
+                batch_solve(p, f0, v0, iters=5, tol=tol)
+        assert len(batch_solve(p, f0, v0, iters=5, tol=0.0)) == 5
+        assert len(batch_solve(p, f0, v0, iters=5, tol=float("inf"))) == 2
 
     @pytest.mark.parametrize("f_shape, v_size, num_groups", [
         ((6, 3), 2, 2), ((6, 1), 2, 2), ((8, 2), 2, 2), ((6, 2), 3, 2),

@@ -123,6 +123,16 @@ class TestConfigParsing:
             "kind": "ppca", "rank": 2, "group": None}))
         assert config.estimator["group"] is None
         assert run_experiment(config)["seeds"]["0"]["samples"] == 200
+        # A tol of 0 or inf is legal: every iteration runs, or the run
+        # stops at the first change.
+        for tol, iterations in ((0.0, 5), (float("inf"), 2)):
+            out = tmp_path / f"tol{tol}"
+            config = parse_config(smoke_raw(out, {
+                "kind": "batch-mm", "rank": 2, "iterations": 5, "tol": tol}))
+            assert config.estimator["tol"] == tol
+            run_experiment(config)
+            trace = MetricTrace.read_csv(out / "trace_seed0.csv")
+            assert len(trace.records) == iterations
         # A null setting with a default other than none is refused.
         with pytest.raises(ConfigError) as err:
             parse_config(smoke_raw("x", {"kind": "shasta", "rank": 2,
@@ -689,6 +699,10 @@ class TestCli:
             ("estimator.variance_mode",
              dict(shasta, variance_mode="memoryless-single")),
             ("estimator.tol", {"kind": "batch-mm", "rank": 2, "tol": "tight"}),
+            # A negative or NaN tol used to run every iteration silently.
+            ("estimator.tol", {"kind": "batch-mm", "rank": 2, "tol": -1.0}),
+            ("estimator.tol",
+             {"kind": "batch-mm", "rank": 2, "tol": float("nan")}),
             # A key the estimator's kind does not declare, a misspelling
             # that used to be dropped (forgetting read as 1.0).
             ("estimator.forgeting",
@@ -814,7 +828,10 @@ class TestCli:
             raw["scenario"]["group_counts"] = counts
             assert_config_error(tmp_path, capsys, "run", raw, field)
         # Both commands read the run block alike: no seeds, or no output
-        # directory (which used to create one named 'None'), is refused.
+        # directory (which used to create one named 'None'), is refused; so
+        # is a negative seed (which used to fail after the output directory
+        # existed, naming no field) and a repeated one (which used to run
+        # twice and write its trace twice).
         timing = {key: smoke_raw(tmp_path / "out")[key]
                   for key in ("scenario", "run")}
         timing["streaming_estimator"] = {"kind": "shasta", "rank": 2}
@@ -822,6 +839,9 @@ class TestCli:
         for command, base in [("run", smoke_raw(tmp_path / "out")),
                               ("timing", timing)]:
             for key, value, field in [("seeds", [], "run.seeds"),
+                                      ("seeds", [-1], "run.seeds"),
+                                      ("seeds", [0, 0], "run.seeds"),
+                                      ("seeds", [2, 1, 2], "run.seeds"),
                                       ("output_dir", None, "run.output_dir")]:
                 raw = dict(base, run=dict(base["run"], **{key: value}))
                 assert_config_error(tmp_path, capsys, command, raw, field)

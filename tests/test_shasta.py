@@ -1,9 +1,12 @@
 import copy
 import struct
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shastapca import RejectedSample, shasta
 from shastapca.batch import BatchProblem, batch_f_step
@@ -192,7 +195,8 @@ class TestFStep:
         f_batch = state.f.copy()
         for _ in range(4):
             f_step(state, sample, w=1.0, c_f=1.0, parts=step_parts(state, sample))
-            f_batch = batch_f_step(f_batch, v, problem)
+            f_batch = batch_f_step(problem.dense.parts(f_batch), v,
+                                   problem)
             np.testing.assert_allclose(state.f, f_batch, rtol=1e-8)
 
 
@@ -342,6 +346,28 @@ class TestAtomicTick:
                     state.theta_bar, state.rho_bar):
             assert np.isfinite(arr).all()
 
+    @pytest.mark.parametrize("f0, sample, message", [
+        # Finite observed rows whose Gram overflows (1e155^2): the tick used
+        # to leak numpy's LinAlgError from the eigendecomposition.
+        (np.full((3, 2), 1e155),
+         ObservedSample(np.array([2]), np.array([0.0]), 0), "Gram"),
+        # F = 2^28 fits y exactly (lambda + v_g rounds to lambda = 2^56), so
+        # the residual is 0 and the variance step keeps v_g = 0.5; the row's
+        # y zbar / v_g, about 7e309, overflows in the factor step.
+        (np.array([[2.0 ** 28]]), ObservedSample.full([1e159], 0),
+         "factor update"),
+    ], ids=["gram", "row_system"])
+    def test_overflow_is_rejected(self, tmp_path, f0, sample, message):
+        cfg = ShastaConfig(weights=0.5, c_f=0.5, c_v=0.5)
+        state = init_state(cfg, f0, np.array([0.5]))
+        save_state(state, tmp_path / "before.bin")
+        with pytest.raises(RejectedSample, match=message):
+            ingest(state, sample, cfg)
+        assert state.t == 0
+        save_state(state, tmp_path / "after.bin")
+        assert ((tmp_path / "before.bin").read_bytes()
+                == (tmp_path / "after.bin").read_bytes())
+
     def test_failed_factor_step_undoes_variance_step(self, tmp_path,
                                                      monkeypatch):
         cfg, state, rng = self.stream()
@@ -357,6 +383,59 @@ class TestAtomicTick:
         save_state(state, tmp_path / "after.bin")
         assert ((tmp_path / "before.bin").read_bytes()
                 == (tmp_path / "after.bin").read_bytes())
+
+
+class TestTickInvariants:
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_every_tick_keeps_the_state_bounded_or_rejects(self, data):
+        # Factors and values of magnitudes up to about 1e300, and samples
+        # that may observe nothing: after every tick the state is finite,
+        # each materialized row system is positive definite and the
+        # variances are at or above the floor; or the tick raised
+        # RejectedSample and left the state, t and its checkpoint bytes
+        # included, as it was.  The weights stay below 1: under 1/t,
+        # w_1 = 1 zeroes every stored system, and the rows no sample has
+        # observed since are then 0 by design.
+        k = data.draw(st.integers(1, 3))
+        d = data.draw(st.integers(k, 6))
+        weight = st.floats(0.01, 0.99)
+        weights = data.draw(st.one_of(
+            weight.map(lambda a: WeightSchedule("const", a)),
+            weight.map(lambda a: WeightSchedule("inv_sqrt", a))))
+        cfg = ShastaConfig(weights=weights, c_f=data.draw(weight),
+                           c_v=data.draw(weight))
+        value = st.builds(lambda m, e: m * 10.0 ** e,
+                          st.floats(-1.0, 1.0), st.integers(-3, 300))
+        f0 = np.random.default_rng(d * 10 + k).standard_normal((d, k))
+        state = init_state(cfg, f0 * data.draw(value), np.array([0.5, 1.0]))
+        ticks = data.draw(st.lists(st.tuples(
+            st.lists(st.booleans(), min_size=d, max_size=d),
+            st.lists(value, min_size=d, max_size=d),
+            st.integers(0, 1)), min_size=1, max_size=40))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "state.bin"
+
+            def checkpoint():
+                save_state(state, path)
+                return path.read_bytes()
+
+            for mask, y, group in ticks:
+                omega = np.flatnonzero(mask)
+                t, before = state.t, checkpoint()
+                try:
+                    ingest(state, ObservedSample(omega, np.array(y)[omega],
+                                                 group), cfg)
+                except RejectedSample:
+                    assert state.t == t and checkpoint() == before
+                    continue
+                assert state.t == t + 1
+                for arr in (state.f, state.r_bar, state.s_bar, state.dev,
+                            state.fhat, state.v, state.theta_bar,
+                            state.rho_bar):
+                    assert np.isfinite(arr).all()
+                np.linalg.cholesky(state.r_bar)  # raises unless each is SPD
+                assert (state.v >= VARIANCE_FLOOR).all()
 
 
 def numpy_v_step(state, sample, w, c_v, parts):

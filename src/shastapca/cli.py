@@ -103,6 +103,8 @@ def cmd_state_dump(args) -> int:
         "k": state.k,
         "num_groups": state.num_groups,
         "samples_ingested": state.t,
+        "sigma": state.sigma,
+        "gamma": state.gamma,
         "variances": [float(x) for x in state.v],
         "factor_frobenius_norm": float(np.linalg.norm(state.f)),
         "theta_bar": [float(x) for x in state.theta_bar],

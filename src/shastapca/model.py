@@ -301,10 +301,15 @@ class DatasetEvaluator:
         self.ysq = np.einsum("nd,nd->n", self.y, self.y)
 
     def parts(self, f: np.ndarray) -> ObservedParts:
-        """Every sample's ObservedParts at f, stacked along a leading axis."""
+        """Every sample's ObservedParts at f, stacked along a leading axis; a
+        Gram that overflows raises ValueError instead of a numpy warning."""
         k = f.shape[1]
-        pairs = (f[:, :, None] * f[:, None, :]).reshape(self.d, k * k)
-        evals, evecs = _gram_spectrum((self.w @ pairs).reshape(-1, k, k))
+        with np.errstate(over="ignore", invalid="ignore"):
+            pairs = (f[:, :, None] * f[:, None, :]).reshape(self.d, k * k)
+            grams = (self.w @ pairs).reshape(-1, k, k)
+            if not (math.isfinite(grams.sum()) or np.isfinite(grams).all()):
+                raise ValueError("per-sample Gram F_o' F_o is not finite")
+        evals, evecs = _gram_spectrum(grams)
         proj = (np.swapaxes(evecs, 1, 2) @ (self.y @ f)[..., None])[..., 0]
         return ObservedParts(f, evals, evecs, proj)
 

@@ -43,12 +43,12 @@ check is one sum, a non-finite entry making the sum non-finite; the exact
 scan runs only when a sum is not finite (such an entry, or overflow, which
 cannot warn: `ingest` keeps numpy's floating-point warnings off).
 
-Ticks are all or nothing: each step computes into locals, checks that the
-new variances and the new observed rows are finite, and only then writes the
-state; `ingest` advances t only after both steps succeed and undoes the
-variance step if the factor step fails.  A sample that would make the state
-non-finite raises RejectedSample (a ValueError) and leaves the state, t
-included, unchanged, so F stays finite by construction.  The stored arrays
+Ticks are all or nothing by the order of their writes: the variance step
+returns the new variances and writes nothing, the factor step checks the
+new observed rows before it writes the row arrays and the scales, and
+`ingest` then commits the variances and t.  A sample that would make the
+state non-finite raises RejectedSample (a ValueError) and leaves the state,
+t included, unchanged, so F stays finite by construction.  The stored arrays
 are the eager ones divided by sigma or gamma, up to 1/SCALE_FLOOR = 1e30
 times larger.  So a sample whose eager update stays below about 1e278
 (float64's largest value, 1.8e308, times SCALE_FLOOR) is accepted wherever
@@ -240,18 +240,16 @@ def init_state(cfg: ShastaConfig, f0: np.ndarray, v0: np.ndarray) -> ShastaState
 
 
 def v_step(state: ShastaState, sample: ObservedSample, w: float,
-           c_v: float, *, parts: ObservedParts) -> ShastaState:
-    """Variance update at frozen factors.
+           c_v: float, *, parts: ObservedParts) -> tuple:
+    """Variance update at frozen factors: the new (v, theta_bar, rho_bar).
 
     Folds the sample's observed-entry count and posterior residual power into
     the group accumulators (other groups decay by 1 - w, which leaves their
     ratios invariant), then averages each seen group's variance toward its
     accumulator ratio.  Never-seen groups keep their initial value.
 
-    The new v, theta_bar and rho_bar are computed into fresh arrays and bound
-    to the state only once v is known to be finite; a failing call raises
-    RejectedSample and leaves the state untouched and the previous arrays
-    unmodified.
+    The arrays are fresh and the state is not written; `ingest` commits
+    them.  A variance that is not finite raises RejectedSample.
 
     parts must be `observed_parts(state.observed_rows(sample.omega),
     sample.values)` for the current state; `ingest` forms it once and
@@ -281,14 +279,12 @@ def v_step(state: ShastaState, sample: ObservedSample, w: float,
             if not math.isfinite(v[i]):
                 raise RejectedSample("variance update is not finite; "
                                      "sample rejected")
-    state.v = np.array(v)
-    state.theta_bar, state.rho_bar = np.array(theta_bar), np.array(rho_bar)
-    return state
+    return np.array(v), np.array(theta_bar), np.array(rho_bar)
 
 
 def f_step(state: ShastaState, sample: ObservedSample, w: float,
-           c_f: float, *, parts: ObservedParts) -> ShastaState:
-    """Factor update at the variances already updated this tick.
+           c_f: float, v: np.ndarray, *, parts: ObservedParts) -> ShastaState:
+    """Factor update at the given variances v; `state.v` is not read.
 
     Every row system decays by 1 - w and the observed rows fold in the
     sample's posterior moments and are re-solved; every row of F moves to
@@ -298,16 +294,17 @@ def f_step(state: ShastaState, sample: ObservedSample, w: float,
     they reach 0 (module docstring).
 
     The observed rows' new systems, solutions and factor offsets are
-    computed first and checked finite; only then is the state written, so a
-    failing call raises RejectedSample and changes nothing.
+    computed first and checked finite; only then are the row arrays and the
+    scales written, so a failing call raises RejectedSample and changes
+    nothing.
 
     parts is as for `v_step`.
     """
     if not 0.0 < w <= 1.0:
         raise ValueError("weight must lie in (0, 1]")
     omega, k = sample.omega, state.k
-    stats = posterior_stats(None, state.v, sample, parts=parts)
-    vg = max(float(state.v[sample.group]), VARIANCE_FLOOR)
+    stats = posterior_stats(None, v, sample, parts=parts)
+    vg = max(float(v[sample.group]), VARIANCE_FLOOR)
     sigma = state.sigma * (1.0 - w)
     gamma = state.gamma * (1.0 - c_f)
     fold_sigma = sigma < SCALE_FLOOR
@@ -374,9 +371,10 @@ def ingest(state: ShastaState, sample: ObservedSample,
 
     The observed rows F_o and the eigendecomposition of F_o' F_o are formed
     once and shared by both steps, which differ only in v_g.  All or
-    nothing: if either step raises, the state (t included) is left exactly
-    as it was before the call.  An overflow leaves a value that is not
-    finite, which the checks find, so no warning filter need see it.
+    nothing: the variances and t are committed after both steps' checks
+    have passed, so if either raises, the state is left exactly as it was.
+    An overflow leaves a value that is not finite, which the checks find,
+    so no warning filter need see it.
     """
     if not 0 <= sample.group < state.num_groups:
         raise ValueError(f"sample group {sample.group} outside "
@@ -386,18 +384,11 @@ def ingest(state: ShastaState, sample: ObservedSample,
     t = state.t + 1
     w = cfg.weights(t)
     parts = observed_parts(state.observed_rows(sample.omega), sample.values)
-    before = (state.v, state.theta_bar, state.rho_bar)
-    if cfg.variance_mode == MEMORYLESS_SINGLE:
-        v_step(state, sample, w=1.0, c_v=1.0, parts=parts)
-    else:
-        v_step(state, sample, w, cfg.c_v, parts=parts)
-    try:
-        f_step(state, sample, w, cfg.c_f, parts=parts)
-    except BaseException:
-        # v_step rebinds rather than mutates these, so this is a full undo.
-        state.v, state.theta_bar, state.rho_bar = before
-        raise
-    state.t = t
+    w_v, c_v = ((1.0, 1.0) if cfg.variance_mode == MEMORYLESS_SINGLE
+                else (w, cfg.c_v))
+    v, theta_bar, rho_bar = v_step(state, sample, w_v, c_v, parts=parts)
+    f_step(state, sample, w, cfg.c_f, v, parts=parts)
+    state.v, state.theta_bar, state.rho_bar, state.t = v, theta_bar, rho_bar, t
     return state
 
 

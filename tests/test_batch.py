@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -393,6 +394,18 @@ class TestBatchSolve:
                 f"needs (6, 2) and ({num_groups},)")
         with pytest.raises(ValueError, match=re.escape(want)):
             batch_solve(p, np.ones(f_shape), np.ones(v_size), iters=3)
+
+    def test_overflowing_gram_is_refused_by_name(self):
+        # Finite factors of magnitude 1e155 overflow the per-sample Gram
+        # (1e310); the solver says so, and numpy prints no warning.
+        rng = np.random.default_rng(0)
+        p = BatchProblem([ObservedSample.full(rng.standard_normal(4), 0)
+                          for _ in range(5)], num_groups=1, d=4, k=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="Gram F_o' F_o is not finite"):
+                batch_solve(p, rng.standard_normal((4, 2)) * 1e155, [1.0],
+                            iters=2)
 
 
 class TestPPCA:

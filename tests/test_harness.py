@@ -884,13 +884,25 @@ class TestCli:
                 assert not (tmp_path / "out").exists()
 
     def test_state_dump(self, tmp_path, capsys):
-        from shastapca.shasta import ShastaConfig, init_state, save_state
-        state = init_state(ShastaConfig(), np.zeros((4, 2)), np.array([0.3]))
+        # A streamed state's lazy scales are below 1, and the dump prints
+        # them as loaded, bit for bit.
+        from shastapca.model import ObservedSample
+        from shastapca.shasta import (ShastaConfig, ingest, init_state,
+                                      load_state, save_state)
+        cfg = ShastaConfig(weights=0.1, c_f=0.2)
+        state = init_state(cfg, np.ones((4, 2)), np.array([0.3]))
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            ingest(state, ObservedSample.full(rng.standard_normal(4), 0), cfg)
         ckpt = tmp_path / "state.bin"
         save_state(state, ckpt)
         assert cli_main(["state-dump", str(ckpt)]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["d"] == 4 and report["samples_ingested"] == 0
+        assert report["d"] == 4 and report["samples_ingested"] == 5
+        loaded = load_state(ckpt)
+        assert 0.0 < loaded.sigma < 1.0 and 0.0 < loaded.gamma < 1.0
+        assert report["sigma"] == loaded.sigma
+        assert report["gamma"] == loaded.gamma
 
     def test_state_dump_bad_header_reports_json_error(self, tmp_path, capsys,
                                                       monkeypatch):

@@ -114,8 +114,8 @@ class TestVStep:
         cfg = make_config()
         state = init_state(cfg, np.zeros((5, 2)), np.array([0.77]))
         s = ObservedSample(np.array([0, 2, 3]), np.array([1.0, -2.0, 2.0]), 0)
-        v_step(state, s, w=1.0, c_v=1.0, parts=step_parts(state, s))
-        assert state.v[0] == pytest.approx(9.0 / 3.0)
+        v, _, _ = v_step(state, s, w=1.0, c_v=1.0, parts=step_parts(state, s))
+        assert v[0] == pytest.approx(9.0 / 3.0)
 
     def test_running_average_closed_form(self):
         # w_t = 1/t with F = 0 and c_v = 1 yields, per group, the ratio of
@@ -125,7 +125,8 @@ class TestVStep:
         rng = np.random.default_rng(3)
         samples = [random_sample(rng, 6, 2, observe_prob=0.8) for _ in range(40)]
         for t, s in enumerate(samples, start=1):
-            v_step(state, s, w=1.0 / t, c_v=1.0, parts=step_parts(state, s))
+            state.v, state.theta_bar, state.rho_bar = v_step(
+                state, s, w=1.0 / t, c_v=1.0, parts=step_parts(state, s))
         for g in range(2):
             own = [s for s in samples if s.group == g and s.nobs]
             want = (sum(s.values @ s.values for s in own)
@@ -138,21 +139,48 @@ class TestVStep:
         rng = np.random.default_rng(5)
         # Seed group 1 with some mass, then stream group-0 samples.
         first = random_sample(rng, 6, 2, scale=2.0)
-        v_step(state, first, w=0.5, c_v=0.5, parts=step_parts(state, first))
+        state.v, state.theta_bar, state.rho_bar = v_step(
+            state, first, w=0.5, c_v=0.5, parts=step_parts(state, first))
         state_g1 = ObservedSample(np.array([1, 4]), np.array([3.0, -1.0]), 1)
-        v_step(state, state_g1, w=0.5, c_v=0.5, parts=step_parts(state, state_g1))
+        state.v, state.theta_bar, state.rho_bar = v_step(
+            state, state_g1, w=0.5, c_v=0.5, parts=step_parts(state, state_g1))
         ratio_before = state.rho_bar[1] / state.theta_bar[1]
         s0 = ObservedSample(np.array([0, 2, 5]), np.array([1.0, 0.5, -0.2]), 0)
-        v_step(state, s0, w=0.3, c_v=0.5, parts=step_parts(state, s0))
-        assert state.rho_bar[1] / state.theta_bar[1] == pytest.approx(
-            ratio_before, rel=1e-15)
+        _, theta_bar, rho_bar = v_step(state, s0, w=0.3, c_v=0.5,
+                                       parts=step_parts(state, s0))
+        assert rho_bar[1] / theta_bar[1] == pytest.approx(ratio_before,
+                                                          rel=1e-15)
 
     def test_variance_floor(self):
         cfg = make_config()
         state = init_state(cfg, np.zeros((3, 2)), np.array([0.5]))
         s = ObservedSample(np.array([0, 1]), np.zeros(2), 0)
-        v_step(state, s, w=1.0, c_v=1.0, parts=step_parts(state, s))
-        assert state.v[0] == VARIANCE_FLOOR
+        v, _, _ = v_step(state, s, w=1.0, c_v=1.0, parts=step_parts(state, s))
+        assert v[0] == VARIANCE_FLOOR
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200], ids=["kept", "rejected"])
+    def test_writes_nothing(self, scale):
+        # The state's variance arrays stay the same objects with the same
+        # bytes, whether the step returns or rejects the sample (at 1e200
+        # the residual power overflows).
+        cfg = make_config()
+        state = fresh_state(cfg, d=6, seed=4)
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            ingest(state, random_sample(rng, 6, 2), cfg)
+        names = ("v", "theta_bar", "rho_bar")
+        arrays = [getattr(state, name) for name in names]
+        data = [a.tobytes() for a in arrays]
+        s = random_sample(rng, 6, 2, scale=scale)
+        if scale == 1.0:
+            got = v_step(state, s, w=0.5, c_v=0.5, parts=step_parts(state, s))
+            assert all(g is not a for g, a in zip(got, arrays))
+        else:
+            with pytest.raises(RejectedSample, match="variance update"), \
+                    np.errstate(over="ignore"):
+                v_step(state, s, w=0.5, c_v=0.5, parts=step_parts(state, s))
+        for name, a, b in zip(names, arrays, data):
+            assert getattr(state, name) is a and a.tobytes() == b, name
 
 
 class TestFStep:
@@ -163,7 +191,8 @@ class TestFStep:
         state = init_state(cfg, np.zeros((5, 2)), np.array([0.5]))
         before = copy.deepcopy(state)
         s = ObservedSample(np.array([1, 3]), np.array([1.0, -2.0]), 0)
-        f_step(state, s, w=1e-16, c_f=cfg.c_f, parts=step_parts(state, s))
+        f_step(state, s, w=1e-16, c_f=cfg.c_f, v=state.v,
+               parts=step_parts(state, s))
         np.testing.assert_allclose(state.f, before.f, atol=1e-12)
         np.testing.assert_allclose(state.r_bar, before.r_bar, rtol=1e-12)
         np.testing.assert_allclose(state.s_bar, before.s_bar, atol=1e-12)
@@ -194,10 +223,30 @@ class TestFStep:
         problem = BatchProblem([sample], num_groups=1, d=d, k=k)
         f_batch = state.f.copy()
         for _ in range(4):
-            f_step(state, sample, w=1.0, c_f=1.0, parts=step_parts(state, sample))
+            f_step(state, sample, w=1.0, c_f=1.0, v=v,
+                   parts=step_parts(state, sample))
             f_batch = batch_f_step(problem.dense.parts(f_batch), v,
                                    problem)
             np.testing.assert_allclose(state.f, f_batch, rtol=1e-8)
+
+    def test_reads_only_the_given_variances(self):
+        # A state whose own variances are NaN steps exactly as one holding
+        # the variances f_step is given.
+        cfg = make_config(weights=0.5, c_f=0.3)
+        given = fresh_state(cfg, d=6, seed=11)
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            ingest(given, random_sample(rng, 6, 2), cfg)
+        nan = copy.deepcopy(given)
+        nan.v = np.full_like(given.v, np.nan)
+        s = random_sample(rng, 6, 2, scale=3.0)
+        v = np.array([0.3, 2.0])
+        given.v = v
+        for state in (given, nan):
+            f_step(state, s, 0.5, cfg.c_f, v, parts=step_parts(state, s))
+        for name in ("dev", "systems", "fhat", "sigma", "gamma"):
+            assert (np.asarray(getattr(nan, name)).tobytes()
+                    == np.asarray(getattr(given, name)).tobytes()), name
 
 
 class TestIngest:
@@ -234,17 +283,14 @@ class TestIngest:
 
         ingest(state_a, s, cfg)
 
-        state_b.t += 1
-        w = cfg.weights(state_b.t)
-        v_step(state_b, s, w, cfg.c_v, parts=step_parts(state_b, s))
-        f_step(state_b, s, w, cfg.c_f, parts=step_parts(state_b, s))
+        w = cfg.weights(state_b.t + 1)
+        v, _, _ = v_step(state_b, s, w, cfg.c_v, parts=step_parts(state_b, s))
+        f_step(state_b, s, w, cfg.c_f, v, parts=step_parts(state_b, s))
         np.testing.assert_array_equal(state_a.f, state_b.f)
-        np.testing.assert_array_equal(state_a.v, state_b.v)
+        np.testing.assert_array_equal(state_a.v, v)
 
-        # Wrong order: factor step first, at the stale variances.
-        state_c.t += 1
-        f_step(state_c, s, w, cfg.c_f, parts=step_parts(state_c, s))
-        v_step(state_c, s, w, cfg.c_v, parts=step_parts(state_c, s))
+        # The factor step at the stale variances.
+        f_step(state_c, s, w, cfg.c_f, state_c.v, parts=step_parts(state_c, s))
         assert not np.array_equal(state_a.f, state_c.f)
 
     def test_decay_invariance_of_untouched_ratio(self):

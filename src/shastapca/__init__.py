@@ -6,25 +6,24 @@ Library layout:
 - batch: alternating minorize-maximize batch solver and closed-form PPCA.
 - shasta: the streaming stochastic-MM estimator with bounded surrogate state.
 - baselines: PETRELS and GROUSE streaming baselines.
-- datagen: seeded synthetic streams (static, masked, dynamic scenarios).
-- metrics: subspace error, log-likelihood gap, variance error, traces.
+- datagen: planted models and seeded scenario scripts (static, masked,
+  dynamic streams).
+- metrics: subspace error and per-run metric traces.
 - harness: config-driven experiment runner and CSV ingestion.
 - cli: `shasta-pca` command-line front end.
 """
 
-from .baselines import Grouse, Petrels, StreamingEstimator
+from .baselines import Grouse, Petrels
 from .batch import BatchIterate, BatchProblem, batch_f_step, batch_solve, \
     batch_v_step, ppca_closed_form
-from .datagen import Epoch, PlantedModel, ScenarioScript, draw_model, \
-    draw_sample, mask_uniform, run_script
-from .metrics import MetricTrace, loglik_gap, subspace_error, variance_error
+from .datagen import Epoch, PlantedModel, ScenarioScript, run_script
+from .metrics import MetricTrace, subspace_error
 from .model import (
     ObservedSample,
     ParameterError,
     PosteriorStats,
     RejectedSample,
     VARIANCE_FLOOR,
-    dataset_log_likelihood,
     minorizer_value,
     posterior_stats,
     sample_log_likelihood,
@@ -48,18 +47,12 @@ __all__ = [
     "ShastaConfig",
     "ShastaPCA",
     "ShastaState",
-    "StreamingEstimator",
     "VARIANCE_FLOOR",
     "WeightSchedule",
     "batch_f_step",
     "batch_solve",
     "batch_v_step",
-    "dataset_log_likelihood",
-    "draw_model",
-    "draw_sample",
     "load_state",
-    "loglik_gap",
-    "mask_uniform",
     "minorizer_value",
     "posterior_stats",
     "ppca_closed_form",
@@ -67,5 +60,4 @@ __all__ = [
     "sample_log_likelihood",
     "save_state",
     "subspace_error",
-    "variance_error",
 ]

@@ -1,26 +1,18 @@
 """Streaming subspace baselines: PETRELS and GROUSE.
 
 Both assume homoscedastic noise and handle missing entries by restricting to
-the observed coordinates.  They share the streaming-estimator surface used by
-the experiment harness: `ingest(sample)` and `current_subspace()`.
+the observed coordinates.  Like `ShastaPCA`, each offers `ingest(sample)` and
+`current_subspace()`, which is all the experiment harness calls.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from .datagen import orthonormalize
 from .model import ObservedSample, ParameterError
-
-
-@runtime_checkable
-class StreamingEstimator(Protocol):
-    def ingest(self, sample: ObservedSample) -> None: ...
-
-    def current_subspace(self) -> np.ndarray: ...
 
 
 class Petrels:

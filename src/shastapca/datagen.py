@@ -113,15 +113,6 @@ def draw_orthonormal(rng, d: int, k: int) -> np.ndarray:
     return orthonormalize(make_rng(rng).standard_normal((d, k)))
 
 
-def draw_model(seed, d: int, k: int, spectrum, v_star,
-               group_probs=None, group_counts=None) -> PlantedModel:
-    if k > d:
-        raise ValueError("rank cannot exceed the ambient dimension")
-    u = draw_orthonormal(make_rng(seed), d, k)
-    return PlantedModel(u=u, spectrum=spectrum, v_star=v_star,
-                        group_probs=group_probs, group_counts=group_counts)
-
-
 def draw_group(model: PlantedModel, rng) -> int:
     """One label from the model's group law.  Draws exactly as
     `rng.choice(num_groups, p=group_probs)` does, without its checks."""
@@ -130,17 +121,11 @@ def draw_group(model: PlantedModel, rng) -> int:
     return int(model.group_cdf.searchsorted(rng.random(), side="right"))
 
 
-def draw_sample(model: PlantedModel, rng, group: int | None = None) -> ObservedSample:
-    """Fully observed draw y = F z + eps with the model's group law."""
-    rng = make_rng(rng)
-    if group is None:
-        group = draw_group(model, rng)
-    return _draw_masked(model, rng, group, 1.0)
-
-
 def _draw_masked(model: PlantedModel, rng, group: int, p: float) -> ObservedSample:
-    """`mask_uniform(draw_sample(model, rng, group), p, rng)`: the same draws
-    in the same order, building one sample rather than two."""
+    """y = F z + eps for the group, each coordinate kept with probability p:
+    z, eps, then (for p < 1) one uniform per coordinate, drawn in that order.
+    The stream pins match it bit for bit with oracles that draw the full
+    sample and then mask it, building two samples rather than one."""
     z = rng.standard_normal(model.k)
     eps = np.sqrt(model.v_star[group]) * rng.standard_normal(model.d)
     y = model.factors @ z + eps
@@ -152,16 +137,6 @@ def _draw_masked(model: PlantedModel, rng, group: int, p: float) -> ObservedSamp
     # samples at d = 200).
     omega = np.arange(model.d)
     return ObservedSample(omega[keep], y[keep], group)
-
-
-def mask_uniform(sample: ObservedSample, p: float, rng) -> ObservedSample:
-    """Keep each observed coordinate independently with probability p."""
-    if not 0.0 < p <= 1.0:
-        raise ValueError("observation probability must lie in (0, 1]")
-    if p == 1.0:
-        return sample
-    keep = make_rng(rng).random(sample.nobs) < p
-    return ObservedSample(sample.omega[keep], sample.values[keep], sample.group)
 
 
 @dataclass(frozen=True)
@@ -219,15 +194,6 @@ class ScenarioScript:
     @property
     def total_samples(self) -> int:
         return sum(e.samples for e in self.epochs)
-
-
-def static_script(d, k, spectrum, v_star, group_counts, observe_prob=1.0):
-    """Single-epoch script with exact group counts in shuffled order."""
-    return ScenarioScript(
-        d=d, k=k, spectrum=tuple(spectrum), v_star=tuple(v_star),
-        epochs=(Epoch(samples=int(np.sum(group_counts))),),
-        observe_prob=observe_prob, group_counts=tuple(group_counts),
-    )
 
 
 def run_script(script: ScenarioScript, seed):

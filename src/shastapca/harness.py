@@ -365,11 +365,12 @@ def _columns(header) -> tuple:
     return group_col, var_col, value_cols
 
 
-def read_csv_samples(path):
+def read_csv_samples(path, num_groups=None):
     """Lazily yield ObservedSample rows (and their optional variances).
 
     Yields (sample, variance_or_none).  Raises CsvFormatError with the 1-based
-    line number on a malformed header or row.
+    line number on a malformed header or row, or, given num_groups, on a row
+    whose group lies outside [0, num_groups).
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -390,8 +391,11 @@ def read_csv_samples(path):
                             else float(row[var_col]))
                 if variance is not None and not np.isfinite(variance):
                     raise ValueError(f"variance {variance} is not finite")
+                group = int(row[group_col])
+                if num_groups is not None and not 0 <= group < num_groups:
+                    raise ValueError(f"group {group} outside [0, {num_groups})")
                 sample = ObservedSample(np.array(omega, dtype=np.intp),
-                                        np.array(values), int(row[group_col]))
+                                        np.array(values), group)
             except ValueError as exc:
                 raise CsvFormatError(f"line {lineno}: {exc}") from None
             yield sample, variance
@@ -483,7 +487,7 @@ def seed_pairs(scenario: dict, seed: int):
     """A seed's (sample, info) pairs, drawn lazily: the synthetic script on
     the seed's Philox stream 0, or a csv dataset's rows."""
     if scenario["kind"] == "csv":
-        return read_csv_samples(scenario["path"])
+        return read_csv_samples(scenario["path"], scenario["num_groups"])
     return run_script(scenario_script(scenario),
                       seed=np.random.SeedSequence((seed, 0)))
 

@@ -1,9 +1,11 @@
-"""Evaluation metrics and per-run traces.
+"""Subspace error and per-run metric traces.
 
 Subspace error is the rotation-invariant projector distance
 (1/k) ||U_hat U_hat' - U U'||_F^2, computed through the k x k cross-Gram so no
-d x d matrix is ever formed.  Log-likelihood gaps are differences of
-dataset log-likelihoods, so the dropped constants cancel exactly.
+d x d matrix is ever formed.  A trace records, at each checkpoint, that error,
+a log-likelihood gap (the harness takes it as the difference of two values
+of one `DatasetEvaluator`, so the dropped constants cancel exactly), the
+variance estimates and the elapsed time, and writes them as one CSV.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .model import DatasetEvaluator, check_factors
 
 
 def _basis_gram(u: np.ndarray, tol: float = 1e-8):
@@ -42,22 +42,6 @@ def subspace_error(u_hat: np.ndarray, u: np.ndarray) -> float:
     error = (np.sum(gram_hat * gram_hat) + np.sum(gram * gram)
              - 2.0 * np.sum(cross * cross)) / u.shape[1]
     return min(max(float(error), 0.0), 2.0)
-
-
-def loglik_gap(f, v, samples, f_star, v_star) -> float:
-    """Log-likelihood relative to the reference parameters, on one build of
-    the data's dense arrays."""
-    evaluator = DatasetEvaluator(list(samples), check_factors(f).shape[0])
-    return evaluator(f, v) - evaluator(f_star, v_star)
-
-
-def variance_error(v_hat, v_star) -> np.ndarray:
-    """Elementwise relative error |v_hat - v_star| / v_star."""
-    v_hat = np.asarray(v_hat, dtype=np.float64)
-    v_star = np.asarray(v_star, dtype=np.float64)
-    if np.any(v_star <= 0):
-        raise ValueError("reference variances must be positive")
-    return np.abs(v_hat - v_star) / v_star
 
 
 @dataclass(frozen=True)
@@ -109,22 +93,3 @@ class MetricTrace:
                     row.extend(repr(float(x)) for x in rec.v_estimates)
                 row.append(repr(rec.elapsed_seconds))
                 writer.writerow(row)
-
-    @staticmethod
-    def read_csv(path) -> "MetricTrace":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            num_groups = len(header) - 4
-            trace = MetricTrace(num_groups=num_groups)
-            for row in reader:
-                v_cells = row[3:3 + num_groups]
-                trace.append(
-                    t=int(row[0]),
-                    subspace_error=float(row[1]),
-                    loglik_gap=float(row[2]) if row[2] else None,
-                    v_estimates=([float(c) for c in v_cells]
-                                 if all(v_cells) else None),
-                    elapsed_seconds=float(row[-1]),
-                )
-        return trace

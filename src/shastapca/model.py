@@ -113,8 +113,14 @@ def check_factors(f: np.ndarray) -> np.ndarray:
 
 def solve_rows(r: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Solve r[j] x_j = s[j] for a stack of row systems in one batched call.
-    If any system is singular, every row falls back to least squares.  Its
-    callers are SHASTA's factor step and the batch f-step."""
+    Its callers are SHASTA's factor step and the batch f-step.
+
+    If any system is singular, every row falls back to its minimum-norm
+    least-squares solution.  A SHASTA tick reaches this at w_t = 1 (the 1/t
+    schedule's first tick) with v_g near the floor: the stored systems are
+    zeroed, so a row's new system is zbar zbar'/v_g + m, and
+    m = (F_o' F_o + v_g I)^-1 can be singular in float64 (eigenvalues 0 and
+    1e12 at v_g = 1e-12, F_o = [100, 100], y_o = 0)."""
     try:
         return np.linalg.solve(r, s[..., None])[..., 0]
     except np.linalg.LinAlgError:
@@ -241,11 +247,6 @@ def sample_log_likelihood(f: np.ndarray, v: np.ndarray, sample: ObservedSample) 
     parts = observed_parts(f[sample.omega], y)
     vg = float(floor_variances(v)[sample.group])
     return float(parts.log_likelihood(vg, sample.nobs, y @ y))
-
-
-def dataset_log_likelihood(f: np.ndarray, v: np.ndarray, samples) -> float:
-    """Joint observed-data log-likelihood: half the sum of per-sample terms."""
-    return DatasetEvaluator(list(samples), check_factors(f).shape[0])(f, v)
 
 
 def minorizer_value(f: np.ndarray, v: np.ndarray, anchor_f: np.ndarray,

@@ -11,8 +11,9 @@ import struct
 
 import numpy as np
 
-from shastapca.model import (VARIANCE_FLOOR, ObservedSample, observed_parts,
-                             solve_rows)
+from shastapca.datagen import Epoch, ScenarioScript, draw_group
+from shastapca.metrics import MetricTrace
+from shastapca.model import VARIANCE_FLOOR, ObservedSample, observed_parts
 
 
 def random_instance(rng, d, k, num_groups, observe_prob=1.0, n=1,
@@ -207,8 +208,9 @@ class EagerShasta:
 class EagerPetrels:
     """PETRELS in its eager form: every tick discounts all d row systems
     r[j] by `forgetting`, then adds zhat zhat' to the observed rows' systems
-    and solves them for the factor update.  The package keeps the inverse
-    systems instead and updates them by the matrix-inversion lemma."""
+    and solves them with `np.linalg.solve` for the factor update.  The
+    package keeps the inverse systems instead and updates them by the
+    matrix-inversion lemma."""
 
     def __init__(self, f0, forgetting=1.0, delta=0.1):
         f0 = np.asarray(f0, dtype=np.float64)
@@ -229,7 +231,58 @@ class EagerPetrels:
         r_o += np.outer(zhat, zhat)
         self.r[omega] = r_o
         resid = sample.values - fo @ zhat
-        self.f[omega] += solve_rows(r_o, resid[:, None] * zhat[None, :])
+        step = np.linalg.solve(r_o, (resid[:, None] * zhat)[:, :, None])
+        self.f[omega] += step[:, :, 0]
+
+
+def draw_sample(model, rng, group=None):
+    """Fully observed draw y = U sqrt(lam) z + eps, eps ~ N(0, v_g I), with
+    the group drawn from the model's law when not given: the group, z and
+    then eps are drawn from rng in that order."""
+    if group is None:
+        group = draw_group(model, rng)
+    z = rng.standard_normal(model.k)
+    eps = np.sqrt(model.v_star[group]) * rng.standard_normal(model.d)
+    return ObservedSample.full((model.u * np.sqrt(model.spectrum)) @ z + eps,
+                               group)
+
+
+def mask_uniform(sample, p, rng):
+    """Keep each observed coordinate independently with probability p."""
+    if not 0.0 < p <= 1.0:
+        raise ValueError("observation probability must lie in (0, 1]")
+    if p == 1.0:
+        return sample
+    keep = rng.random(sample.nobs) < p
+    return ObservedSample(sample.omega[keep], sample.values[keep], sample.group)
+
+
+def static_script(d, k, spectrum, v_star, group_counts, observe_prob=1.0):
+    """Single-epoch script with exact group counts in shuffled order."""
+    return ScenarioScript(
+        d=d, k=k, spectrum=tuple(spectrum), v_star=tuple(v_star),
+        epochs=(Epoch(samples=int(np.sum(group_counts))),),
+        observe_prob=observe_prob, group_counts=tuple(group_counts),
+    )
+
+
+def read_trace(path):
+    """The MetricTrace that `MetricTrace.write_csv` wrote to path."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        num_groups = len(next(reader)) - 4
+        trace = MetricTrace(num_groups=num_groups)
+        for row in reader:
+            v_cells = row[3:3 + num_groups]
+            trace.append(
+                t=int(row[0]),
+                subspace_error=float(row[1]),
+                loglik_gap=float(row[2]) if row[2] else None,
+                v_estimates=([float(c) for c in v_cells]
+                             if all(v_cells) else None),
+                elapsed_seconds=float(row[-1]),
+            )
+    return trace
 
 
 def relative_gap(got, want):

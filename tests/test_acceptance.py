@@ -15,7 +15,7 @@ from shastapca.batch import (
     ppca_closed_form,
     random_init,
 )
-from shastapca.datagen import Epoch, ScenarioScript, run_script, static_script
+from shastapca.datagen import Epoch, ScenarioScript, run_script
 from shastapca.harness import (
     build_estimator,
     parse_config,
@@ -37,6 +37,7 @@ from helpers import (
     dense_sample_loglik,
     random_instance,
     random_sample,
+    static_script,
 )
 
 SHASTA_STATIC = dict(kind="shasta", rank=3, weights="1/t", c_f=0.1, c_v=0.1,

@@ -16,7 +16,6 @@ from shastapca.batch import (
 from shastapca.model import (
     DatasetEvaluator,
     ObservedSample,
-    dataset_log_likelihood,
     minorizer_value,
     posterior_stats,
 )
@@ -312,7 +311,7 @@ class TestBatchSolve:
         f0, v0 = random_init(rng, 6, 2, 2)
         its = batch_solve(p, f0, v0, iters=3)
         for it in its:
-            want = dataset_log_likelihood(it.f, it.v, p.samples)
+            want = DatasetEvaluator(p.samples, 6)(it.f, it.v)
             assert it.loglik == pytest.approx(want, rel=1e-9)
 
     @given(seed=st.integers(0, 10_000))

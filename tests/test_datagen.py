@@ -5,39 +5,38 @@ from shastapca.datagen import (
     Epoch,
     PlantedModel,
     ScenarioScript,
-    draw_model,
-    draw_sample,
+    draw_orthonormal,
     make_rng,
-    mask_uniform,
     run_script,
-    static_script,
 )
 from shastapca.model import ObservedSample
+
+from helpers import draw_sample, mask_uniform, static_script
 
 
 class TestDrawModel:
     def test_paper_static_shape(self):
-        m = draw_model(0, d=100, k=3, spectrum=[4.0, 2.0, 1.0],
-                       v_star=[1e-2, 1e-1], group_counts=[500, 2000])
+        m = PlantedModel(u=draw_orthonormal(0, 100, 3), spectrum=[4.0, 2.0, 1.0],
+                         v_star=[1e-2, 1e-1], group_counts=[500, 2000])
         assert m.d == 100 and m.k == 3
         np.testing.assert_allclose(m.factors, m.u * np.sqrt([4.0, 2.0, 1.0]))
 
     def test_same_seed_same_model(self):
-        kw = dict(d=20, k=2, spectrum=[2.0, 1.0], v_star=[0.1],
-                  group_probs=[1.0])
-        a = draw_model(42, **kw)
-        b = draw_model(42, **kw)
+        kw = dict(spectrum=[2.0, 1.0], v_star=[0.1], group_probs=[1.0])
+        a = PlantedModel(u=draw_orthonormal(42, 20, 2), **kw)
+        b = PlantedModel(u=draw_orthonormal(42, 20, 2), **kw)
         np.testing.assert_array_equal(a.u, b.u)
 
     def test_columns_orthonormal(self):
-        m = draw_model(7, d=50, k=4, spectrum=[4, 3, 2, 1], v_star=[1.0],
-                       group_probs=[1.0])
+        m = PlantedModel(u=draw_orthonormal(7, 50, 4), spectrum=[4, 3, 2, 1],
+                         v_star=[1.0], group_probs=[1.0])
         np.testing.assert_allclose(m.u.T @ m.u, np.eye(4), atol=1e-12)
 
     def test_rejects_rank_above_dimension(self):
+        # No d x k basis with k > d has orthonormal columns.
         with pytest.raises(ValueError):
-            draw_model(0, d=2, k=3, spectrum=[3, 2, 1], v_star=[1.0],
-                       group_probs=[1.0])
+            PlantedModel(u=np.eye(2, 3), spectrum=[3, 2, 1], v_star=[1.0],
+                         group_probs=[1.0])
 
     def test_rejects_ascending_spectrum(self):
         with pytest.raises(ValueError):
@@ -57,8 +56,8 @@ class TestDrawSample:
 
     def test_sample_covariance_matches_low_rank_part(self):
         rng = make_rng(2)
-        m = draw_model(3, d=8, k=2, spectrum=[3.0, 1.0], v_star=[1e-6],
-                       group_probs=[1.0])
+        m = PlantedModel(u=draw_orthonormal(3, 8, 2), spectrum=[3.0, 1.0],
+                         v_star=[1e-6], group_probs=[1.0])
         n = 100_000
         draws = np.array([draw_sample(m, rng).values for _ in range(n)])
         cov = draws.T @ draws / n

@@ -24,11 +24,10 @@ from shastapca.harness import (
     shared_init,
     timing_run,
 )
-from shastapca.metrics import MetricTrace
 from shastapca.model import ObservedSample
 from shastapca.shasta import ShastaConfig
 
-from helpers import crafted_checkpoints, write_csv_stream
+from helpers import crafted_checkpoints, read_trace, write_csv_stream
 
 
 def smoke_raw(output_dir, estimator=None, seeds=(0,)):
@@ -117,7 +116,7 @@ class TestConfigParsing:
             config = parse_config(smoke_raw(out, block))
             assert config.estimator.get("tol") is None
             run_experiment(config)
-            trace = MetricTrace.read_csv(out / "trace_seed0.csv")
+            trace = read_trace(out / "trace_seed0.csv")
             assert [r.t for r in trace.records] == list(range(1, 101))
         config = parse_config(smoke_raw(tmp_path / "ppca", {
             "kind": "ppca", "rank": 2, "group": None}))
@@ -131,7 +130,7 @@ class TestConfigParsing:
                 "kind": "batch-mm", "rank": 2, "iterations": 5, "tol": tol}))
             assert config.estimator["tol"] == tol
             run_experiment(config)
-            trace = MetricTrace.read_csv(out / "trace_seed0.csv")
+            trace = read_trace(out / "trace_seed0.csv")
             assert len(trace.records) == iterations
         # A null setting with a default other than none is refused.
         with pytest.raises(ConfigError) as err:
@@ -157,7 +156,7 @@ class TestRunExperiment:
         start = time.perf_counter()
         summary = run_experiment(config)
         assert time.perf_counter() - start < 1.0
-        trace = MetricTrace.read_csv(tmp_path / "out" / "trace_seed0.csv")
+        trace = read_trace(tmp_path / "out" / "trace_seed0.csv")
         assert trace.records[-1].t == 200
         assert all(0 <= r.subspace_error <= 2 for r in trace.records)
         assert summary["aggregate"]["final_subspace_error"]["median"] < 0.5
@@ -188,7 +187,7 @@ class TestRunExperiment:
             raw = smoke_raw(tmp_path / est["kind"], estimator=est)
             raw["run"]["loglik_gap"] = est["kind"] == "shasta"
             run_experiment(parse_config(raw))
-            trace = MetricTrace.read_csv(
+            trace = read_trace(
                 tmp_path / est["kind"] / "trace_seed0.csv")
             assert trace.records[-1].t == 200
             has_v = trace.records[-1].v_estimates is not None
@@ -198,7 +197,7 @@ class TestRunExperiment:
         raw = smoke_raw(tmp_path / "batch", estimator={
             "kind": "batch-mm", "rank": 2, "iterations": 20})
         summary = run_experiment(parse_config(raw))
-        trace = MetricTrace.read_csv(tmp_path / "batch" / "trace_seed0.csv")
+        trace = read_trace(tmp_path / "batch" / "trace_seed0.csv")
         assert trace.records[-1].t == 20
         gaps = [r.loglik_gap for r in trace.records]
         assert all(b >= a - 1e-9 * abs(a) for a, b in zip(gaps, gaps[1:]))
@@ -379,7 +378,7 @@ class TestCsvIngestion:
         }
         config = parse_config(raw)
         run_experiment(config)
-        trace = MetricTrace.read_csv(tmp_path / "out" / "trace_seed3.csv")
+        trace = read_trace(tmp_path / "out" / "trace_seed3.csv")
         est = build_estimator(config.estimator, 8, 2, *shared_init(3, 8, 2, 2))
         replay = {}
         for t, (sample, _) in enumerate(read_csv_samples(data), start=1):
@@ -401,7 +400,7 @@ class TestCsvIngestion:
         }
         summary = run_experiment(parse_config(raw))
         assert summary["seeds"]["0"]["samples"] == 0
-        trace = MetricTrace.read_csv(tmp_path / "out" / "trace_seed0.csv")
+        trace = read_trace(tmp_path / "out" / "trace_seed0.csv")
         assert [r.t for r in trace.records] == [0]
         assert trace.records[0].subspace_error == 0.0
 
@@ -435,7 +434,7 @@ class TestCsvIngestion:
                     "output_dir": str(tmp_path / "out")},
         }
         run_experiment(parse_config(raw))
-        trace = MetricTrace.read_csv(tmp_path / "out" / "trace_seed0.csv")
+        trace = read_trace(tmp_path / "out" / "trace_seed0.csv")
         errors = [r.subspace_error for r in trace.records]
         assert errors[-1] == 0.0 and errors[0] > 1e-3
 
@@ -473,8 +472,8 @@ class TestTimingRun:
                     "batch_final_subspace_error"):
             assert table[f"median_{key}"] == np.median(
                 [row[key] for row in table["seeds"].values()])
-        streaming = MetricTrace.read_csv(tmp_path / "timing" / "streaming_seed0.csv")
-        batch = MetricTrace.read_csv(tmp_path / "timing" / "batch_seed0.csv")
+        streaming = read_trace(tmp_path / "timing" / "streaming_seed0.csv")
+        batch = read_trace(tmp_path / "timing" / "batch_seed0.csv")
         assert streaming.records[-1].t == 600
         assert batch.records[-1].t == table["seeds"]["0"]["batch_iterations"]
 
@@ -615,7 +614,7 @@ class TestTimingRun:
         }
         config = parse_timing_config(raw)
         timing_run(config)
-        trace = MetricTrace.read_csv(tmp_path / "t" / "batch_seed4.csv")
+        trace = read_trace(tmp_path / "t" / "batch_seed4.csv")
 
         pairs = list(run_script(scenario_script(config["scenario"]),
                                 seed=np.random.SeedSequence((4, 0))))
@@ -882,6 +881,25 @@ class TestCli:
                 assert err["error"] == "data", err
                 assert err["message"].startswith(f"line {line}: "), err
                 assert not (tmp_path / "out").exists()
+
+    def test_run_names_the_line_of_a_group_out_of_range(self, tmp_path,
+                                                        capsys):
+        # The row used to reach the estimator, which refused it as a value
+        # error that named no line.  Without num_groups the reader has no
+        # range to check, and yields the row.
+        path = tmp_path / "data.csv"
+        path.write_text("group,y0,y1\n0,1.0,2.0\n1,0.5,\n5,1.0,1.0\n")
+        assert [s.group for s, _ in read_csv_samples(path)] == [0, 1, 5]
+        for kind in ("shasta", "petrels", "grouse"):
+            raw = smoke_raw(tmp_path / kind, {"kind": kind, "rank": 1})
+            raw["scenario"] = {"kind": "csv", "path": str(path),
+                               "num_groups": 2}
+            raw["run"]["loglik_gap"] = False
+            (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(raw))
+            assert cli_main(["run", str(tmp_path / "cfg.yaml")]) == 1, kind
+            err = json.loads(capsys.readouterr().err)
+            assert err == {"error": "data", "message":
+                           "line 4: group 5 outside [0, 2)"}, kind
 
     def test_state_dump(self, tmp_path, capsys):
         # A streamed state's lazy scales are below 1, and the dump prints

@@ -1,4 +1,6 @@
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,6 @@ import shastapca
 from shastapca.model import (
     DatasetEvaluator,
     ObservedSample,
-    dataset_log_likelihood,
     VARIANCE_FLOOR,
     minorizer_value,
     observed_parts,
@@ -236,19 +237,19 @@ class TestSampleLogLikelihood:
 
 class TestDatasetLogLikelihood:
     def test_empty_dataset(self):
-        assert dataset_log_likelihood(np.zeros((3, 1)), np.array([1.0]), []) == 0.0
+        assert DatasetEvaluator([], 3)(np.zeros((3, 1)), np.array([1.0])) == 0.0
 
     def test_single_sample_is_half(self):
         rng = np.random.default_rng(2)
         f, v, (s,) = random_instance(rng, 5, 2, 1, observe_prob=0.8)
         want = 0.5 * sample_log_likelihood(f, v, s)
-        assert dataset_log_likelihood(f, v, [s]) == pytest.approx(want, rel=1e-12)
+        assert DatasetEvaluator([s], 5)(f, v) == pytest.approx(want, rel=1e-12)
 
     def test_two_identical_samples_double(self):
         rng = np.random.default_rng(4)
         f, v, (s,) = random_instance(rng, 5, 2, 1, observe_prob=0.8)
-        one = dataset_log_likelihood(f, v, [s])
-        two = dataset_log_likelihood(f, v, [s, s])
+        one = DatasetEvaluator([s], 5)(f, v)
+        two = DatasetEvaluator([s, s], 5)(f, v)
         assert two == pytest.approx(2 * one, rel=1e-12)
 
     def test_evaluator_matches_scalar_loop(self):
@@ -266,8 +267,8 @@ class TestDatasetLogLikelihood:
         rng = np.random.default_rng(10)
         f, v, samples = random_instance(rng, 6, 2, 2, observe_prob=0.5, n=5)
         empty = ObservedSample(np.array([], dtype=int), np.array([]), 0)
-        with_empty = dataset_log_likelihood(f, v, samples + [empty])
-        without = dataset_log_likelihood(f, v, samples)
+        with_empty = DatasetEvaluator(samples + [empty], 6)(f, v)
+        without = DatasetEvaluator(samples, 6)(f, v)
         assert with_empty == pytest.approx(without, rel=1e-12)
 
 
@@ -307,6 +308,25 @@ class TestMinorizer:
             lhs = 2 * minorizer_value(f, v, anchor_f, anchor_v, s) + c
             rhs = sample_log_likelihood(f, v, s)
             assert lhs <= rhs + 1e-8
+
+
+# Names the package once exported and no longer defines anywhere.
+REMOVED = ("StreamingEstimator", "dataset_log_likelihood", "draw_model",
+           "draw_sample", "loglik_gap", "mask_uniform", "static_script",
+           "variance_error")
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace = {}
+    exec("from shastapca import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(shastapca.__all__)
+    modules = [importlib.import_module(f"shastapca.{info.name}")
+               for info in pkgutil.iter_modules(shastapca.__path__)]
+    for name in REMOVED:
+        for module in [shastapca] + modules:
+            assert not hasattr(module, name), (module.__name__, name)
+    assert not hasattr(shastapca.MetricTrace, "read_csv")
 
 
 def test_package_imports_without_scipy():

@@ -431,6 +431,34 @@ class TestAtomicTick:
                 == (tmp_path / "after.bin").read_bytes())
 
 
+class TestSolveRowsFallback:
+    @pytest.mark.parametrize("a", [100.0, 1e3, 1e4])
+    def test_first_tick_at_the_floor_takes_the_lstsq_path(self, a,
+                                                          monkeypatch):
+        # w_1 = 1 zeroes the stored systems, so row 0's new system is m
+        # alone (y_o = 0 makes zbar 0), and m = (F_o' F_o + v_g I)^-1 at
+        # v_g = 1e-12 has float64 eigenvalues 0 and 1e12: np.linalg.solve
+        # refuses it and solve_rows falls back to least squares.
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counting_lstsq(*args, **kwargs):
+            calls.append(args)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        cfg = ShastaConfig(weights="1/t", c_f=0.1, c_v=0.1, delta=0.1)
+        state = init_state(cfg, np.array([[a, a], [1.0, -1.0]]),
+                           np.array([1e-12]))
+        ingest(state, ObservedSample(np.array([0]), np.array([0.0]), 0), cfg)
+        assert len(calls) == 1
+        assert state.t == 1
+        for arr in (state.f, state.v, state.r_bar, state.s_bar, state.fhat):
+            assert np.isfinite(arr).all()
+        want = lstsq(state.r_bar[0], state.s_bar[0], rcond=None)[0]
+        np.testing.assert_array_equal(state.fhat[0], want)
+
+
 class TestTickInvariants:
     @settings(max_examples=100)
     @given(data=st.data())
@@ -604,7 +632,8 @@ class TestStationarityRegression:
         # Static instance, one streaming pass: the finite-difference gradient
         # of the full-dataset log-likelihood at the iterates shrinks as the
         # estimator approaches a stationary point.
-        from shastapca.datagen import static_script, run_script
+        from shastapca.datagen import run_script
+        from helpers import static_script
         from shastapca.model import DatasetEvaluator
 
         script = static_script(d=100, k=3, spectrum=[4.0, 2.0, 1.0],

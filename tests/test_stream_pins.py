@@ -19,18 +19,15 @@ from shastapca.datagen import (
     PlantedModel,
     ScenarioScript,
     draw_group,
-    draw_model,
     draw_orthonormal,
-    draw_sample,
     make_rng,
-    mask_uniform,
     run_script,
 )
 from shastapca import shasta
 from shastapca.model import ObservedSample
 from shastapca.shasta import MEMORYLESS_SINGLE, ShastaConfig, ingest, init_state
 
-from helpers import EagerShasta, relative_gap
+from helpers import EagerShasta, draw_sample, mask_uniform, relative_gap
 
 
 def oracle_script(script: ScenarioScript, seed):
@@ -95,7 +92,8 @@ def test_run_script_matches_choice_oracle(law, observe_prob):
 @pytest.mark.parametrize("probs", [(0.2, 0.5, 0.3), (0.1, 0.0, 0.6, 0.3),
                                    (0.25, 0.25, 0.25, 0.25), (0.0, 0.0, 1.0)])
 def test_draw_group_matches_rng_choice(probs):
-    model = draw_model(0, 6, 2, [2.0, 1.0], [1.0] * len(probs), group_probs=probs)
+    model = PlantedModel(u=draw_orthonormal(0, 6, 2), spectrum=[2.0, 1.0],
+                         v_star=[1.0] * len(probs), group_probs=probs)
     rng, ref = make_rng(11), make_rng(11)
     got = [draw_group(model, rng) for _ in range(10_000)]
     want = [int(ref.choice(len(probs), p=model.group_probs)) for _ in range(10_000)]

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .datagen import orthonormalize
-from .model import ObservedSample, ParameterError
+from .model import ObservedSample, ParameterError, least_squares
 
 
 class Petrels:
@@ -87,7 +87,7 @@ class Petrels:
         if omega.size == 0:
             return
         fo = self.f.take(omega, axis=0)
-        zhat, *_ = np.linalg.lstsq(fo, sample.values, rcond=None)
+        zhat = least_squares(fo, sample.values)
         m, k = fo.shape
         p_o = self.p.take(omega, axis=0)
         floor = self.MEMORY_FLOOR * float(zhat @ zhat)
@@ -174,12 +174,13 @@ class Grouse:
         if omega.size == 0 or self.step == 0.0:
             return
         uo = self.u[omega]
-        w, *_ = np.linalg.lstsq(uo, sample.values, rcond=None)
+        w = least_squares(uo, sample.values)
         p = self.u @ w
         resid = sample.values - uo @ w
-        rnorm = np.linalg.norm(resid)
-        pnorm = np.linalg.norm(p)
-        wnorm = np.linalg.norm(w)
+        # np.linalg.norm of a vector is this same sqrt(x . x).
+        rnorm = math.sqrt(resid @ resid)
+        pnorm = math.sqrt(p @ p)
+        wnorm = math.sqrt(w @ w)
         if rnorm < 1e-14 * max(1.0, pnorm) or pnorm == 0.0 or wnorm == 0.0:
             return
         angle = self.step * rnorm * pnorm

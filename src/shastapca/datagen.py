@@ -48,6 +48,9 @@ class PlantedModel:
         v_star = np.asarray(self.v_star, dtype=np.float64)
         if np.linalg.norm(u.T @ u - np.eye(u.shape[1])) > 1e-10:
             raise ParameterError("u", "must have orthonormal columns")
+        if spectrum.shape != (u.shape[1],):
+            raise ParameterError("spectrum", f"must hold one value per column "
+                                 f"of u ({u.shape[1]})")
         if not (np.all(np.diff(spectrum) <= 0)
                 and np.all((spectrum > 0) & (spectrum < np.inf))):
             raise ParameterError("spectrum", "must be positive, finite and descending")
@@ -165,6 +168,11 @@ class ScenarioScript:
     group_counts: tuple | None = None
 
     def __post_init__(self):
+        if not 1 <= self.k <= self.d:
+            raise ParameterError("k", f"must lie in [1, d = {self.d}]")
+        if len(self.spectrum) != self.k:
+            raise ParameterError("spectrum", f"must hold one value per rank "
+                                 f"(k = {self.k})")
         if not self.epochs:
             raise ParameterError("epochs", "must list at least one epoch")
         if not 0.0 < self.observe_prob <= 1.0:

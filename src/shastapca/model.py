@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+# The kernels numpy.linalg's solve, eigh and lstsq call (see `_lapack`).
+from numpy.linalg import _umath_linalg
 
 # Variances are floored here whenever consumed; the model itself never lets
 # a variance reach zero but finite-precision iterates can.
@@ -111,18 +113,51 @@ def check_factors(f: np.ndarray) -> np.ndarray:
     return f
 
 
-def solve_rows(r: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Solve r[j] x_j = s[j] for a stack of row systems in one batched call.
-    Its callers are SHASTA's factor step and the batch f-step.
+def _lapack(gufunc, message: str):
+    """Call one of numpy.linalg's LAPACK gufuncs as the public function does,
+    without its per-call wrapper (array coercion, type dispatch, a new
+    errstate), which costs more than LAPACK itself on a 3 x 3 or 100 x 3
+    problem.  The kernel raises the floating-point invalid flag only where
+    LAPACK reports a failure (it then fills its output with NaN); as in
+    numpy.linalg, that flag raises LinAlgError(message) and no warning.
+    The inputs must be float64 arrays of the kernel's core shapes, so the
+    result is the public function's, bit for bit."""
+    def fail(err, flag):
+        raise np.linalg.LinAlgError(message)
+    return np.errstate(call=fail, invalid="call", over="ignore",
+                       divide="ignore", under="ignore")(gufunc)
 
-    If any system is singular, every row falls back to its minimum-norm
-    least-squares solution.  A SHASTA tick reaches this at w_t = 1 (the 1/t
-    schedule's first tick) with v_g near the floor: the stored systems are
-    zeroed, so a row's new system is zbar zbar'/v_g + m, and
-    m = (F_o' F_o + v_g I)^-1 can be singular in float64 (eigenvalues 0 and
-    1e12 at v_g = 1e-12, F_o = [100, 100], y_o = 0)."""
+
+_solve1 = _lapack(_umath_linalg.solve1, "Singular matrix")
+_eigh = _lapack(_umath_linalg.eigh_lo, "Eigenvalues did not converge")
+_lstsq = _lapack(_umath_linalg.lstsq,
+                 "SVD did not converge in Linear Least Squares")
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The minimum-norm least-squares x of a x = b for an m x n float64 a
+    (m >= 1) and a length-m b: `np.linalg.lstsq(a, b, rcond=None)[0]`, bit
+    for bit, and LinAlgError where it raises.  The streaming baselines call
+    it once per tick."""
+    m, n = a.shape
+    return _lstsq(a, b[:, None], _EPS * max(n, m))[0][:, 0]
+
+
+def solve_rows(r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Solve r[j] x_j = s[j] for a stack of float64 row systems in one
+    batched call, `np.linalg.solve`'s kernel bit for bit.  Its callers are
+    SHASTA's factor step and the batch f-step.
+
+    If any system is singular (where `np.linalg.solve` raises), every row
+    falls back to its minimum-norm least-squares solution.  A SHASTA tick
+    reaches this at w_t = 1 (the 1/t schedule's first tick) with v_g near
+    the floor: the stored systems are zeroed, so a row's new system is
+    zbar zbar'/v_g + m, and m = (F_o' F_o + v_g I)^-1 can be singular in
+    float64 (eigenvalues 0 and 1e12 at v_g = 1e-12, F_o = [100, 100],
+    y_o = 0)."""
     try:
-        return np.linalg.solve(r, s[..., None])[..., 0]
+        return _solve1(r, s)
     except np.linalg.LinAlgError:
         return np.stack([np.linalg.lstsq(rj, sj, rcond=None)[0]
                          for rj, sj in zip(r, s)])
@@ -226,9 +261,10 @@ def observed_parts(fo: np.ndarray, values: np.ndarray) -> ObservedParts:
 
 
 def _gram_spectrum(gram: np.ndarray):
-    """eigh of one k x k Gram matrix or a stack of them, with every
-    eigenvalue at or below k ZERO_EIGENVALUE lambda_max set to 0."""
-    evals, evecs = np.linalg.eigh(gram)
+    """`np.linalg.eigh` of one float64 k x k Gram matrix or a stack of them,
+    bit for bit, with every eigenvalue at or below k ZERO_EIGENVALUE
+    lambda_max set to 0."""
+    evals, evecs = _eigh(gram)
     top = evals[-1] if evals.ndim == 1 else evals[..., -1:]
     evals[evals <= (gram.shape[-1] * ZERO_EIGENVALUE) * top] = 0.0
     return evals, evecs

@@ -33,7 +33,10 @@ resumed stream matches an uninterrupted one bit for bit.
 
 At the sizes the paper streams (k = 3, |omega| up to a few hundred) a tick
 is bound by the fixed cost of its calls, not by arithmetic.  Its budget is
-two LAPACK wrappers (the k x k eigh and the batched row solve) and about 44
+two LAPACK kernels (the k x k eigh and the batched row solve), called as
+numpy.linalg's own gufuncs without the public functions' per-call wrappers
+(`model._lapack`: a wrapper costs 6-10 us a call, more than LAPACK itself
+at these sizes), and about 44
 numpy calls on small arrays: 4 gather F_o, 6 form the rest of the parts
 (the Gram, its finiteness sum, the eigenvalue cut-off, Q' F_o' y_o), 10 give
 the variance step its residual power, and 24 make the factor step

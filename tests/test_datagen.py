@@ -9,7 +9,7 @@ from shastapca.datagen import (
     make_rng,
     run_script,
 )
-from shastapca.model import ObservedSample
+from shastapca.model import ObservedSample, ParameterError
 
 from helpers import draw_sample, mask_uniform, static_script
 
@@ -37,6 +37,16 @@ class TestDrawModel:
         with pytest.raises(ValueError):
             PlantedModel(u=np.eye(2, 3), spectrum=[3, 2, 1], v_star=[1.0],
                          group_probs=[1.0])
+
+    @pytest.mark.parametrize("u, spectrum", [
+        (draw_orthonormal(0, 4, 2), [3.0]),
+        (draw_orthonormal(0, 2, 3), [3.0, 2.0, 1.0]),  # u is 2 x 2
+    ])
+    def test_rejects_spectrum_of_another_length(self, u, spectrum):
+        with pytest.raises(ParameterError) as err:
+            PlantedModel(u=u, spectrum=spectrum, v_star=[1.0],
+                         group_probs=[1.0])
+        assert err.value.field == "spectrum"
 
     def test_rejects_ascending_spectrum(self):
         with pytest.raises(ValueError):
@@ -108,6 +118,16 @@ class TestRunScript:
             epochs=tuple(Epoch(samples=500, redraw_subspace=(i > 0))
                          for i in range(4)),
         )
+
+    @pytest.mark.parametrize("d, k, spectrum, field", [
+        (2, 3, (3.0, 2.0, 1.0), "k"),
+        (5, 3, (3.0, 2.0), "spectrum"),
+    ])
+    def test_rejects_rank_and_spectrum_mismatch(self, d, k, spectrum, field):
+        with pytest.raises(ParameterError) as err:
+            ScenarioScript(d=d, k=k, spectrum=spectrum, v_star=(1.0,),
+                           group_probs=(1.0,), epochs=(Epoch(samples=5),))
+        assert err.value.field == field
 
     def test_subspace_jumps_at_epoch_boundaries(self):
         bases = []

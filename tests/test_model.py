@@ -3,6 +3,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,9 @@ from shastapca.model import (
     DatasetEvaluator,
     ObservedSample,
     VARIANCE_FLOOR,
+    ZERO_EIGENVALUE,
+    _gram_spectrum,
+    least_squares,
     minorizer_value,
     observed_parts,
     posterior_stats,
@@ -169,13 +173,81 @@ class TestSolveRows:
         r = a @ np.transpose(a, (0, 2, 1)) + 0.1 * np.eye(3)
         r[2] = np.diag([2.0, 1.0, 0.0])  # exactly singular
         s = rng.standard_normal((4, 3))
-        x = solve_rows(r, s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = solve_rows(r, s)
         expected = [np.linalg.lstsq(rj, sj, rcond=None)[0]
                     for rj, sj in zip(r, s)]
         np.testing.assert_array_equal(x, np.stack(expected))
         # The singular row gets the minimum-norm solution.
         np.testing.assert_allclose(x[2], [s[2, 0] / 2.0, s[2, 1], 0.0])
         assert np.isfinite(x).all()
+
+
+class TestLapackKernels:
+    """The E-step, the row solve and the baselines' least squares call
+    numpy.linalg's LAPACK gufuncs directly; these pin them, bit for bit,
+    to the public functions that wrap the same kernels."""
+
+    @pytest.mark.parametrize("shape", [(3, 3), (7, 3, 3), (5, 1, 1)])
+    def test_gram_spectrum_is_eigh(self, shape):
+        rng = np.random.default_rng(21)
+        a = rng.standard_normal(shape[:-1] + (40,))
+        gram = a @ np.swapaxes(a, -1, -2)
+        evals, evecs = _gram_spectrum(gram)
+        want_evals, want_evecs = np.linalg.eigh(gram)
+        np.testing.assert_array_equal(evals, want_evals)
+        np.testing.assert_array_equal(evecs, want_evecs)
+
+    def test_gram_spectrum_cuts_eigh_at_the_zero_level(self):
+        fo = np.random.default_rng(22).standard_normal((10, 2))
+        fo = np.hstack([fo, fo[:, :1] + fo[:, 1:]])  # rank 2
+        gram = fo.T @ fo
+        evals, evecs = _gram_spectrum(gram)
+        want_evals, want_evecs = np.linalg.eigh(gram)
+        cut = want_evals <= 3 * ZERO_EIGENVALUE * want_evals[-1]
+        assert cut.tolist() == [True, False, False]
+        want_evals[cut] = 0.0
+        np.testing.assert_array_equal(evals, want_evals)
+        np.testing.assert_array_equal(evecs, want_evecs)
+
+    @pytest.mark.parametrize("m, n", [(100, 3), (3, 3), (2, 3)])
+    @pytest.mark.parametrize("rank_deficient", [False, True])
+    def test_least_squares_is_lstsq(self, m, n, rank_deficient):
+        rng = np.random.default_rng(23)
+        a = rng.standard_normal((m, n))
+        if rank_deficient:
+            a[:, -1] = a[:, 0]
+        b = rng.standard_normal(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = least_squares(a, b)
+        np.testing.assert_array_equal(x, np.linalg.lstsq(a, b, rcond=None)[0])
+
+    def test_least_squares_cuts_singular_values_where_lstsq_does(self):
+        # A singular value of 30 eps (relative) lies between eps min(m, n)
+        # and lstsq's default cut-off eps max(m, n), so it tells them apart.
+        rng = np.random.default_rng(25)
+        u = np.linalg.qr(rng.standard_normal((100, 3)))[0]
+        eps = np.finfo(np.float64).eps
+        a = (u * [1.0, 0.5, 30 * eps]) @ np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        b = rng.standard_normal(100)
+        x = least_squares(a, b)
+        np.testing.assert_array_equal(x, np.linalg.lstsq(a, b, rcond=None)[0])
+        assert not np.allclose(x, np.linalg.lstsq(a, b, rcond=3 * eps)[0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_least_squares_raises_where_lstsq_does(self, bad):
+        rng = np.random.default_rng(24)
+        a = rng.standard_normal((20, 3))
+        a[4, 1] = bad
+        b = rng.standard_normal(20)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.lstsq(a, b, rcond=None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                least_squares(a, b)
 
 
 class TestSampleLogLikelihood:

@@ -50,13 +50,16 @@ class RejectedSample(ValueError):
     estimator's state non-finite; the state is left as it was."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservedSample:
     """One partially observed data vector.
 
     omega: strictly increasing observed coordinate indices (0-based).
     values: observed entries, aligned with omega.
     group: 0-based noise-group label.
+
+    Two samples are equal when their groups, omegas and values are; like
+    their arrays, samples are unhashable.
     """
 
     omega: np.ndarray
@@ -76,6 +79,13 @@ class ObservedSample:
             raise ValueError("group label must be nonnegative")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "values", values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return bool(self.group == other.group
+                    and np.array_equal(self.omega, other.omega)
+                    and np.array_equal(self.values, other.values))
 
     @property
     def nobs(self) -> int:

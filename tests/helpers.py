@@ -13,7 +13,8 @@ import numpy as np
 
 from shastapca.datagen import Epoch, ScenarioScript, draw_group
 from shastapca.metrics import MetricTrace
-from shastapca.model import VARIANCE_FLOOR, ObservedSample, observed_parts
+from shastapca.model import (VARIANCE_FLOOR, ObservedSample, floor_variances,
+                             observed_parts)
 
 
 def random_instance(rng, d, k, num_groups, observe_prob=1.0, n=1,
@@ -63,6 +64,26 @@ def step_parts(state, sample):
     """The parts `ingest` shares between `v_step` and `f_step`, for composing
     the two steps by hand."""
     return observed_parts(state.observed_rows(sample.omega), sample.values)
+
+
+def one_pass_v_step(parts, v_prev, problem):
+    """`batch.batch_v_step` with its residual w (y - zbar F') formed in one n x
+    d buffer and each group's entry count summed on every call."""
+    v_prev = floor_variances(v_prev)
+    dense = problem.dense
+    vg = v_prev[dense.groups]
+    resid = parts.mean(vg) @ parts.fo.T
+    np.subtract(dense.y, resid, out=resid)
+    resid *= dense.w
+    rho_i = np.einsum("nd,nd->n", resid, resid) + vg * parts.fit_trace(vg)
+    theta = np.zeros(problem.num_groups)
+    rho = np.zeros(problem.num_groups)
+    np.add.at(theta, dense.groups, dense.nobs)
+    np.add.at(rho, dense.groups, rho_i)
+    v_new = v_prev.copy()
+    seen = theta > 0
+    v_new[seen] = rho[seen] / theta[seen]
+    return floor_variances(v_new)
 
 
 def write_csv_stream(samples, d, path, variances=None):

@@ -1,10 +1,12 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shastapca import batch
 from shastapca.batch import (
     BatchProblem,
     batch_f_step,
@@ -23,6 +25,7 @@ from shastapca.model import (
 from helpers import (
     DEGENERATE,
     degenerate,
+    one_pass_v_step,
     orthonormal,
     quad_rounding,
     random_sample,
@@ -51,6 +54,23 @@ class TestBatchProblem:
         np.testing.assert_array_equal(dense.y, [[0.0, 5.0, 0.0, -2.0, 0.0]])
         np.testing.assert_array_equal(dense.w, [[0.0, 1.0, 0.0, 1.0, 0.0]])
         np.testing.assert_array_equal(dense.groups, [1])
+
+    def test_forms_the_constants_the_steps_read(self):
+        # Coordinate 2 is observed by no sample; group 1 holds 3 + 1 entries.
+        samples = [ObservedSample(np.array([0, 1, 3]), np.ones(3), 1),
+                   ObservedSample(np.array([1]), np.ones(1), 0),
+                   ObservedSample(np.array([3]), np.ones(1), 1)]
+        p = BatchProblem(samples, num_groups=3, d=4, k=1)
+        np.testing.assert_array_equal(p.observed_rows, [True, True, False, True])
+        np.testing.assert_array_equal(p.theta, [1.0, 4.0, 0.0])
+
+    def test_compares_by_value(self):
+        rng = np.random.default_rng(16)
+        samples = [random_sample(rng, 5, 2, 0.6) for _ in range(4)]
+        copies = [ObservedSample(s.omega.copy(), s.values.copy(), s.group)
+                  for s in samples]
+        assert BatchProblem(samples, 2, 5, 2) == BatchProblem(copies, 2, 5, 2)
+        assert BatchProblem(samples, 2, 5, 2) != BatchProblem(samples[:3], 2, 5, 2)
 
     @pytest.mark.parametrize("bad, message", [
         (ObservedSample(np.array([0, 2]), np.array([1.0, 2.0]), 2),
@@ -120,6 +140,52 @@ class TestVStep:
             assert v_new[g] == pytest.approx(rho / theta, rel=1e-10)
 
 
+class TestBlockedVStep:
+    """The v-step's residual runs in blocks of rows; its variances must be the
+    one-pass formula's (`helpers.one_pass_v_step`), bit for bit.  d = 220
+    and 333 leave 4 and 5 columns past a multiple of 8, which BLAS rounds
+    differently with the row count of a product, and each sample is a group
+    of its own, so that a last-bit change in one row's residual power shows
+    in its variance instead of vanishing in a group's sum.  Every product
+    here is small enough that BLAS runs it on one thread."""
+
+    @pytest.mark.parametrize("n, d, block", [
+        (50, 220, 220 * 100),    # 96 rows a block: n below one block
+        (288, 220, 220 * 100),   # exactly three blocks
+        (289, 220, 220 * 100),   # three blocks and one row
+        (300, 220, 220 * 100),   # three blocks and a ragged end
+        (145, 333, 64),          # d above the block: the floor of 48 rows
+    ], ids=["below_one_block", "exact_multiple", "multiple_plus_one",
+            "ragged", "d_above_block"])
+    def test_matches_the_one_pass_formula(self, monkeypatch, n, d, block):
+        monkeypatch.setattr(batch, "RESIDUAL_BLOCK", block)
+        rng = np.random.default_rng(n + d)
+        samples = [random_sample(rng, d, 1, 0.9) for _ in range(n)]
+        p = BatchProblem([ObservedSample(s.omega, s.values, i)
+                          for i, s in enumerate(samples)], n, d, 3)
+        for _ in range(4):
+            parts = p.dense.parts(rng.standard_normal((d, 3)))
+            v_prev = rng.uniform(0.2, 1.5, size=n)
+            got = batch_v_step(parts, v_prev, p)
+            assert got.tobytes() == one_pass_v_step(parts, v_prev, p).tobytes()
+
+    @pytest.mark.parametrize("n", [49, 145])
+    def test_a_last_row_joins_the_block_before(self, monkeypatch, n):
+        # 48 rows a block leave one row over, which numpy would hand to gemv
+        # on its own.  Compared row by row: a sum over rows can hide a bit.
+        monkeypatch.setattr(batch, "RESIDUAL_BLOCK", 64)
+        rng = np.random.default_rng(n)
+        d = 333
+        for _ in range(8):
+            mean, fo = rng.standard_normal((n, 3)), rng.standard_normal((d, 3))
+            w = (rng.random((n, d)) < 0.9) * 1.0
+            y = rng.standard_normal((n, d)) * w
+            resid = (y - mean @ fo.T) * w
+            want = np.einsum("nd,nd->n", resid, resid)
+            got = batch._residual_power(mean, fo, y, w)
+            assert got.tobytes() == want.tobytes()
+
+
 class TestFStep:
     def test_zero_values_give_zero_row(self):
         rng = np.random.default_rng(1)
@@ -144,13 +210,15 @@ class TestFStep:
     def test_unobserved_rows_carry_forward(self):
         rng = np.random.default_rng(2)
         d, k = 6, 2
-        # No sample ever observes rows 4 and 5.
-        samples = [ObservedSample(np.array([0, 1, 2, 3]), rng.standard_normal(4), 0)
+        # No sample ever observes rows 2, 4 and 5; the others are solved.
+        observed = np.array([0, 1, 3])
+        samples = [ObservedSample(observed, rng.standard_normal(3), 0)
                    for _ in range(5)]
         p = BatchProblem(samples, num_groups=1, d=d, k=k)
         f_prev = rng.standard_normal((d, k))
         f = batch_f_step(p.dense.parts(f_prev), np.array([1.0]), p)
-        np.testing.assert_array_equal(f[4:], f_prev[4:])
+        assert f[[2, 4, 5]].tobytes() == f_prev[[2, 4, 5]].tobytes()
+        assert not np.isclose(f[observed], f_prev[observed]).any()
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=10)
@@ -304,6 +372,21 @@ class TestBatchSolve:
         assert len(its) == 4 and len(seen) == 2 * len(its)
         for got, want in zip(seen, [f0] + [it.f for it in its for _ in (0, 1)]):
             np.testing.assert_array_equal(got, want)
+
+    def test_iteration_allocates_under_a_quarter_of_an_n_by_d_array(self):
+        # One iteration past the problem's dense y and w: O(n k^2) for the
+        # parts and one block of the v-step's residual, no n x d array.
+        rng = np.random.default_rng(18)
+        n, d, k = 5000, 800, 3
+        p = random_problem(rng, d, k, num_groups=2, n=n, observe_prob=0.2)
+        f0, v0 = random_init(rng, d, k, 2)
+        tracemalloc.start()
+        try:
+            batch_solve(p, f0, v0, iters=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d * 8 / 4
 
     def test_iterate_loglik_matches_dataset(self):
         rng = np.random.default_rng(7)

@@ -58,6 +58,26 @@ class TestObservedSample:
         s = ObservedSample.full([1.0, 2.0, 3.0], 0)
         assert np.array_equal(s.omega, [0, 1, 2])
 
+    def test_equal_by_value(self):
+        a = ObservedSample(np.array([0, 2]), np.array([1.0, 2.0]), 0)
+        b = ObservedSample(np.array([0, 2]), np.array([1.0, 2.0]), 0)
+        assert a == b and not a != b
+        assert a != ObservedSample(np.array([0, 2]), np.array([1.0, 2.0]), 1)
+        assert a != ObservedSample(np.array([0, 1]), np.array([1.0, 2.0]), 0)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a)
+
+    def test_one_differing_value_makes_unequal(self):
+        a = ObservedSample(np.array([0, 2]), np.array([1.0, 2.0]), 0)
+        assert a != ObservedSample(np.array([0, 2]), np.array([1.0, 2.5]), 0)
+        assert a != ObservedSample(np.array([0]), np.array([1.0]), 0)
+
+    def test_membership_in_a_list(self):
+        samples = [ObservedSample.full([1.0, 2.0], 0),
+                   ObservedSample(np.array([0, 2]), np.array([1.0, 2.0]), 1)]
+        assert ObservedSample(np.array([0, 2]), np.array([1.0, 2.0]), 1) in samples
+        assert ObservedSample(np.array([0, 2]), np.array([1.0, 2.0]), 0) not in samples
+
 
 class TestPosteriorStats:
     def test_zero_factors(self):

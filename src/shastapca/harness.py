@@ -20,11 +20,15 @@ CSV dataset format: a header row with a `group` column, an optional
 once; an empty value cell marks a missing entry.  Rows stream lazily, but a
 CSV run keeps one d x k basis per checkpoint, to score each against the final
 basis, so its memory grows with the file's length over `checkpoint_every`.
+Each read parses the file in one reader process of its own, started by its
+first row and joined by its end, while the caller works on the rows already
+sent; the samples are those an in-process parse gives, byte for byte.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import numbers
 import time
@@ -365,46 +369,146 @@ def _columns(header) -> tuple:
     return group_col, var_col, value_cols
 
 
+def _records(fh):
+    """Each (line number, cells) of an open dataset file, the header first.
+    A record the csv module refuses, such as one with a field over its size
+    limit, raises CsvFormatError at its line; so do bytes the file's
+    encoding cannot decode, at the line being read when they are decoded,
+    which is theirs or an earlier one, since the file is decoded a block
+    ahead of the reader."""
+    reader = csv.reader(fh)
+    for lineno in itertools.count(1):
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise CsvFormatError(f"line {lineno}: {exc}") from None
+        yield lineno, row
+
+
+# Rows per message from the reader process.  The csv_replay pass (25,000
+# rows, d = 200, a SHASTA tick per row, one BLAS thread) read, median of 8
+# interleaved rounds on 2 cores: 16 rows 2.98 s, 64 2.65, 256 2.62, 1024
+# 2.95, 4096 2.81.
+CHUNK_ROWS = 256
+
+
+def _parse_csv(path, num_groups, send) -> None:
+    """The reader process of `read_csv_samples`: parse and check `path`'s
+    rows, and send them in chunks of CHUNK_ROWS rows, then None; or, after
+    the rows before it, the exception that stopped the read."""
+    message = None
+    first, omegas, values, lengths, groups, variances = 2, [], [], [], [], []
+    try:
+        with open(path, newline="") as fh:
+            records = _records(fh)
+            _, header = next(records, (1, None))
+            group_col, var_col, value_cols = _columns(header)
+            for lineno, row in records:
+                nobs = len(values)
+                try:
+                    if len(row) != len(header):
+                        raise ValueError(f"expected {len(header)} cells, "
+                                         f"got {len(row)}")
+                    for j, col in enumerate(value_cols):
+                        cell = row[col]
+                        if cell != "":
+                            values.append(float(cell))
+                            omegas.append(j)
+                    variance = (None if var_col is None or row[var_col] == ""
+                                else float(row[var_col]))
+                    if variance is not None and not np.isfinite(variance):
+                        raise ValueError(f"variance {variance} is not finite")
+                    group = int(row[group_col])
+                    if num_groups is not None and not 0 <= group < num_groups:
+                        raise ValueError(
+                            f"group {group} outside [0, {num_groups})")
+                except ValueError as exc:
+                    raise CsvFormatError(f"line {lineno}: {exc}") from None
+                lengths.append(len(values) - nobs)
+                groups.append(group)
+                variances.append(variance)
+                if len(lengths) == CHUNK_ROWS:
+                    send.send((first, np.array(omegas, dtype=np.intp),
+                               np.array(values), lengths, groups, variances))
+                    first = lineno + 1
+                    omegas, values, lengths, groups, variances = [], [], [], [], []
+    except Exception as exc:  # raised again by the reading process
+        message = exc
+    if lengths:
+        send.send((first, np.array(omegas, dtype=np.intp), np.array(values),
+                   lengths, groups, variances))
+    send.send(message)
+
+
+def _chunk_samples(first, omegas, values, lengths, groups, variances):
+    """The (sample, variance) pairs of one chunk, each sample checked by
+    ObservedSample as it is built."""
+    start = 0
+    for lineno, nobs, group, variance in zip(itertools.count(first), lengths,
+                                             groups, variances):
+        end = start + nobs
+        try:
+            sample = ObservedSample(omegas[start:end], values[start:end], group)
+        except ValueError as exc:
+            raise CsvFormatError(f"line {lineno}: {exc}") from None
+        start = end
+        yield sample, variance
+
+
 def read_csv_samples(path, num_groups=None):
     """Lazily yield ObservedSample rows (and their optional variances).
 
     Yields (sample, variance_or_none).  Raises CsvFormatError with the 1-based
     line number on a malformed header or row, or, given num_groups, on a row
-    whose group lies outside [0, num_groups).
+    whose group lies outside [0, num_groups); every row before it is yielded
+    first.  A missing file raises FileNotFoundError.
+
+    The first `next()` starts one reader process (multiprocessing's default
+    context), which opens the file, parses and checks each row and sends
+    them CHUNK_ROWS at a time; the caller's process builds each sample from
+    the same parsed numbers, so the samples are the ones an in-process parse
+    gives, byte for byte, while the caller works on earlier rows.  The
+    process is joined when the rows run out, when the generator is closed
+    and when it raises; should it die first, ChildProcessError is raised.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        group_col, var_col, value_cols = _columns(header)
-        for lineno, row in enumerate(reader, start=2):
+    # Imported on first use: loaded with this module, multiprocessing raised
+    # the peak RSS of benchmark runs that read no CSV by 1-2 MB.
+    import multiprocessing
+
+    receive, send = multiprocessing.Pipe(duplex=False)
+    worker = multiprocessing.Process(
+        target=_parse_csv, args=(path, num_groups, send), daemon=True)
+    worker.start()
+    send.close()  # so that the worker's death ends `recv` with EOFError
+    last_sent = False  # the worker's last message, after which it exits
+    try:
+        while True:
             try:
-                if len(row) != len(header):
-                    raise ValueError(f"expected {len(header)} cells, "
-                                     f"got {len(row)}")
-                omega, values = [], []
-                for j, col in enumerate(value_cols):
-                    cell = row[col]
-                    if cell != "":
-                        values.append(float(cell))
-                        omega.append(j)
-                variance = (None if var_col is None or row[var_col] == ""
-                            else float(row[var_col]))
-                if variance is not None and not np.isfinite(variance):
-                    raise ValueError(f"variance {variance} is not finite")
-                group = int(row[group_col])
-                if num_groups is not None and not 0 <= group < num_groups:
-                    raise ValueError(f"group {group} outside [0, {num_groups})")
-                sample = ObservedSample(np.array(omega, dtype=np.intp),
-                                        np.array(values), group)
-            except ValueError as exc:
-                raise CsvFormatError(f"line {lineno}: {exc}") from None
-            yield sample, variance
+                message = receive.recv()
+            except EOFError:
+                worker.join()
+                raise ChildProcessError(
+                    f"the CSV reader of {path} exited with code "
+                    f"{worker.exitcode} before the end of the file") from None
+            last_sent = message is None or isinstance(message, Exception)
+            if message is None:
+                return
+            if last_sent:
+                raise message
+            yield from _chunk_samples(*message)
+    finally:
+        if not last_sent:  # closed early, or ObservedSample refused a row
+            worker.kill()
+        worker.join()
+        receive.close()
 
 
 def csv_dimension(path) -> int:
     """The number of value columns of a dataset's header."""
     with open(path, newline="") as fh:
-        return len(_columns(next(csv.reader(fh), None))[2])
+        return len(_columns(next(_records(fh), (1, None))[1])[2])
 
 
 # ---------------------------------------------------------------------------

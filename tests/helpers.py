@@ -12,6 +12,7 @@ import struct
 import numpy as np
 
 from shastapca.datagen import Epoch, ScenarioScript, draw_group
+from shastapca.harness import CsvFormatError, _columns
 from shastapca.metrics import MetricTrace
 from shastapca.model import (VARIANCE_FLOOR, ObservedSample, floor_variances,
                              observed_parts)
@@ -102,6 +103,38 @@ def write_csv_stream(samples, d, path, variances=None):
             if variances is not None:
                 row.insert(1, repr(float(variances[i])))
             writer.writerow(row)
+
+
+def inline_csv_samples(path, num_groups=None):
+    """`harness.read_csv_samples` as it was before its parse moved into a
+    reader process: every row parsed, checked and built in this process."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        group_col, var_col, value_cols = _columns(header)
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} cells, "
+                                     f"got {len(row)}")
+                omega, values = [], []
+                for j, col in enumerate(value_cols):
+                    cell = row[col]
+                    if cell != "":
+                        values.append(float(cell))
+                        omega.append(j)
+                variance = (None if var_col is None or row[var_col] == ""
+                            else float(row[var_col]))
+                if variance is not None and not np.isfinite(variance):
+                    raise ValueError(f"variance {variance} is not finite")
+                group = int(row[group_col])
+                if num_groups is not None and not 0 <= group < num_groups:
+                    raise ValueError(f"group {group} outside [0, {num_groups})")
+                sample = ObservedSample(np.array(omega, dtype=np.intp),
+                                        np.array(values), group)
+            except ValueError as exc:
+                raise CsvFormatError(f"line {lineno}: {exc}") from None
+            yield sample, variance
 
 
 # Inputs on which F_o' F_o + v_g I is singular or nearly so, or huge, for

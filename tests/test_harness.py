@@ -1,5 +1,9 @@
+import contextlib
 import csv
 import json
+import multiprocessing
+import os
+import signal
 import struct
 import tracemalloc
 from pathlib import Path
@@ -8,6 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
+from shastapca import harness
 from shastapca.batch import BatchProblem, batch_solve
 from shastapca.cli import main as cli_main
 from shastapca.datagen import Epoch, ScenarioScript, run_script
@@ -27,7 +32,8 @@ from shastapca.harness import (
 from shastapca.model import ObservedSample
 from shastapca.shasta import ShastaConfig
 
-from helpers import crafted_checkpoints, read_trace, write_csv_stream
+from helpers import (crafted_checkpoints, inline_csv_samples, read_trace,
+                     write_csv_stream)
 
 
 def smoke_raw(output_dir, estimator=None, seeds=(0,)):
@@ -217,6 +223,53 @@ class TestRunExperiment:
         assert summary["seeds"]["0"]["samples"] == 50
 
 
+def read_until_error(reader, path, num_groups=None):
+    """The (sample, variance) rows `reader` yields from `path`, and the
+    message of the CsvFormatError that stops it (None if none does)."""
+    rows = []
+    try:
+        for row in reader(path, num_groups):
+            rows.append(row)
+    except CsvFormatError as exc:
+        return rows, str(exc)
+    return rows, None
+
+
+def assert_same_rows(got, want):
+    """Equal rows, down to each omega's dtype and each array's bytes."""
+    assert len(got) == len(want)
+    for (a, a_var), (b, b_var) in zip(got, want):
+        assert a.omega.dtype == b.omega.dtype == np.intp
+        assert a.omega.tobytes() == b.omega.tobytes()
+        assert a.values.dtype == b.values.dtype == np.float64
+        assert a.values.tobytes() == b.values.tobytes()
+        assert type(a.group) is type(b.group) and a.group == b.group
+        assert a_var == b_var
+
+
+def write_rows(path, rows: int, bad_line=None, bad_row="0,oops,2.0"):
+    """A group,y0,y1 dataset of `rows` rows; line `bad_line`, if given,
+    holds `bad_row`."""
+    lines = ["group,y0,y1"] + [f"{i % 2},{i}.5,{-i}" for i in range(rows)]
+    if bad_line is not None:
+        lines[bad_line - 1] = bad_row
+    path.write_text("\n".join(lines) + "\n")
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in the block once `seconds` have passed."""
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestCsvIngestion:
     def test_round_trip(self, tmp_path):
         script = ScenarioScript(
@@ -246,19 +299,123 @@ class TestCsvIngestion:
         (sample, _), = read_csv_samples(path)
         assert sample.nobs == 0 and sample.group == 1
 
-    def test_malformed_rows_report_line_numbers(self, tmp_path):
+    def test_malformed_rows_report_line_numbers(self, tmp_path, monkeypatch):
+        # Each bad row is reported at its line with the in-process reader's
+        # message, after every row before it: in the first chunk, at a
+        # chunk's first row and past several chunks.  The finite and
+        # nonnegative checks are ObservedSample's, run as each sample is
+        # built; the others run in the reader process.
+        monkeypatch.setattr(harness, "CHUNK_ROWS", 3)
         path = tmp_path / "bad.csv"
         path.write_text("group,y0,y1\n0,1.0,2.0\n0,oops,2.0\n")
-        with pytest.raises(CsvFormatError) as err:
-            list(read_csv_samples(path))
-        assert "line 3" in str(err.value)
+        rows, message = read_until_error(read_csv_samples, path)
+        assert message == ("line 3: could not convert string to float: "
+                           "'oops'")
+        assert [s.values.tolist() for s, _ in rows] == [[1.0, 2.0]]
+        for bad_line, bad_row, num_groups, expected in [
+                (2, "0,oops,2.0", None, "could not convert string to "
+                                        "float: 'oops'"),
+                (5, "0,nan,2.0", None, "observed values must be finite"),
+                (6, "1,1.0,-inf", 2, "observed values must be finite"),
+                (9, "0,1.0", None, "expected 3 cells, got 2"),
+                (11, "2,1.0,2.0", 2, "group 2 outside [0, 2)"),
+                (12, "-1,1.0,2.0", None, "group label must be nonnegative"),
+                (14, "one,1.0,2.0", 2, "invalid literal for int() with "
+                                       "base 10: 'one'")]:
+            write_rows(path, 20, bad_line, bad_row)
+            rows, message = read_until_error(read_csv_samples, path,
+                                             num_groups)
+            assert message == f"line {bad_line}: {expected}", bad_row
+            assert len(rows) == bad_line - 2, bad_row
+            assert_same_rows(rows, read_until_error(inline_csv_samples, path,
+                                                    num_groups)[0])
 
     def test_missing_group_column(self, tmp_path):
+        # Each header error reads as it did when the rows were parsed in
+        # the calling process.
         path = tmp_path / "nogroup.csv"
-        path.write_text("y0,y1\n1.0,2.0\n")
-        with pytest.raises(CsvFormatError) as err:
-            list(read_csv_samples(path))
-        assert "group" in str(err.value)
+        for text, message in [
+                ("y0,y1\n1.0,2.0\n", "missing required 'group' column"),
+                ("", "empty file"),
+                ("group,y0,y0\n0,1.0,2.0\n", "repeated column names ['y0']"),
+                ("group,variance\n0,1.0\n", "no value columns")]:
+            path.write_text(text)
+            with pytest.raises(CsvFormatError) as err:
+                list(read_csv_samples(path))
+            assert str(err.value) == f"line 1: {message}"
+            with pytest.raises(CsvFormatError) as err:
+                csv_dimension(path)
+            assert str(err.value) == f"line 1: {message}"
+
+    def test_missing_file_keeps_its_name(self, tmp_path):
+        # The CLI reports a FileNotFoundError as an `io` error naming the
+        # file; raised in the reader process, it keeps its filename.
+        path = tmp_path / "missing.csv"
+        with pytest.raises(FileNotFoundError) as err:
+            next(read_csv_samples(path))
+        assert err.value.filename == str(path)
+        assert str(err.value) == f"[Errno 2] No such file or directory: '{path}'"
+        assert not multiprocessing.active_children()
+
+    def test_rows_match_the_in_process_reader(self, tmp_path, monkeypatch):
+        # Byte for byte, across whole chunks, a partial last chunk, empty
+        # rows and variance cells given and left out.
+        monkeypatch.setattr(harness, "CHUNK_ROWS", 4)
+        script = ScenarioScript(
+            d=7, k=2, spectrum=(2.0, 1.0), v_star=(0.01, 0.1, 1.0),
+            group_probs=(0.2, 0.3, 0.5), observe_prob=0.4,
+            epochs=(Epoch(samples=30),))
+        samples = [s for s, _ in run_script(script, seed=3)]
+        samples[5] = ObservedSample(np.array([], dtype=np.intp), [], 1)
+        variances = np.random.default_rng(0).uniform(0.1, 2.0, len(samples))
+        path = tmp_path / "data.csv"
+        write_csv_stream(samples, 7, path, variances=variances)
+        lines = path.read_text().splitlines()
+        lines[8] = lines[8].replace(repr(float(variances[7])), "", 1)
+        path.write_text("\n".join(lines) + "\n")
+        for num_groups in (None, 3):
+            want = list(inline_csv_samples(path, num_groups))
+            assert want[7][1] is None and want[5][0].nobs == 0
+            assert_same_rows(list(read_csv_samples(path, num_groups)), want)
+
+    def test_reader_process_ends_with_the_read(self, tmp_path, monkeypatch):
+        # No reader process outlives its generator: exhausted, closed after
+        # its first row, or stopped by a bad row the reader process finds or
+        # one ObservedSample refuses, far from the file's end.
+        monkeypatch.setattr(harness, "CHUNK_ROWS", 2)
+        path = tmp_path / "rows.csv"
+        write_rows(path, 20_000)
+        with deadline(120):
+            assert sum(1 for _ in read_csv_samples(path)) == 20_000
+            assert not multiprocessing.active_children()
+
+            rows = read_csv_samples(path)
+            next(rows)
+            assert len(multiprocessing.active_children()) == 1
+            rows.close()
+            assert not multiprocessing.active_children()
+
+            for bad_row in ("0,oops,2.0", "0,nan,2.0"):
+                write_rows(path, 20_000, bad_line=500, bad_row=bad_row)
+                with pytest.raises(CsvFormatError, match="^line 500: "):
+                    list(read_csv_samples(path))
+                assert not multiprocessing.active_children()
+
+    def test_killed_reader_process_is_an_error(self, tmp_path, monkeypatch):
+        # The reader blocks on a full pipe long before the end of the file;
+        # once it is killed, reading on raises instead of waiting.
+        monkeypatch.setattr(harness, "CHUNK_ROWS", 2)
+        path = tmp_path / "rows.csv"
+        write_rows(path, 20_000)
+        rows = read_csv_samples(path)
+        next(rows)
+        worker, = multiprocessing.active_children()
+        os.kill(worker.pid, signal.SIGKILL)
+        with deadline(60), pytest.raises(ChildProcessError,
+                                         match="exited with code -9"):
+            for _ in rows:
+                pass
+        assert not multiprocessing.active_children()
 
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
@@ -881,6 +1038,37 @@ class TestCli:
                 assert err["error"] == "data", err
                 assert err["message"].startswith(f"line {line}: "), err
                 assert not (tmp_path / "out").exists()
+
+    def test_unreadable_records_are_data_errors(self, tmp_path, capsys):
+        # A field over the csv module's size limit, in a row or in the
+        # header, and bytes the file's encoding cannot decode: each used to
+        # escape as a traceback.  The file is decoded a block ahead of the
+        # csv reader, so bad bytes are reported at the line being read when
+        # their block is decoded: here the header, for a one-block file.
+        path = tmp_path / "bad.csv"
+        big = "1" * 200_000
+        for data, lines, text in [
+                (f"group,y0\n0,1.0\n0,{big}\n".encode(), [3],
+                 "field larger than field limit (131072)"),
+                (f"group,y{big}\n0,1.0\n".encode(), [1],
+                 "field larger than field limit (131072)"),
+                (b"group,y0\n0,\xff\n", [1], "codec can't decode byte 0xff"),
+                (b"group,y0\n" + b"0,1.0\n" * 5000 + b"0,\xff\n",
+                 range(2, 5003), "codec can't decode byte 0xff")]:
+            path.write_bytes(data)
+            raw = smoke_raw(tmp_path / "out", {"kind": "shasta", "rank": 1})
+            raw["scenario"] = {"kind": "csv", "path": str(path),
+                               "num_groups": 1}
+            raw["run"]["loglik_gap"] = False
+            (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(raw))
+            for command in (["ingest-check", str(path)],
+                            ["run", str(tmp_path / "cfg.yaml")]):
+                assert cli_main(command) == 1, (text, command)
+                err = json.loads(capsys.readouterr().err)
+                assert err["error"] == "data", err
+                line, message = err["message"].split(": ", 1)
+                assert line.startswith("line ") and int(line[5:]) in lines, err
+                assert text in message, err
 
     def test_run_names_the_line_of_a_group_out_of_range(self, tmp_path,
                                                         capsys):

@@ -18,7 +18,7 @@ would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -72,6 +72,12 @@ class PlantedModel:
             if c.size != v_star.size or np.any(c < 0):
                 raise ParameterError("group_counts", "must be nonnegative, one per group")
             object.__setattr__(self, "group_counts", c)
+
+    def __getstate__(self):
+        """The fields alone, for pickling: an unpickled copy computes its
+        cached factors and group law again, read-only, rather than receive
+        writable copies of them."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def d(self) -> int:

@@ -15,18 +15,24 @@ A batch pass's clock covers building its `BatchProblem` (the dense arrays that
 batch-mm and ppca read) and every iterate with its subspace error; the planted
 truth's log-likelihood, and ppca's gap, are taken after it stops.
 
+Each seed's pairs are drawn, or read, in one producer process of its own,
+started by the first pair and joined by the last, while the caller runs the
+estimator on the pairs already sent: the process runs `run_script`, or
+parses and checks a CSV file's rows, and sends them in chunks; the caller
+checks each chunk's samples in one pass and builds them without checking
+each again.  The pairs are those an in-process draw or parse gives, byte
+for byte.
+
 CSV dataset format: a header row with a `group` column, an optional
 `variance` column (reporting only), and d value columns, each column named
 once; an empty value cell marks a missing entry.  Rows stream lazily, but a
 CSV run keeps one d x k basis per checkpoint, to score each against the final
 basis, so its memory grows with the file's length over `checkpoint_every`.
-Each read parses the file in one reader process of its own, started by its
-first row and joined by its end, while the caller works on the rows already
-sent; the samples are those an in-process parse gives, byte for byte.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
@@ -387,74 +393,159 @@ def _records(fh):
         yield lineno, row
 
 
-# Rows per message from the reader process.  The csv_replay pass (25,000
+# Rows per message from a producer process.  The csv_replay pass (25,000
 # rows, d = 200, a SHASTA tick per row, one BLAS thread) read, median of 8
 # interleaved rounds on 2 cores: 16 rows 2.98 s, 64 2.65, 256 2.62, 1024
 # 2.95, 4096 2.81.
 CHUNK_ROWS = 256
 
 
-def _parse_csv(path, num_groups, send) -> None:
-    """The reader process of `read_csv_samples`: parse and check `path`'s
-    rows, and send them in chunks of CHUNK_ROWS rows, then None; or, after
-    the rows before it, the exception that stopped the read."""
-    message = None
-    first, omegas, values, lengths, groups, variances = 2, [], [], [], [], []
+def _send_rows(send, rows, *args) -> None:
+    """A producer process: send the (omega, values, group, info) rows that
+    `rows(*args)` yields, CHUNK_ROWS to a message as their concatenated
+    omegas and values, lengths, groups and infos, then None; or, after the
+    rows before it, the exception that stopped them."""
+    chunk, message = [], None
     try:
-        with open(path, newline="") as fh:
-            records = _records(fh)
-            _, header = next(records, (1, None))
-            group_col, var_col, value_cols = _columns(header)
-            for lineno, row in records:
-                nobs = len(values)
-                try:
-                    if len(row) != len(header):
-                        raise ValueError(f"expected {len(header)} cells, "
-                                         f"got {len(row)}")
-                    for j, col in enumerate(value_cols):
-                        cell = row[col]
-                        if cell != "":
-                            values.append(float(cell))
-                            omegas.append(j)
-                    variance = (None if var_col is None or row[var_col] == ""
-                                else float(row[var_col]))
-                    if variance is not None and not np.isfinite(variance):
-                        raise ValueError(f"variance {variance} is not finite")
-                    group = int(row[group_col])
-                    if num_groups is not None and not 0 <= group < num_groups:
-                        raise ValueError(
-                            f"group {group} outside [0, {num_groups})")
-                except ValueError as exc:
-                    raise CsvFormatError(f"line {lineno}: {exc}") from None
-                lengths.append(len(values) - nobs)
-                groups.append(group)
-                variances.append(variance)
-                if len(lengths) == CHUNK_ROWS:
-                    send.send((first, np.array(omegas, dtype=np.intp),
-                               np.array(values), lengths, groups, variances))
-                    first = lineno + 1
-                    omegas, values, lengths, groups, variances = [], [], [], [], []
-    except Exception as exc:  # raised again by the reading process
+        for row in rows(*args):
+            chunk.append(row)
+            if len(chunk) == CHUNK_ROWS:
+                send.send(_pack(chunk))
+                chunk = []
+    except Exception as exc:  # raised again by the receiving process
         message = exc
-    if lengths:
-        send.send((first, np.array(omegas, dtype=np.intp), np.array(values),
-                   lengths, groups, variances))
+    if chunk:
+        send.send(_pack(chunk))
     send.send(message)
 
 
-def _chunk_samples(first, omegas, values, lengths, groups, variances):
-    """The (sample, variance) pairs of one chunk, each sample checked by
-    ObservedSample as it is built."""
-    start = 0
-    for lineno, nobs, group, variance in zip(itertools.count(first), lengths,
-                                             groups, variances):
-        end = start + nobs
+def _pack(rows) -> tuple:
+    """One message of `_send_rows`: its rows' omegas and values, each
+    concatenated, their lengths, groups and infos."""
+    omegas, values, groups, infos = zip(*rows)
+    return (np.concatenate(omegas), np.concatenate(values),
+            [omega.size for omega in omegas], list(groups), list(infos))
+
+
+def _checked_samples(omegas, values, lengths, groups):
+    """The samples of one chunk from a producer process, held to the rules
+    of `ObservedSample.__post_init__` by one check over the whole chunk:
+    each row's omega strictly increasing and nonnegative, its values
+    finite, its group nonnegative.  Returns the samples and None; or, if a
+    row breaks a rule, the samples of the rows before it and the ValueError
+    ObservedSample raises for that row."""
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    rising = np.ones(omegas.size, dtype=bool)
+    rising[1:] = omegas[1:] > omegas[:-1]
+    rising[starts[starts < omegas.size]] = True  # a row's first entry
+    bad = np.flatnonzero(~(rising & (omegas >= 0) & np.isfinite(values)))
+    count = len(lengths)
+    if bad.size:
+        count = int(np.searchsorted(ends, bad[0], side="right"))
+    count = next((row for row, group in enumerate(groups[:count])
+                  if group < 0), count)
+    starts, ends = starts.tolist(), ends.tolist()
+    samples = [ObservedSample._checked(omegas[start:end], values[start:end],
+                                       group)
+               for start, end, group in zip(starts[:count], ends[:count],
+                                            groups)]
+    # ObservedSample itself refuses the first row the check flagged.
+    for start, end, group in zip(starts[count:], ends[count:], groups[count:]):
         try:
-            sample = ObservedSample(omegas[start:end], values[start:end], group)
+            samples.append(ObservedSample(omegas[start:end], values[start:end],
+                                          group))
         except ValueError as exc:
-            raise CsvFormatError(f"line {lineno}: {exc}") from None
-        start = end
-        yield sample, variance
+            return samples, exc
+    return samples, None
+
+
+def _produce(rows, args, pairs, name: str):
+    """The (sample, info) pairs of a stream drawn or read in a producer
+    process of its own, which runs `_send_rows(send, rows, *args)`: started
+    by the first `next()` (multiprocessing's default context), while the
+    caller works on the rows already sent.  `pairs` turns each chunk
+    received, as its samples, infos and error from `_checked_samples`,
+    into the pairs yielded.  The process is joined when the rows run out,
+    when the generator is closed and when it raises, and killed first if it
+    is still producing; should it die before its last message,
+    ChildProcessError is raised, naming it as `name`."""
+    # Imported on first use: loaded with this module, multiprocessing raised
+    # the peak RSS of benchmark runs that start no producer by 1-2 MB.
+    import multiprocessing
+
+    receive, send = multiprocessing.Pipe(duplex=False)
+    worker = multiprocessing.Process(target=_send_rows,
+                                     args=(send, rows, *args), daemon=True)
+    worker.start()
+    send.close()  # so that the worker's death ends `recv` with EOFError
+
+    def chunks():
+        while True:
+            try:
+                message = receive.recv()
+            except EOFError:
+                worker.join()
+                raise ChildProcessError(
+                    f"{name} exited with code {worker.exitcode} before its "
+                    "last row") from None
+            if message is None:
+                return
+            if isinstance(message, Exception):
+                raise message
+            omegas, values, lengths, groups, infos = message
+            samples, error = _checked_samples(omegas, values, lengths, groups)
+            yield samples, infos, error
+
+    try:
+        yield from pairs(chunks())
+    finally:
+        worker.kill()  # harmless once it has sent its last message
+        worker.join()
+        receive.close()
+
+
+def _csv_rows(path, num_groups):
+    """The rows of a dataset file as `_send_rows` takes them, each parsed
+    and checked but for `ObservedSample`'s rules; its info is the row's
+    variance or None."""
+    with open(path, newline="") as fh:
+        records = _records(fh)
+        _, header = next(records, (1, None))
+        group_col, var_col, value_cols = _columns(header)
+        for lineno, row in records:
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} cells, "
+                                     f"got {len(row)}")
+                omega, values = [], []
+                for j, col in enumerate(value_cols):
+                    cell = row[col]
+                    if cell != "":
+                        values.append(float(cell))
+                        omega.append(j)
+                variance = (None if var_col is None or row[var_col] == ""
+                            else float(row[var_col]))
+                if variance is not None and not np.isfinite(variance):
+                    raise ValueError(f"variance {variance} is not finite")
+                group = int(row[group_col])
+                if num_groups is not None and not 0 <= group < num_groups:
+                    raise ValueError(f"group {group} outside [0, {num_groups})")
+            except ValueError as exc:
+                raise CsvFormatError(f"line {lineno}: {exc}") from None
+            yield (np.array(omega, dtype=np.intp), np.array(values), group,
+                   variance)
+
+
+def _csv_pairs(chunks):
+    """The (sample, variance) pairs of a dataset file's chunks; a row that
+    `ObservedSample` refuses raises CsvFormatError at its line."""
+    lineno = 2  # of the chunk's first row
+    for samples, variances, error in chunks:
+        yield from zip(samples, variances)
+        lineno += len(samples)
+        if error is not None:
+            raise CsvFormatError(f"line {lineno}: {error}")
 
 
 def read_csv_samples(path, num_groups=None):
@@ -465,44 +556,13 @@ def read_csv_samples(path, num_groups=None):
     whose group lies outside [0, num_groups); every row before it is yielded
     first.  A missing file raises FileNotFoundError.
 
-    The first `next()` starts one reader process (multiprocessing's default
-    context), which opens the file, parses and checks each row and sends
-    them CHUNK_ROWS at a time; the caller's process builds each sample from
-    the same parsed numbers, so the samples are the ones an in-process parse
-    gives, byte for byte, while the caller works on earlier rows.  The
-    process is joined when the rows run out, when the generator is closed
-    and when it raises; should it die first, ChildProcessError is raised.
+    The file is opened, parsed and checked in a producer process of its own
+    (`_produce`), which sends its rows CHUNK_ROWS at a time; the caller's
+    process builds each sample from the same parsed numbers, so the samples
+    are the ones an in-process parse gives, byte for byte.
     """
-    # Imported on first use: loaded with this module, multiprocessing raised
-    # the peak RSS of benchmark runs that read no CSV by 1-2 MB.
-    import multiprocessing
-
-    receive, send = multiprocessing.Pipe(duplex=False)
-    worker = multiprocessing.Process(
-        target=_parse_csv, args=(path, num_groups, send), daemon=True)
-    worker.start()
-    send.close()  # so that the worker's death ends `recv` with EOFError
-    last_sent = False  # the worker's last message, after which it exits
-    try:
-        while True:
-            try:
-                message = receive.recv()
-            except EOFError:
-                worker.join()
-                raise ChildProcessError(
-                    f"the CSV reader of {path} exited with code "
-                    f"{worker.exitcode} before the end of the file") from None
-            last_sent = message is None or isinstance(message, Exception)
-            if message is None:
-                return
-            if last_sent:
-                raise message
-            yield from _chunk_samples(*message)
-    finally:
-        if not last_sent:  # closed early, or ObservedSample refused a row
-            worker.kill()
-        worker.join()
-        receive.close()
+    return _produce(_csv_rows, (path, num_groups), _csv_pairs,
+                    f"the CSV reader of {path}")
 
 
 def csv_dimension(path) -> int:
@@ -587,13 +647,41 @@ def score_stream(est, pairs, every: int, num_groups: int, loglik=None):
     return trace, ingest_s, score_s + time.perf_counter() - resumed
 
 
+def _script_rows(scenario: dict, seed: int):
+    """The pairs of the synthetic scenario's script on the seed's Philox
+    stream 0, as rows for `_send_rows`: a row's info is its planted model
+    if that model is new, else None, so each model is sent once."""
+    model = None
+    for sample, truth in run_script(scenario_script(scenario),
+                                    seed=np.random.SeedSequence((seed, 0))):
+        yield (sample.omega, sample.values, sample.group,
+               None if truth is model else truth)
+        model = truth
+
+
+def _script_pairs(chunks):
+    """The (sample, planted model) pairs of a script's chunks."""
+    model = None
+    for samples, models, error in chunks:
+        for sample, new in zip(samples, models):
+            if new is not None:
+                model = new
+            yield sample, model
+        if error is not None:
+            raise error
+
+
 def seed_pairs(scenario: dict, seed: int):
-    """A seed's (sample, info) pairs, drawn lazily: the synthetic script on
-    the seed's Philox stream 0, or a csv dataset's rows."""
+    """A seed's (sample, info) pairs, drawn lazily in a producer process
+    (`_produce`): the synthetic script on the seed's Philox stream 0, as
+    `run_script` draws it in-process, or a csv dataset's rows.  The caller
+    builds each sample from the numbers the process sends, so the pairs are
+    those of an in-process draw, byte for byte, each planted model being
+    an equal copy, one per epoch that changes it."""
     if scenario["kind"] == "csv":
         return read_csv_samples(scenario["path"], scenario["num_groups"])
-    return run_script(scenario_script(scenario),
-                      seed=np.random.SeedSequence((seed, 0)))
+    return _produce(_script_rows, (scenario, seed), _script_pairs,
+                    f"the sample producer of seed {seed}")
 
 
 def run_block(spec: dict, scenario: dict, seed: int, pairs, every: int,
@@ -681,10 +769,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     per_seed = {}
     for seed in config.seeds:
-        trace, _, _, per_seed[seed], _ = run_block(
-            config.estimator, config.scenario, seed,
-            seed_pairs(config.scenario, seed), config.checkpoint_every,
-            config.loglik_gap)
+        # Closed on a raise too, which joins the seed's producer process
+        # before the error propagates.
+        with contextlib.closing(seed_pairs(config.scenario, seed)) as pairs:
+            trace, _, _, per_seed[seed], _ = run_block(
+                config.estimator, config.scenario, seed, pairs,
+                config.checkpoint_every, config.loglik_gap)
         trace.write_csv(out_dir / f"trace_seed{seed}.csv")
     summary = _summarize(config, per_seed)
     with open(out_dir / "summary.json", "w") as fh:

@@ -80,6 +80,17 @@ class ObservedSample:
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "values", values)
 
+    @classmethod
+    def _checked(cls, omega: np.ndarray, values: np.ndarray,
+                 group: int) -> "ObservedSample":
+        """A sample from parts its caller has already held to the rules of
+        `__post_init__`: omega a 1-d intp array, strictly increasing and
+        nonnegative, values a float64 array as long and finite, group
+        nonnegative.  Nothing is checked again."""
+        sample = cls.__new__(cls)
+        sample.__dict__.update(omega=omega, values=values, group=group)
+        return sample
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented

@@ -29,7 +29,7 @@ from shastapca.harness import (
     shared_init,
     timing_run,
 )
-from shastapca.model import ObservedSample
+from shastapca.model import ObservedSample, RejectedSample
 from shastapca.shasta import ShastaConfig
 
 from helpers import (crafted_checkpoints, inline_csv_samples, read_trace,
@@ -302,9 +302,10 @@ class TestCsvIngestion:
     def test_malformed_rows_report_line_numbers(self, tmp_path, monkeypatch):
         # Each bad row is reported at its line with the in-process reader's
         # message, after every row before it: in the first chunk, at a
-        # chunk's first row and past several chunks.  The finite and
-        # nonnegative checks are ObservedSample's, run as each sample is
-        # built; the others run in the reader process.
+        # chunk's first, middle and last row and past several chunks.  The
+        # finite and nonnegative checks are ObservedSample's, run over each
+        # chunk at once as it is received; the others run in the reader
+        # process.
         monkeypatch.setattr(harness, "CHUNK_ROWS", 3)
         path = tmp_path / "bad.csv"
         path.write_text("group,y0,y1\n0,1.0,2.0\n0,oops,2.0\n")
@@ -317,9 +318,11 @@ class TestCsvIngestion:
                                         "float: 'oops'"),
                 (5, "0,nan,2.0", None, "observed values must be finite"),
                 (6, "1,1.0,-inf", 2, "observed values must be finite"),
+                (7, "0,inf,2.0", None, "observed values must be finite"),
                 (9, "0,1.0", None, "expected 3 cells, got 2"),
                 (11, "2,1.0,2.0", 2, "group 2 outside [0, 2)"),
                 (12, "-1,1.0,2.0", None, "group label must be nonnegative"),
+                (13, "-2,1.0,2.0", None, "group label must be nonnegative"),
                 (14, "one,1.0,2.0", 2, "invalid literal for int() with "
                                        "base 10: 'one'")]:
             write_rows(path, 20, bad_line, bad_row)
@@ -417,6 +420,28 @@ class TestCsvIngestion:
                 pass
         assert not multiprocessing.active_children()
 
+    def test_reader_is_joined_when_a_run_raises(self, tmp_path):
+        # A row scaled by 1e300 makes SHASTA refuse it, far from the file's
+        # end; the reader is joined before the error propagates.
+        script = ScenarioScript(
+            d=100, k=2, spectrum=(2.0, 1.0), v_star=(0.05,),
+            group_probs=(1.0,), observe_prob=0.5, epochs=(Epoch(samples=3000),))
+        samples = [s for s, _ in run_script(script, seed=2)]
+        samples[10] = ObservedSample(samples[10].omega,
+                                     samples[10].values * 1e300, 0)
+        data = tmp_path / "stream.csv"
+        write_csv_stream(samples, 100, data)
+        raw = {
+            "scenario": {"kind": "csv", "path": str(data), "num_groups": 1},
+            "estimator": {"kind": "shasta", "rank": 2, "weights": "1/t",
+                          "c_f": 0.1, "c_v": 0.1, "delta": 0.1},
+            "run": {"seeds": [0], "output_dir": str(tmp_path / "csvrun")},
+        }
+        with pytest.raises(RejectedSample) as held:
+            run_experiment(parse_config(raw))
+        # `held` keeps the exception, and with it the run's frames, alive.
+        assert not multiprocessing.active_children(), held
+
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("group,y0,y1\n0,1.0\n")
@@ -495,6 +520,7 @@ class TestCsvIngestion:
                     "output_dir": str(tmp_path / "csvrun")},
         }
         summary = run_experiment(parse_config(raw))
+        assert not multiprocessing.active_children()
         assert summary["seeds"]["0"]["samples"] == 120
         # The final record measures distance to itself.
         assert summary["seeds"]["0"]["final_subspace_error"] == 0.0
@@ -596,6 +622,135 @@ class TestCsvIngestion:
         assert errors[-1] == 0.0 and errors[0] > 1e-3
 
 
+def chunk_of(rows):
+    """(omega, values, group) rows as the chunk a producer process sends:
+    concatenated omegas and values, lengths and groups."""
+    return (np.concatenate([np.asarray(o, dtype=np.intp) for o, _, _ in rows]),
+            np.concatenate([np.asarray(v, dtype=float) for _, v, _ in rows]),
+            [len(o) for o, _, _ in rows], [g for _, _, g in rows])
+
+
+def tracking_raw(output_dir):
+    """A run config whose scenario redraws its subspace and scales a
+    variance, at epoch boundaries after 6 and 8 samples."""
+    raw = smoke_raw(output_dir)
+    scenario = raw["scenario"]
+    del scenario["group_counts"]
+    scenario.update(group_probs=[0.4, 0.6], epochs=[
+        {"samples": 6}, {"samples": 2, "redraw_subspace": True},
+        {"samples": 7, "scale_variance": {"group": 1, "factor": 3.0}}])
+    raw["run"]["loglik_gap"] = False
+    return raw
+
+
+class TestProducer:
+    # A stream drawn or read in a producer process: its chunk check, its
+    # pairs and the process's lifetime.
+
+    @pytest.mark.parametrize("fault", ["nan", "inf", "non_increasing",
+                                       "repeated", "negative_omega",
+                                       "negative_group"])
+    def test_chunk_check_refuses_what_observed_sample_refuses(self, fault):
+        # The bad row first, in the middle and last in its chunk, beside
+        # an empty row: every row before it is built, equal to the sample
+        # ObservedSample builds, and its error is ObservedSample's.
+        rng = np.random.default_rng(4)
+        rows = [(np.sort(rng.choice(9, size=0 if i == 2 else 4,
+                                    replace=False)),
+                 rng.standard_normal(0 if i == 2 else 4), i % 3)
+                for i in range(7)]
+        for bad in (0, 3, 6):
+            omega, values, group = rows[bad][0].copy(), rows[bad][1].copy(), -1
+            if fault != "negative_group":
+                group = rows[bad][2]
+            if fault in ("nan", "inf"):
+                values[1] = float(fault)
+            elif fault == "non_increasing":
+                omega[[1, 2]] = omega[[2, 1]]
+            elif fault == "repeated":
+                omega[2] = omega[1]
+            elif fault == "negative_omega":
+                omega[0] = -1
+            with pytest.raises(ValueError) as want:
+                ObservedSample(omega, values, group)
+            samples, error = harness._checked_samples(*chunk_of(
+                rows[:bad] + [(omega, values, group)] + rows[bad + 1:]))
+            assert str(error) == str(want.value), (fault, bad)
+            assert_same_rows([(s, None) for s in samples],
+                             [(ObservedSample(*row), None)
+                              for row in rows[:bad]])
+
+    def test_script_pairs_are_the_in_process_pairs(self, monkeypatch):
+        # With 4 rows to a chunk, the subspace redraw lands mid-chunk and
+        # the variance change on a chunk boundary.
+        monkeypatch.setattr(harness, "CHUNK_ROWS", 4)
+        scenario = parse_config(tracking_raw("unused")).scenario
+        want = list(run_script(harness.scenario_script(scenario),
+                               np.random.SeedSequence((3, 0))))
+        got = list(harness.seed_pairs(scenario, 3))
+        assert_same_rows([(s, None) for s, _ in got],
+                         [(s, None) for s, _ in want])
+        for (_, a), (_, b) in zip(got, want):
+            np.testing.assert_array_equal(a.u, b.u)
+            np.testing.assert_array_equal(a.v_star, b.v_star)
+            # Its cached factors are its own, read-only as in-process.
+            assert not a.factors.flags.writeable
+        # One model per epoch, each sent once.
+        models = [model for _, model in got]
+        assert [len({id(m) for m in models[i:j]})
+                for i, j in ((0, 6), (6, 8), (8, 15))] == [1, 1, 1]
+        assert len({id(m) for m in models}) == 3
+        sent = [info for *_, info in harness._script_rows(scenario, 3)]
+        assert [i for i, info in enumerate(sent) if info is not None] == [
+            0, 6, 8]
+        assert not multiprocessing.active_children()
+
+    def test_producer_ends_with_the_pairs(self, tmp_path, monkeypatch):
+        # Closed after its first pair, the producer is joined at once; so
+        # is one whose run raises mid-stream, while its exception is held.
+        monkeypatch.setattr(harness, "CHUNK_ROWS", 2)
+        raw = smoke_raw(tmp_path / "out")
+        raw["scenario"].update(d=100, group_counts=[1500, 1500])
+        config = parse_config(raw)
+        pairs = harness.seed_pairs(config.scenario, 0)
+        next(pairs)
+        assert len(multiprocessing.active_children()) == 1
+        pairs.close()
+        assert not multiprocessing.active_children()
+
+        calls = 0
+
+        def refuse(self, sample):
+            nonlocal calls
+            calls += 1
+            if calls == 11:
+                raise RuntimeError("refused")
+            return ingest(self, sample)
+
+        ingest = harness.ShastaPCA.ingest
+        monkeypatch.setattr(harness.ShastaPCA, "ingest", refuse)
+        with pytest.raises(RuntimeError, match="refused") as held:
+            run_experiment(config)
+        # `held` keeps the exception, and with it the run's frames, alive.
+        assert not multiprocessing.active_children(), held
+
+    def test_killed_producer_is_an_error(self, tmp_path, monkeypatch):
+        # The producer blocks on a full pipe long before its last sample;
+        # once it is killed, reading on raises instead of waiting.
+        monkeypatch.setattr(harness, "CHUNK_ROWS", 2)
+        raw = smoke_raw(tmp_path / "out")
+        raw["scenario"].update(group_counts=[10_000, 10_000])
+        pairs = harness.seed_pairs(parse_config(raw).scenario, 0)
+        next(pairs)
+        worker, = multiprocessing.active_children()
+        os.kill(worker.pid, signal.SIGKILL)
+        with deadline(60), pytest.raises(ChildProcessError,
+                                         match="exited with code -9"):
+            for _ in pairs:
+                pass
+        assert not multiprocessing.active_children()
+
+
 class TestTimingRun:
     def test_small_comparison_table(self, tmp_path):
         raw = {
@@ -633,6 +788,7 @@ class TestTimingRun:
         batch = read_trace(tmp_path / "timing" / "batch_seed0.csv")
         assert streaming.records[-1].t == 600
         assert batch.records[-1].t == table["seeds"]["0"]["batch_iterations"]
+        assert not multiprocessing.active_children()
 
     def test_streaming_trace_is_the_run_trace(self, tmp_path):
         # One scorer: for the same scenario, SHASTA estimator, cadence and

@@ -24,9 +24,7 @@ from .model import (
     PosteriorStats,
     RejectedSample,
     VARIANCE_FLOOR,
-    minorizer_value,
     posterior_stats,
-    sample_log_likelihood,
 )
 from .shasta import ShastaConfig, ShastaPCA, ShastaState, WeightSchedule, \
     load_state, save_state
@@ -53,11 +51,9 @@ __all__ = [
     "batch_solve",
     "batch_v_step",
     "load_state",
-    "minorizer_value",
     "posterior_stats",
     "ppca_closed_form",
     "run_script",
-    "sample_log_likelihood",
     "save_state",
     "subspace_error",
 ]

@@ -379,18 +379,37 @@ def _records(fh):
     """Each (line number, cells) of an open dataset file, the header first.
     A record the csv module refuses, such as one with a field over its size
     limit, raises CsvFormatError at its line; so do bytes the file's
-    encoding cannot decode, at the line being read when they are decoded,
-    which is theirs or an earlier one, since the file is decoded a block
-    ahead of the reader."""
+    encoding cannot decode, at their own line (`_undecodable_line`)."""
     reader = csv.reader(fh)
     for lineno in itertools.count(1):
         try:
             row = next(reader)
         except StopIteration:
             return
-        except (csv.Error, UnicodeDecodeError) as exc:
+        except csv.Error as exc:
+            raise CsvFormatError(f"line {lineno}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            lineno, exc = _undecodable_line(fh, lineno, exc)
             raise CsvFormatError(f"line {lineno}: {exc}") from None
         yield lineno, row
+
+
+def _undecodable_line(fh, lineno: int, exc: UnicodeDecodeError):
+    """The number and decode error of the first line of fh's file that does
+    not decode alone, its bytes split where the csv module ends a line (at
+    CR LF, LF or a bare CR); else lineno and exc, the record being read when
+    the decode failed, which lies up to a block before the bad bytes."""
+    try:
+        fh.buffer.seek(0)
+    except OSError:  # a pipe, say
+        return lineno, exc
+    lines = (line for piece in fh.buffer for line in piece.splitlines())
+    for number, line in enumerate(lines, start=1):
+        try:
+            line.decode(fh.encoding, fh.errors)
+        except UnicodeDecodeError as err:
+            return number, err
+    return lineno, exc
 
 
 # Rows per message from a producer process.  The csv_replay pass (25,000

@@ -3,8 +3,8 @@
 Data vectors follow y = F z + eps with z ~ N(0, I_k) and eps ~ N(0, v_g I_d),
 where F is a d-by-k factor matrix, v holds one noise variance per group, and
 each sample observes only a subset of coordinates.  This module provides the
-observed-entry log-likelihood, the posterior statistics of the latent
-coefficients, and the EM-style surrogate value used by the solvers.
+observed-entry log-likelihood of a dataset, the posterior statistics of the
+latent coefficients, and the kernels the solvers share.
 
 Every one of these reads one k x k kernel per sample, ObservedParts: the
 eigendecomposition of F_o' F_o, from which each value at any v_g is a sum
@@ -86,9 +86,13 @@ class ObservedSample:
         """A sample from parts its caller has already held to the rules of
         `__post_init__`: omega a 1-d intp array, strictly increasing and
         nonnegative, values a float64 array as long and finite, group
-        nonnegative.  Nothing is checked again."""
+        nonnegative.  Nothing is checked again.  The fields are set as
+        `__init__` sets them, in field order: touching `sample.__dict__`
+        would give each sample a dict of its own (248 bytes against 105)."""
         sample = cls.__new__(cls)
-        sample.__dict__.update(omega=omega, values=values, group=group)
+        object.__setattr__(sample, "omega", omega)
+        object.__setattr__(sample, "values", values)
+        object.__setattr__(sample, "group", group)
         return sample
 
     def __eq__(self, other):
@@ -289,48 +293,6 @@ def _gram_spectrum(gram: np.ndarray):
     top = evals[-1] if evals.ndim == 1 else evals[..., -1:]
     evals[evals <= (gram.shape[-1] * ZERO_EIGENVALUE) * top] = 0.0
     return evals, evecs
-
-
-def sample_log_likelihood(f: np.ndarray, v: np.ndarray, sample: ObservedSample) -> float:
-    """Observed-entry log-likelihood term for one sample, constants dropped.
-
-    Equals ln det(F_o F_o' + v_g I)^{-1} - y_o' (F_o F_o' + v_g I)^{-1} y_o,
-    evaluated through the k x k parts so the cost is O(|omega| k^2 + k^3).
-    """
-    f = check_factors(f)
-    if sample.nobs == 0:
-        return 0.0
-    y = sample.values
-    parts = observed_parts(f[sample.omega], y)
-    vg = float(floor_variances(v)[sample.group])
-    return float(parts.log_likelihood(vg, sample.nobs, y @ y))
-
-
-def minorizer_value(f: np.ndarray, v: np.ndarray, anchor_f: np.ndarray,
-                    anchor_v: np.ndarray, sample: ObservedSample) -> float:
-    """EM surrogate for one sample, anchored at (anchor_f, anchor_v).
-
-    Twice this value minorizes sample_log_likelihood up to an additive
-    constant fixed by matching at the anchor.  The solvers use closed-form
-    maximizers; this direct evaluation exists for property testing.
-    """
-    f = check_factors(f)
-    n = sample.nobs
-    if n == 0:
-        return 0.0
-    vg = float(floor_variances(v)[sample.group])
-    anchor_vg = float(floor_variances(anchor_v)[sample.group])
-    stats = posterior_stats(anchor_f, anchor_v, sample)
-    fo = f[sample.omega]
-    y = sample.values
-    fz = fo @ stats.zbar
-    quad_tr = float(np.sum((fo @ stats.m) * fo))
-    return float(
-        -0.5 * n * np.log(vg)
-        - 0.5 * (y @ y) / vg
-        + (y @ fz) / vg
-        - 0.5 * (fz @ fz + anchor_vg * quad_tr) / vg
-    )
 
 
 class DatasetEvaluator:

@@ -1,9 +1,10 @@
 """Shared test utilities: random instances and independent dense oracles.
 
 The oracles here deliberately form the |omega| x |omega| covariance (or the
-joint Gaussian over latent coefficients and observations) densely, or run the
-streaming tick in its eager form, taking the slow-but-obvious route that the
-library avoids.
+joint Gaussian over latent coefficients and observations) densely, run the
+streaming tick in its eager form, or evaluate one sample's likelihood and EM
+surrogate directly, taking the slow-but-obvious route that the library
+avoids.
 """
 
 import csv
@@ -14,8 +15,8 @@ import numpy as np
 from shastapca.datagen import Epoch, ScenarioScript, draw_group
 from shastapca.harness import CsvFormatError, _columns
 from shastapca.metrics import MetricTrace
-from shastapca.model import (VARIANCE_FLOOR, ObservedSample, floor_variances,
-                             observed_parts)
+from shastapca.model import (VARIANCE_FLOOR, ObservedSample, check_factors,
+                             floor_variances, observed_parts, posterior_stats)
 
 
 def random_instance(rng, d, k, num_groups, observe_prob=1.0, n=1,
@@ -45,6 +46,47 @@ def dense_sample_loglik(f, v, sample):
     sign, logdet = np.linalg.slogdet(sigma)
     y = sample.values
     return float(-logdet - y @ np.linalg.solve(sigma, y))
+
+
+def sample_log_likelihood(f, v, sample):
+    """Observed-entry log-likelihood term for one sample, constants dropped:
+    ln det(F_o F_o' + v_g I)^{-1} - y_o' (F_o F_o' + v_g I)^{-1} y_o,
+    evaluated through the package's k x k parts (`observed_parts`), the
+    per-sample form of `DatasetEvaluator`."""
+    f = check_factors(f)
+    if sample.nobs == 0:
+        return 0.0
+    y = sample.values
+    parts = observed_parts(f[sample.omega], y)
+    vg = float(floor_variances(v)[sample.group])
+    return float(parts.log_likelihood(vg, sample.nobs, y @ y))
+
+
+def minorizer_value(f, v, anchor_f, anchor_v, sample):
+    """EM surrogate for one sample, anchored at (anchor_f, anchor_v), by
+    direct evaluation.
+
+    Twice this value minorizes sample_log_likelihood up to an additive
+    constant fixed by matching at the anchor.  The solvers use closed-form
+    maximizers of its sum; the property tests evaluate it directly.
+    """
+    f = check_factors(f)
+    n = sample.nobs
+    if n == 0:
+        return 0.0
+    vg = float(floor_variances(v)[sample.group])
+    anchor_vg = float(floor_variances(anchor_v)[sample.group])
+    stats = posterior_stats(anchor_f, anchor_v, sample)
+    fo = f[sample.omega]
+    y = sample.values
+    fz = fo @ stats.zbar
+    quad_tr = float(np.sum((fo @ stats.m) * fo))
+    return float(
+        -0.5 * n * np.log(vg)
+        - 0.5 * (y @ y) / vg
+        + (y @ fz) / vg
+        - 0.5 * (fz @ fz + anchor_vg * quad_tr) / vg
+    )
 
 
 def conditioned_posterior(f, v, sample):

@@ -25,18 +25,16 @@ from shastapca.harness import (
     timing_run,
 )
 from shastapca.metrics import subspace_error
-from shastapca.model import (
-    minorizer_value,
-    posterior_stats,
-    sample_log_likelihood,
-)
+from shastapca.model import posterior_stats
 from shastapca.shasta import ShastaConfig, init_state, ingest, save_state
 
 from helpers import (
     conditioned_posterior,
     dense_sample_loglik,
+    minorizer_value,
     random_instance,
     random_sample,
+    sample_log_likelihood,
     static_script,
 )
 

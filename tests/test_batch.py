@@ -18,13 +18,13 @@ from shastapca.batch import (
 from shastapca.model import (
     DatasetEvaluator,
     ObservedSample,
-    minorizer_value,
     posterior_stats,
 )
 
 from helpers import (
     DEGENERATE,
     degenerate,
+    minorizer_value,
     one_pass_v_step,
     orthonormal,
     quad_rounding,

@@ -19,6 +19,7 @@ from shastapca.datagen import Epoch, ScenarioScript, run_script
 from shastapca.harness import (
     ConfigError,
     CsvFormatError,
+    _records,
     build_estimator,
     csv_dimension,
     load_config,
@@ -1199,18 +1200,20 @@ class TestCli:
         # A field over the csv module's size limit, in a row or in the
         # header, and bytes the file's encoding cannot decode: each used to
         # escape as a traceback.  The file is decoded a block ahead of the
-        # csv reader, so bad bytes are reported at the line being read when
-        # their block is decoded: here the header, for a one-block file.
+        # csv reader, yet bad bytes are reported at their own line, whatever
+        # ends the lines.
         path = tmp_path / "bad.csv"
         big = "1" * 200_000
-        for data, lines, text in [
-                (f"group,y0\n0,1.0\n0,{big}\n".encode(), [3],
+        for data, line, text in [
+                (f"group,y0\n0,1.0\n0,{big}\n".encode(), 3,
                  "field larger than field limit (131072)"),
-                (f"group,y{big}\n0,1.0\n".encode(), [1],
+                (f"group,y{big}\n0,1.0\n".encode(), 1,
                  "field larger than field limit (131072)"),
-                (b"group,y0\n0,\xff\n", [1], "codec can't decode byte 0xff"),
+                (b"group,y0\n0,\xff\n", 2, "codec can't decode byte 0xff"),
                 (b"group,y0\n" + b"0,1.0\n" * 5000 + b"0,\xff\n",
-                 range(2, 5003), "codec can't decode byte 0xff")]:
+                 5002, "codec can't decode byte 0xff"),
+                (b"group,y0\r\n0,1.0\r0,2.0\r\n\n0,\xff\r0,3.0\r", 5,
+                 "codec can't decode byte 0xff")]:
             path.write_bytes(data)
             raw = smoke_raw(tmp_path / "out", {"kind": "shasta", "rank": 1})
             raw["scenario"] = {"kind": "csv", "path": str(path),
@@ -1222,9 +1225,29 @@ class TestCli:
                 assert cli_main(command) == 1, (text, command)
                 err = json.loads(capsys.readouterr().err)
                 assert err["error"] == "data", err
-                line, message = err["message"].split(": ", 1)
-                assert line.startswith("line ") and int(line[5:]) in lines, err
-                assert text in message, err
+                assert err["message"].startswith(f"line {line}: "), err
+                assert text in err["message"], err
+
+    def test_lines_may_end_in_a_bare_carriage_return(self, tmp_path):
+        # The csv module ends a line at \r\n, \n or a bare \r, as the
+        # decode error's line count does.
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"group,y0,y1\r0,1.0,\r\n1,,2.5\r0,3.0,4.0\n")
+        assert [(s.group, s.omega.tolist(), s.values.tolist())
+                for s, _ in read_csv_samples(path)] == [
+            (0, [0], [1.0]), (1, [1], [2.5]), (0, [0, 1], [3.0, 4.0])]
+
+    def test_undecodable_pipe_is_a_data_error_at_the_line_being_read(self):
+        # A pipe cannot be read again to find the bad bytes' own line, so
+        # they are reported at the record being read when their block was
+        # decoded: here the header.
+        read_end, write_end = os.pipe()
+        os.write(write_end, b"group,y0\n0,1.0\n0,\xff\n")
+        os.close(write_end)
+        with open(read_end, newline="") as fh:
+            with pytest.raises(CsvFormatError,
+                               match="^line 1: .*can't decode byte 0xff"):
+                list(_records(fh))
 
     def test_run_names_the_line_of_a_group_out_of_range(self, tmp_path,
                                                         capsys):

@@ -3,6 +3,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -19,10 +20,8 @@ from shastapca.model import (
     ZERO_EIGENVALUE,
     _gram_spectrum,
     least_squares,
-    minorizer_value,
     observed_parts,
     posterior_stats,
-    sample_log_likelihood,
     solve_rows,
 )
 
@@ -31,9 +30,11 @@ from helpers import (
     conditioned_posterior,
     degenerate,
     dense_sample_loglik,
+    minorizer_value,
     quad_rounding,
     random_instance,
     random_sample,
+    sample_log_likelihood,
 )
 
 
@@ -77,6 +78,29 @@ class TestObservedSample:
                    ObservedSample(np.array([0, 2]), np.array([1.0, 2.0]), 1)]
         assert ObservedSample(np.array([0, 2]), np.array([1.0, 2.0]), 1) in samples
         assert ObservedSample(np.array([0, 2]), np.array([1.0, 2.0]), 0) not in samples
+
+    def test_unchecked_constructor_allocates_no_more_than_the_public_one(self):
+        # The unchecked constructor builds every sample of a stream; it
+        # must not give each one a dict of its own (248 bytes a sample
+        # against 105).  The arrays are shared, so only the objects count.
+        omega, values = np.array([1, 4, 6]), np.array([0.5, -1.0, 2.0])
+        n = 10_000
+
+        def bytes_per_sample(build):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                samples = [build(omega, values, 2) for _ in range(n)]
+                grown = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert all(s == samples[0] for s in samples)
+            return grown / n, samples[0]
+
+        public, want = bytes_per_sample(ObservedSample)
+        unchecked, got = bytes_per_sample(ObservedSample._checked)
+        assert got == want and got.omega is omega and got.values is values
+        assert unchecked <= public + 16, (unchecked, public)
 
 
 class TestPosteriorStats:
@@ -404,8 +428,8 @@ class TestMinorizer:
 
 # Names the package once exported and no longer defines anywhere.
 REMOVED = ("StreamingEstimator", "dataset_log_likelihood", "draw_model",
-           "draw_sample", "loglik_gap", "mask_uniform", "static_script",
-           "variance_error")
+           "draw_sample", "loglik_gap", "mask_uniform", "minorizer_value",
+           "sample_log_likelihood", "static_script", "variance_error")
 
 
 def test_star_import_binds_exactly_the_public_names():

@@ -2,7 +2,8 @@
 written from the plain definitions.
 
 The stream must match its oracle bit for bit: the package's shortcuts
-(cached model factors and group distribution) change no result.  The tick
+(cached model factors and group distribution, samples built unchecked)
+change no result.  The tick
 keeps its state in lazy form (scaled row systems and factor offsets, folded
 in only before the scales underflow) and must match the eager tick of
 `helpers.EagerShasta` to a relative 1e-12 at every checkpoint, across folds.
@@ -68,11 +69,14 @@ EPOCHS = (Epoch(samples=150),
           Epoch(samples=150, redraw_subspace=True, scale_variance=(0, 0.5)))
 
 
-@pytest.mark.parametrize("law", ["probs", "counts"])
-@pytest.mark.parametrize("observe_prob", [1.0, 0.6])
-def test_run_script_matches_choice_oracle(law, observe_prob):
+# The last case has stream_wide's shape: wide, and about 1% observed.
+@pytest.mark.parametrize("d,observe_prob,law", [
+    (15, 1.0, "probs"), (15, 1.0, "counts"), (15, 0.6, "probs"),
+    (15, 0.6, "counts"), (2000, 0.01, "probs")],
+    ids=["1.0-probs", "1.0-counts", "0.6-probs", "0.6-counts", "wide-0.01-probs"])
+def test_run_script_matches_choice_oracle(d, observe_prob, law):
     script = ScenarioScript(
-        d=15, k=3, spectrum=(4.0, 2.0, 1.0), v_star=(0.01, 0.1, 1.0),
+        d=d, k=3, spectrum=(4.0, 2.0, 1.0), v_star=(0.01, 0.1, 1.0),
         epochs=EPOCHS, observe_prob=observe_prob,
         group_probs=(0.2, 0.5, 0.3) if law == "probs" else None,
         group_counts=(100, 300, 200) if law == "counts" else None)
@@ -87,6 +91,9 @@ def test_run_script_matches_choice_oracle(law, observe_prob):
         assert truth.u.tobytes() == truth_ref.u.tobytes()
         assert truth.v_star.tobytes() == truth_ref.v_star.tobytes()
         assert truth.factors.tobytes() == (truth.u * np.sqrt(truth.spectrum)).tobytes()
+        # The draw skips ObservedSample's checks; its samples pass them.
+        assert s.omega.dtype == np.intp and s.values.dtype == np.float64
+        assert s == ObservedSample(s.omega, s.values, s.group)
 
 
 @pytest.mark.parametrize("probs", [(0.2, 0.5, 0.3), (0.1, 0.0, 0.6, 0.3),

@@ -10,6 +10,12 @@ checkouts that print the same digests wrote the same numbers, byte for
 byte; a refactor that should not change any result can show so by running
 this script before and after.
 
+With --without-gaps the digests also leave out the log-likelihood gaps:
+each trace's `loglik_gap` column and every summary key ending in `_gap`.
+A change that should move only the likelihood values (a new likelihood
+kernel, say) can show that nothing else moved by printing the same
+digests with this flag before and after.
+
 With no config, the script digests a standard set (see `standard_set`):
 seed 0 of every bundled run config, then of static_full with each baseline
 estimator scripts/reproduce_experiments.py runs on it, then of every
@@ -20,6 +26,7 @@ Usage (from the root of a checkout):
     python scripts/trace_digest.py configs/smoke.yaml configs/static_half.yaml
     python scripts/trace_digest.py configs/dynamic_subspace.yaml --seeds 0 1
     python scripts/trace_digest.py configs/timing_desk.yaml --seeds 0
+    python scripts/trace_digest.py --without-gaps
     python scripts/trace_digest.py configs/static_full.yaml \\
         --estimator '{kind: grouse, rank: 3, step: 0.01}'
 
@@ -62,33 +69,38 @@ from shastapca.harness import (  # noqa: E402
 
 ELAPSED_COLUMN = "elapsed_s"
 ELAPSED_SUFFIX = "_seconds"
+GAP_COLUMN = "loglik_gap"
+GAP_SUFFIX = "_gap"
 
 
-def trace_bytes(path: Path) -> bytes:
-    """The trace CSV re-serialized without its elapsed-time column."""
+def trace_bytes(path: Path, without_gaps: bool = False) -> bytes:
+    """The trace CSV re-serialized without its elapsed-time column, and
+    without its gap column if asked."""
+    drop = {ELAPSED_COLUMN, GAP_COLUMN} if without_gaps else {ELAPSED_COLUMN}
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    keep = [i for i, name in enumerate(rows[0]) if name != ELAPSED_COLUMN]
+    keep = [i for i, name in enumerate(rows[0]) if name not in drop]
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(
         [row[i] for i in keep] for row in rows)
     return out.getvalue().encode()
 
 
-def _drop_elapsed(node):
+def _drop_keys(node, suffixes: tuple):
     if isinstance(node, dict):
-        return {key: _drop_elapsed(value) for key, value in node.items()
-                if not key.endswith(ELAPSED_SUFFIX)}
+        return {key: _drop_keys(value, suffixes) for key, value in node.items()
+                if not key.endswith(suffixes)}
     if isinstance(node, list):
-        return [_drop_elapsed(value) for value in node]
+        return [_drop_keys(value, suffixes) for value in node]
     return node
 
 
-def summary_bytes(path: Path) -> bytes:
+def summary_bytes(path: Path, without_gaps: bool = False) -> bytes:
     """A summary without elapsed times or the (temporary) output dir, which
-    summary.json records in its config."""
+    summary.json records in its config, and without gaps if asked."""
+    suffixes = (ELAPSED_SUFFIX, GAP_SUFFIX) if without_gaps else (ELAPSED_SUFFIX,)
     with open(path) as fh:
-        summary = _drop_elapsed(json.load(fh))
+        summary = _drop_keys(json.load(fh), suffixes)
     if "config" in summary:
         summary["config"]["run"].pop("output_dir", None)
     return json.dumps(summary, indent=2, sort_keys=True).encode()
@@ -123,7 +135,7 @@ def standard_set():
 
 
 def digest_config(config_path: Path, seeds, estimator, workdir: Path,
-                  label=None):
+                  label=None, without_gaps=False):
     """Yield (label, sha256 hex) for every output of one config's run; the
     label defaults to the config's stem."""
     label = label or config_path.stem
@@ -139,9 +151,10 @@ def digest_config(config_path: Path, seeds, estimator, workdir: Path,
         run_experiment(parse_config(raw))
         summary = "summary.json"
     for path in sorted(out_dir.glob("*.csv")):
-        yield f"{label}/{path.name}", hashlib.sha256(trace_bytes(path)).hexdigest()
-    yield (f"{label}/{summary}",
-           hashlib.sha256(summary_bytes(out_dir / summary)).hexdigest())
+        yield (f"{label}/{path.name}",
+               hashlib.sha256(trace_bytes(path, without_gaps)).hexdigest())
+    yield (f"{label}/{summary}", hashlib.sha256(
+        summary_bytes(out_dir / summary, without_gaps)).hexdigest())
 
 
 def main(argv=None) -> int:
@@ -153,6 +166,8 @@ def main(argv=None) -> int:
                              "seed 0 for the standard set)")
     parser.add_argument("--estimator", type=yaml.safe_load,
                         help="estimator block (YAML) replacing each config's")
+    parser.add_argument("--without-gaps", action="store_true",
+                        help="leave out the log-likelihood gaps too")
     args = parser.parse_args(argv)
     if args.configs:
         runs = [(path, args.estimator, None) for path in args.configs]
@@ -165,7 +180,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         for config_path, estimator, name in runs:
             for label, digest in digest_config(config_path, seeds, estimator,
-                                               Path(workdir), name):
+                                               Path(workdir), name,
+                                               args.without_gaps):
                 lines.append(f"{digest}  {label}")
                 print(lines[-1], flush=True)
     print(f"{hashlib.sha256(''.join(lines).encode()).hexdigest()}  all")

@@ -3,9 +3,11 @@
 Each iteration updates the noise variances with the factors held fixed, then
 updates the factors row by row with the variances held fixed.  Both updates
 maximize the EM surrogate in closed form, so the observed-data log-likelihood
-is non-decreasing across iterations.  Each iteration forms the model's one
-k x k kernel (`DatasetEvaluator.parts`: one Gram and one batched
-eigendecomposition) once, at its factors, and both steps read it.
+is non-decreasing across iterations.  Each iteration forms the model's
+E-step kernel (`DatasetEvaluator.parts`: one Gram and one batched
+eigendecomposition) once, at its factors, and both steps read it.  The
+log-likelihood reported at the new iterate forms the Grams again and
+factors them by one batched Cholesky (`DatasetEvaluator.__call__`).
 
 An iteration's working memory is the dataset's two dense n x d arrays, O(n
 k^2) for the parts, and one block of rows: the v-step passes its residual
@@ -191,7 +193,7 @@ def batch_iterates(problem: BatchProblem, init_f: np.ndarray,
         parts = evaluator.parts(f)
         v = batch_v_step(parts, v, problem)
         f = batch_f_step(parts, v, problem)
-        del parts  # freed before the log-likelihood forms its own: peak memory
+        del parts  # freed before the log-likelihood forms its Grams: peak memory
         loglik = evaluator(f, v)
         yield BatchIterate(f=f.copy(), v=v.copy(), iteration=it, loglik=loglik)
         if tol is not None and prev is not None:

@@ -6,10 +6,14 @@ each sample observes only a subset of coordinates.  This module provides the
 observed-entry log-likelihood of a dataset, the posterior statistics of the
 latent coefficients, and the kernels the solvers share.
 
-Every one of these reads one k x k kernel per sample, ObservedParts: the
+The E-steps read one k x k kernel per sample, ObservedParts: the
 eigendecomposition of F_o' F_o, from which each value at any v_g is a sum
 over lambda + v_g >= VARIANCE_FLOOR > 0, so no solve can fail.  One sample
 (`observed_parts`) and a whole dataset (`DatasetEvaluator.parts`) share it.
+A dataset's log-likelihood (`DatasetEvaluator.__call__`) is needed at one
+v_g only and factors each F_o' F_o + v_g I by one batched Cholesky instead;
+a sample that factor cannot serve to the eigendecomposition's precision
+(see CHOLESKY_GUARD) takes the eigendecomposition's value.
 
 Conventions: coordinate indices and group labels are 0-based, likelihood
 values drop all additive constants (only differences are meaningful), and a
@@ -34,6 +38,16 @@ VARIANCE_FLOOR = 1e-12
 # to about k eps lambda_max, which would skew every value at a v_g that small.
 # An eigenvalue at or below k times this relative level is taken as 0.
 ZERO_EIGENVALUE = 4 * np.finfo(np.float64).eps
+
+# The dataset likelihood (`DatasetEvaluator.__call__`) factors F_o' F_o +
+# v_g I by Cholesky, with a backward error of about k eps trace(F_o' F_o),
+# so each ln(lambda + v_g) it sums may be off by about k eps trace / v_g.
+# The eigendecomposition zeroes that rounding where lambda is 0 (see
+# ZERO_EIGENVALUE), which Cholesky cannot.  A sample whose v_g is below this
+# many times its Gram's trace takes the eigendecomposition instead, so the
+# two differ by at most about k eps / CHOLESKY_GUARD = 2.2e-10 k in a
+# sample's log-determinant, and not at all at or below the guard.
+CHOLESKY_GUARD = 1e-6
 
 
 class ParameterError(ValueError):
@@ -158,6 +172,16 @@ _eigh = _lapack(_umath_linalg.eigh_lo, "Eigenvalues did not converge")
 _lstsq = _lapack(_umath_linalg.lstsq,
                  "SVD did not converge in Linear Least Squares")
 _EPS = float(np.finfo(np.float64).eps)
+# A matrix LAPACK cannot factor comes back as NaN, found per sample by its
+# caller, so the invalid flag is not raised as an error.
+_cholesky = np.errstate(invalid="ignore")(_umath_linalg.cholesky_lo)
+
+# Samples per scatter of `DatasetEvaluator`'s dense build, so that the flat
+# omegas, values and row labels of a scatter stay a small fraction of y and
+# w.  At timing_desk's size (n = 25,000, d = 200, 20% observed) one scatter
+# of every row raised the build's peak RSS by 16 MB over a per-sample loop,
+# and blocks of this many rows by 0.5 MB, at the same speed.
+_SCATTER_ROWS = 1024
 
 
 def least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -295,13 +319,22 @@ def _gram_spectrum(gram: np.ndarray):
     return evals, evecs
 
 
+def _stacked_parts(f: np.ndarray, grams: np.ndarray,
+                   fy: np.ndarray) -> ObservedParts:
+    """ObservedParts of a stack of samples from their Grams F_o' F_o and
+    their F_o' y_o (see `DatasetEvaluator.parts`)."""
+    evals, evecs = _gram_spectrum(grams)
+    proj = (np.swapaxes(evecs, 1, 2) @ fy[..., None])[..., 0]
+    return ObservedParts(f, evals, evecs, proj)
+
+
 class DatasetEvaluator:
     """Log-likelihood of a fixed dataset, vectorized across samples.
 
     Precomputes dense mask/value arrays once (y is 0 off each sample's
     mask) so repeated evaluations at new parameters (solver iterations,
-    traces) cost one Gram, one batched k x k eigendecomposition and one
-    y @ f instead of a Python loop.
+    traces) cost one Gram, one y @ f and one batched k x k factorization
+    instead of a Python loop.
     """
 
     def __init__(self, samples, d: int):
@@ -310,31 +343,70 @@ class DatasetEvaluator:
         self.d = int(d)
         self.y = np.zeros((n, d))
         self.w = np.zeros((n, d))
-        self.groups = np.empty(n, dtype=np.intp)
-        for i, s in enumerate(samples):
-            if s.omega.size and s.omega[-1] >= d:
-                raise ValueError(f"sample {i} observes coordinate {s.omega[-1]} >= d={d}")
-            self.y[i, s.omega] = s.values
-            self.w[i, s.omega] = 1.0
-            self.groups[i] = s.group
+        self.groups = np.fromiter((s.group for s in samples), np.intp, n)
+        for lo in range(0, n, _SCATTER_ROWS):
+            block = samples[lo:lo + _SCATTER_ROWS]
+            lengths = np.fromiter((s.omega.size for s in block), np.intp,
+                                  len(block))
+            rows = np.repeat(np.arange(lo, lo + len(block)), lengths)
+            omegas = np.concatenate([s.omega for s in block])
+            bad = np.flatnonzero(omegas >= d)
+            if bad.size:
+                i = rows[bad[0]]
+                raise ValueError(f"sample {i} observes coordinate "
+                                 f"{samples[i].omega[-1]} >= d={d}")
+            self.y[rows, omegas] = np.concatenate([s.values for s in block])
+            self.w[rows, omegas] = 1.0
         self.nobs = self.w.sum(axis=1)
         self.ysq = np.einsum("nd,nd->n", self.y, self.y)
 
-    def parts(self, f: np.ndarray) -> ObservedParts:
-        """Every sample's ObservedParts at f, stacked along a leading axis; a
-        Gram that overflows raises ValueError instead of a numpy warning."""
+    def _grams(self, f: np.ndarray):
+        """Every sample's Gram F_o' F_o at f (n x k x k) and F_o' y_o (n x
+        k); a Gram that overflows raises ValueError instead of a numpy
+        warning."""
         k = f.shape[1]
         with np.errstate(over="ignore", invalid="ignore"):
             pairs = (f[:, :, None] * f[:, None, :]).reshape(self.d, k * k)
             grams = (self.w @ pairs).reshape(-1, k, k)
             if not (math.isfinite(grams.sum()) or np.isfinite(grams).all()):
                 raise ValueError("per-sample Gram F_o' F_o is not finite")
-        evals, evecs = _gram_spectrum(grams)
-        proj = (np.swapaxes(evecs, 1, 2) @ (self.y @ f)[..., None])[..., 0]
-        return ObservedParts(f, evals, evecs, proj)
+        return grams, self.y @ f
+
+    def parts(self, f: np.ndarray) -> ObservedParts:
+        """Every sample's ObservedParts at f, stacked along a leading axis; a
+        Gram that overflows raises ValueError instead of a numpy warning."""
+        return _stacked_parts(f, *self._grams(f))
 
     def __call__(self, f: np.ndarray, v: np.ndarray) -> float:
+        """Half the sum of every sample's `ObservedParts.log_likelihood` at
+        (f, v), from one batched Cholesky factor L of F_o' F_o + v_g I:
+        the log-determinant is (nobs - k) ln v_g + 2 sum ln L_jj and the
+        quadratic form (y_o' y_o - ||L^-1 F_o' y_o||^2)/v_g.  A sample whose
+        factorization fails, or whose v_g is below CHOLESKY_GUARD times its
+        Gram's trace, takes the eigendecomposition's value instead."""
         f = check_factors(f)
         vg = floor_variances(v)[self.groups]
-        return float(0.5 * np.sum(self.parts(f).log_likelihood(vg, self.nobs,
-                                                              self.ysq)))
+        grams, fy = self._grams(f)
+        n, k = fy.shape
+        diag = grams.reshape(n, k * k)[:, ::k + 1]
+        gram_diag = diag.copy()
+        diag += vg[:, None]
+        chol = _cholesky(grams)
+        # L^-1 F_o' y_o by forward substitution, one column at a time.
+        z = np.empty_like(fy)
+        for j in range(k):
+            known = np.einsum("ni,ni->n", chol[:, j, :j], z[:, :j])
+            z[:, j] = (fy[:, j] - known) / chol[:, j, j]
+        pivots = np.diagonal(chol, axis1=1, axis2=2)
+        logdet = (self.nobs - k) * np.log(vg) + 2.0 * np.log(pivots).sum(axis=1)
+        loglik = -logdet - (self.ysq - np.einsum("nk,nk->n", z, z)) / vg
+        fallback = np.flatnonzero(
+            ~np.isfinite(loglik) | (vg < CHOLESKY_GUARD * gram_diag.sum(axis=1)))
+        if fallback.size:
+            grams = grams[fallback]
+            grams.reshape(-1, k * k)[:, ::k + 1] = gram_diag[fallback]
+            parts = _stacked_parts(f, grams, fy[fallback])
+            loglik[fallback] = parts.log_likelihood(
+                vg[fallback], self.nobs[fallback], self.ysq[fallback])
+        loglik[self.nobs == 0] = 0.0
+        return float(0.5 * np.sum(loglik))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shastapca import batch
+from shastapca import batch, model
 from shastapca.batch import (
     BatchProblem,
     batch_f_step,
@@ -18,6 +18,8 @@ from shastapca.batch import (
 from shastapca.model import (
     DatasetEvaluator,
     ObservedSample,
+    check_factors,
+    floor_variances,
     posterior_stats,
 )
 
@@ -54,6 +56,26 @@ class TestBatchProblem:
         np.testing.assert_array_equal(dense.y, [[0.0, 5.0, 0.0, -2.0, 0.0]])
         np.testing.assert_array_equal(dense.w, [[0.0, 1.0, 0.0, 1.0, 0.0]])
         np.testing.assert_array_equal(dense.groups, [1])
+
+    def test_dense_arrays_match_a_per_sample_loop(self):
+        # Over more than one scatter block, with empty samples among them;
+        # a bad coordinate in a later block names its own sample.
+        rng = np.random.default_rng(22)
+        n, d = 2 * model._SCATTER_ROWS + 5, 7
+        samples = [random_sample(rng, d, 3, 0.3) for _ in range(n)]
+        y, w = np.zeros((n, d)), np.zeros((n, d))
+        for i, s in enumerate(samples):
+            y[i, s.omega] = s.values
+            w[i, s.omega] = 1.0
+        dense = DatasetEvaluator(samples, d)
+        assert any(s.nobs == 0 for s in samples)
+        np.testing.assert_array_equal(dense.y, y)
+        np.testing.assert_array_equal(dense.w, w)
+        np.testing.assert_array_equal(dense.groups, [s.group for s in samples])
+        samples[n - 3] = ObservedSample(np.array([2, 9]), np.ones(2), 0)
+        with pytest.raises(ValueError, match=f"sample {n - 3} observes "
+                                             f"coordinate 9 >= d={d}"):
+            DatasetEvaluator(samples, d)
 
     def test_forms_the_constants_the_steps_read(self):
         # Coordinate 2 is observed by no sample; group 1 holds 3 + 1 entries.
@@ -354,24 +376,54 @@ class TestBatchSolve:
         np.testing.assert_array_equal(it.v, v1)
         assert it.iteration == 1
 
-    def test_parts_formed_twice_per_iteration(self, monkeypatch):
-        # Both steps read one set of parts at the iteration's F, and the
-        # log-likelihood forms its own at the new F.
+    def test_parts_formed_once_per_iteration(self, monkeypatch):
+        # Both steps read one set of parts at the iteration's F.  The
+        # log-likelihood forms none: its Cholesky reads the Grams, and no
+        # sample here falls back to an eigendecomposition.
         rng = np.random.default_rng(13)
         p = random_problem(rng, 6, 2, 2, n=12, observe_prob=0.7)
         f0, v0 = random_init(rng, 6, 2, 2)
-        seen = []
-        parts = DatasetEvaluator.parts
+        seen, spectra = [], []
+        parts, spectrum = DatasetEvaluator.parts, model._gram_spectrum
 
         def counted(self, f):
             seen.append(f.copy())
             return parts(self, f)
 
+        def counted_spectrum(grams):
+            spectra.append(len(grams))
+            return spectrum(grams)
+
         monkeypatch.setattr(DatasetEvaluator, "parts", counted)
+        monkeypatch.setattr(model, "_gram_spectrum", counted_spectrum)
         its = batch_solve(p, f0, v0, iters=4)
-        assert len(its) == 4 and len(seen) == 2 * len(its)
-        for got, want in zip(seen, [f0] + [it.f for it in its for _ in (0, 1)]):
+        assert len(its) == 4 and len(seen) == len(its)
+        assert spectra == [12] * len(its)  # the parts' whole stacks only
+        for got, want in zip(seen, [f0] + [it.f for it in its[:-1]]):
             np.testing.assert_array_equal(got, want)
+
+    def test_iterates_do_not_depend_on_the_likelihood_kernel(self, monkeypatch):
+        # The log-likelihood only reports: with a likelihood by the
+        # eigendecomposition in its place, every f and v is the same.
+        def eigh_call(self, f, v):
+            f = check_factors(f)
+            vg = floor_variances(v)[self.groups]
+            return float(0.5 * np.sum(self.parts(f).log_likelihood(
+                vg, self.nobs, self.ysq)))
+
+        rng = np.random.default_rng(21)
+        p0 = random_problem(rng, 8, 3, 2, n=30, observe_prob=0.6)
+        f_init, v_init = random_init(rng, 8, 3, 2)
+        for case in DEGENERATE:
+            f0, v0, samples = degenerate(rng, case, f_init, v_init, p0.samples)
+            p = BatchProblem(samples, num_groups=2, d=8, k=3)
+            with monkeypatch.context() as patch:
+                patch.setattr(DatasetEvaluator, "__call__", eigh_call)
+                want = batch_solve(p, f0, v0, iters=6)
+            got = batch_solve(p, f0, v0, iters=6)
+            for a, b in zip(got, want, strict=True):
+                np.testing.assert_array_equal(a.f, b.f, err_msg=case)
+                np.testing.assert_array_equal(a.v, b.v, err_msg=case)
 
     def test_iteration_allocates_under_a_quarter_of_an_n_by_d_array(self):
         # One iteration past the problem's dense y and w: O(n k^2) for the

@@ -13,12 +13,14 @@ from hypothesis import given, settings, strategies as st
 
 import shastapca
 
+from shastapca import model
 from shastapca.model import (
     DatasetEvaluator,
     ObservedSample,
     VARIANCE_FLOOR,
     ZERO_EIGENVALUE,
     _gram_spectrum,
+    floor_variances,
     least_squares,
     observed_parts,
     posterior_stats,
@@ -351,6 +353,14 @@ class TestSampleLogLikelihood:
         assert sample_log_likelihood(f, v, full) == pytest.approx(want, rel=1e-10)
 
 
+def eigh_terms(ev, f, v):
+    """Every sample's likelihood term from the eigendecomposition
+    (`DatasetEvaluator.parts`): the reference for the evaluator's
+    Cholesky."""
+    vg = floor_variances(v)[ev.groups]
+    return ev.parts(f).log_likelihood(vg, ev.nobs, ev.ysq)
+
+
 class TestDatasetLogLikelihood:
     def test_empty_dataset(self):
         assert DatasetEvaluator([], 3)(np.zeros((3, 1)), np.array([1.0])) == 0.0
@@ -378,6 +388,71 @@ class TestDatasetLogLikelihood:
             want = 0.5 * sum(sample_log_likelihood(f, v, s) for s in samples)
             rounding = 0.5 * sum(quad_rounding(v, s) for s in samples)
             assert ev(f, v) == pytest.approx(want, rel=1e-10, abs=rounding), case
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=50)
+    def test_evaluator_matches_eigh_oracle(self, seed):
+        # The batched Cholesky against each sample's eigendecomposition; the
+        # terms' signs differ, so the tolerance scales with their magnitudes.
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 12))
+        k = int(rng.integers(1, 4))
+        f, v, samples = random_instance(rng, d, k, num_groups=2,
+                                        observe_prob=0.6,
+                                        n=int(rng.integers(1, 20)))
+        terms = [0.5 * sample_log_likelihood(f, v, s) for s in samples]
+        scale = sum(abs(term) for term in terms)
+        assert DatasetEvaluator(samples, d)(f, v) == pytest.approx(
+            sum(terms), rel=1e-12, abs=1e-12 * scale)
+
+    def test_guarded_and_failed_samples_take_the_eigendecomposition(
+            self, monkeypatch):
+        # Each sample whose v_g is under CHOLESKY_GUARD times its Gram's
+        # trace, or whose Cholesky fails, takes the eigendecomposition: one
+        # `_gram_spectrum` call over those samples only, whose terms are
+        # `ObservedParts.log_likelihood`'s, bit for bit.
+        spectra = []
+        spectrum = model._gram_spectrum
+
+        def counted(grams):
+            spectra.append(len(grams))
+            return spectrum(grams)
+
+        monkeypatch.setattr(model, "_gram_spectrum", counted)
+        rng = np.random.default_rng(9)
+        f0, v0, samples0 = random_instance(rng, 8, 3, 2, observe_prob=0.5, n=20)
+        for case in ("floor_variance", "scaled_1e6"):
+            f, v, samples = degenerate(rng, case, f0, v0, samples0)
+            ev = DatasetEvaluator(samples, d=8)
+            spectra.clear()
+            got = ev(f, v)
+            assert spectra == [np.count_nonzero(ev.nobs)], case
+            assert got == 0.5 * np.sum(eigh_terms(ev, f, v)), case
+
+        # F_o' F_o = 2^40 [[1, 1], [1, 1]]: v_g at the floor is lost in the
+        # sum, and Cholesky's second pivot is exactly 0.  With the guard off,
+        # only the failure sends the sample to the eigendecomposition.
+        monkeypatch.setattr(model, "CHOLESKY_GUARD", 0.0)
+        f = np.array([[1.0, 0.5], [2.0 ** 20, 2.0 ** 20], [0.3, 2.0]])
+        v = np.array([VARIANCE_FLOOR])
+        failed = ObservedSample(np.array([1]), np.array([0.5]), 0)
+        good = ObservedSample(np.array([0, 2]), np.array([1.0, -1.0]), 0)
+        gram = f[failed.omega].T @ f[failed.omega] + VARIANCE_FLOOR * np.eye(2)
+        assert np.isnan(model._cholesky(gram)).all()
+        spectra.clear()
+        assert np.isfinite(DatasetEvaluator([good, failed, good], 3)(f, v))
+        assert spectra == [1]
+        ev = DatasetEvaluator([failed], 3)
+        assert ev(f, v) == 0.5 * np.sum(eigh_terms(ev, f, v))
+
+    def test_lone_empty_sample_is_exactly_zero(self):
+        # 2 ln sqrt(v) is not ln v in floating point; the term is set to 0.
+        empty = ObservedSample(np.array([], dtype=int), np.array([]), 0)
+        rng = np.random.default_rng(12)
+        for k in (1, 2, 3, 4):
+            f = rng.standard_normal((5, k))
+            for vg in (VARIANCE_FLOOR, 0.3, 0.7, 7.0):
+                assert DatasetEvaluator([empty], 5)(f, np.array([vg])) == 0.0
 
     def test_evaluator_handles_empty_samples(self):
         rng = np.random.default_rng(10)

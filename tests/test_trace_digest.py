@@ -46,6 +46,25 @@ def test_elapsed_times_are_dropped(tmp_path):
         "median_batch_final_gap": -1.5, "seeds": {"0": {"init_gap": -2.0}}}
 
 
+def test_without_gaps_drops_the_gaps_and_nothing_else(tmp_path):
+    script = load_script()
+    rows = ["t,subspace_error,loglik_gap,v_1,elapsed_s", "50,0.25,{},0.5,0.1"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("\n".join(rows).format("-1.5") + "\n")
+    b.write_text("\n".join(rows).format("-2.5") + "\n")
+    assert script.trace_bytes(a) != script.trace_bytes(b)
+    assert script.trace_bytes(a, True) == script.trace_bytes(b, True)
+    assert script.trace_bytes(a, True) == b"t,subspace_error,v_1\n50,0.25,0.5\n"
+    for path, gap in ((a, -1.5), (b, -2.5)):
+        path.write_text(json.dumps({
+            "median_batch_seconds": 1.0, "median_batch_final_gap": gap,
+            "seeds": {"0": {"init_gap": gap, "batch_iterations": 24}}}))
+    assert script.summary_bytes(a) != script.summary_bytes(b)
+    assert script.summary_bytes(a, True) == script.summary_bytes(b, True)
+    assert json.loads(script.summary_bytes(a, True)) == {
+        "seeds": {"0": {"batch_iterations": 24}}}
+
+
 def test_standard_set_configs_exist_and_parse():
     # The default set (not run here): every bundled run config, then
     # static_full with each baseline block the reproduction script runs,

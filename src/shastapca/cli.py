@@ -146,8 +146,9 @@ def main(argv=None) -> int:
         return _fail("config", str(exc), 2, field=exc.path)
     except CsvFormatError as exc:
         return _fail("data", str(exc), 1)
-    except FileNotFoundError as exc:
-        return _fail("io", str(exc), 1, file=str(exc.filename))
+    except OSError as exc:  # ChildProcessError, say, names no file
+        context = {} if exc.filename is None else {"file": str(exc.filename)}
+        return _fail("io", str(exc), 1, **context)
     except ValueError as exc:
         return _fail("value", str(exc), 1)
 

@@ -18,10 +18,11 @@ truth's log-likelihood, and ppca's gap, are taken after it stops.
 Each seed's pairs are drawn, or read, in one producer process of its own,
 started by the first pair and joined by the last, while the caller runs the
 estimator on the pairs already sent: the process runs `run_script`, or
-parses and checks a CSV file's rows, and sends them in chunks; the caller
-checks each chunk's samples in one pass and builds them without checking
-each again.  The pairs are those an in-process draw or parse gives, byte
-for byte.
+parses a CSV file's rows and checks each at its line, and sends them in
+chunks; the caller builds their samples without checking them again, since
+a drawn sample meets `ObservedSample`'s rules by construction and a parsed
+row has been held to them.  The pairs are those an in-process draw or parse
+gives, byte for byte.
 
 CSV dataset format: a header row with a `group` column, an optional
 `variance` column (reporting only), and d value columns, each column named
@@ -36,6 +37,7 @@ import contextlib
 import csv
 import itertools
 import json
+import math
 import numbers
 import time
 from collections import Counter
@@ -196,7 +198,13 @@ def _load_yaml(path):
     if not path.exists():
         raise ConfigError(str(path), "config file does not exist")
     with open(path) as fh:
-        return yaml.safe_load(fh)
+        try:
+            return yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            raise ConfigError(str(path), str(exc) if mark is None else
+                              f"line {mark.line + 1}, column "
+                              f"{mark.column + 1}: {exc.problem}") from None
 
 
 def load_config(path) -> ExperimentConfig:
@@ -446,49 +454,16 @@ def _pack(rows) -> tuple:
             [omega.size for omega in omegas], list(groups), list(infos))
 
 
-def _checked_samples(omegas, values, lengths, groups):
-    """The samples of one chunk from a producer process, held to the rules
-    of `ObservedSample.__post_init__` by one check over the whole chunk:
-    each row's omega strictly increasing and nonnegative, its values
-    finite, its group nonnegative.  Returns the samples and None; or, if a
-    row breaks a rule, the samples of the rows before it and the ValueError
-    ObservedSample raises for that row."""
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    rising = np.ones(omegas.size, dtype=bool)
-    rising[1:] = omegas[1:] > omegas[:-1]
-    rising[starts[starts < omegas.size]] = True  # a row's first entry
-    bad = np.flatnonzero(~(rising & (omegas >= 0) & np.isfinite(values)))
-    count = len(lengths)
-    if bad.size:
-        count = int(np.searchsorted(ends, bad[0], side="right"))
-    count = next((row for row, group in enumerate(groups[:count])
-                  if group < 0), count)
-    starts, ends = starts.tolist(), ends.tolist()
-    samples = [ObservedSample._checked(omegas[start:end], values[start:end],
-                                       group)
-               for start, end, group in zip(starts[:count], ends[:count],
-                                            groups)]
-    # ObservedSample itself refuses the first row the check flagged.
-    for start, end, group in zip(starts[count:], ends[count:], groups[count:]):
-        try:
-            samples.append(ObservedSample(omegas[start:end], values[start:end],
-                                          group))
-        except ValueError as exc:
-            return samples, exc
-    return samples, None
-
-
-def _produce(rows, args, pairs, name: str):
+def _produce(rows, args, name: str):
     """The (sample, info) pairs of a stream drawn or read in a producer
     process of its own, which runs `_send_rows(send, rows, *args)`: started
     by the first `next()` (multiprocessing's default context), while the
-    caller works on the rows already sent.  `pairs` turns each chunk
-    received, as its samples, infos and error from `_checked_samples`,
-    into the pairs yielded.  The process is joined when the rows run out,
-    when the generator is closed and when it raises, and killed first if it
-    is still producing; should it die before its last message,
-    ChildProcessError is raised, naming it as `name`."""
+    caller works on the rows already sent.  Each row is built into its
+    sample unchecked, so `rows` yields only rows that meet `ObservedSample`'s
+    rules.  The process is joined when the rows run out, when the generator
+    is closed and when it raises, and killed first if it is still
+    producing; should it die before its last message, ChildProcessError is
+    raised, naming it as `name`."""
     # Imported on first use: loaded with this module, multiprocessing raised
     # the peak RSS of benchmark runs that start no producer by 1-2 MB.
     import multiprocessing
@@ -498,8 +473,7 @@ def _produce(rows, args, pairs, name: str):
                                      args=(send, rows, *args), daemon=True)
     worker.start()
     send.close()  # so that the worker's death ends `recv` with EOFError
-
-    def chunks():
+    try:
         while True:
             try:
                 message = receive.recv()
@@ -513,11 +487,12 @@ def _produce(rows, args, pairs, name: str):
             if isinstance(message, Exception):
                 raise message
             omegas, values, lengths, groups, infos = message
-            samples, error = _checked_samples(omegas, values, lengths, groups)
-            yield samples, infos, error
-
-    try:
-        yield from pairs(chunks())
+            ends = np.cumsum(lengths).tolist()
+            for start, end, group, info in zip([0] + ends, ends, groups,
+                                               infos):
+                yield (ObservedSample._checked(omegas[start:end],
+                                               values[start:end], group),
+                       info)
     finally:
         worker.kill()  # harmless once it has sent its last message
         worker.join()
@@ -526,7 +501,7 @@ def _produce(rows, args, pairs, name: str):
 
 def _csv_rows(path, num_groups):
     """The rows of a dataset file as `_send_rows` takes them, each parsed
-    and checked but for `ObservedSample`'s rules; its info is the row's
+    and checked, `ObservedSample`'s rules included; its info is the row's
     variance or None."""
     with open(path, newline="") as fh:
         records = _records(fh)
@@ -550,38 +525,33 @@ def _csv_rows(path, num_groups):
                 group = int(row[group_col])
                 if num_groups is not None and not 0 <= group < num_groups:
                     raise ValueError(f"group {group} outside [0, {num_groups})")
+                # omega rises by construction; a row that may break
+                # ObservedSample's other rules meets its constructor, which
+                # raises its own error (or accepts finite values whose sum
+                # overflowed).
+                if group < 0 or not math.isfinite(sum(values)):
+                    ObservedSample(omega, values, group)
             except ValueError as exc:
                 raise CsvFormatError(f"line {lineno}: {exc}") from None
             yield (np.array(omega, dtype=np.intp), np.array(values), group,
                    variance)
 
 
-def _csv_pairs(chunks):
-    """The (sample, variance) pairs of a dataset file's chunks; a row that
-    `ObservedSample` refuses raises CsvFormatError at its line."""
-    lineno = 2  # of the chunk's first row
-    for samples, variances, error in chunks:
-        yield from zip(samples, variances)
-        lineno += len(samples)
-        if error is not None:
-            raise CsvFormatError(f"line {lineno}: {error}")
-
-
 def read_csv_samples(path, num_groups=None):
     """Lazily yield ObservedSample rows (and their optional variances).
 
     Yields (sample, variance_or_none).  Raises CsvFormatError with the 1-based
-    line number on a malformed header or row, or, given num_groups, on a row
-    whose group lies outside [0, num_groups); every row before it is yielded
-    first.  A missing file raises FileNotFoundError.
+    line number on a malformed header or row, a row `ObservedSample` refuses
+    among them, or, given num_groups, on a row whose group lies outside
+    [0, num_groups); every row before it is yielded first.  A missing file
+    raises FileNotFoundError.
 
     The file is opened, parsed and checked in a producer process of its own
     (`_produce`), which sends its rows CHUNK_ROWS at a time; the caller's
     process builds each sample from the same parsed numbers, so the samples
     are the ones an in-process parse gives, byte for byte.
     """
-    return _produce(_csv_rows, (path, num_groups), _csv_pairs,
-                    f"the CSV reader of {path}")
+    return _produce(_csv_rows, (path, num_groups), f"the CSV reader of {path}")
 
 
 def csv_dimension(path) -> int:
@@ -678,16 +648,17 @@ def _script_rows(scenario: dict, seed: int):
         model = truth
 
 
-def _script_pairs(chunks):
-    """The (sample, planted model) pairs of a script's chunks."""
+def _script_pairs(pairs):
+    """A synthetic stream's (sample, planted model) pairs from the pairs
+    `_produce` yields for `_script_rows`, whose info is a model only where
+    it changes: each model is carried forward to the samples after it.
+    Closing this generator closes `pairs`, which joins its process."""
     model = None
-    for samples, models, error in chunks:
-        for sample, new in zip(samples, models):
+    with contextlib.closing(pairs):
+        for sample, new in pairs:
             if new is not None:
                 model = new
             yield sample, model
-        if error is not None:
-            raise error
 
 
 def seed_pairs(scenario: dict, seed: int):
@@ -699,8 +670,8 @@ def seed_pairs(scenario: dict, seed: int):
     an equal copy, one per epoch that changes it."""
     if scenario["kind"] == "csv":
         return read_csv_samples(scenario["path"], scenario["num_groups"])
-    return _produce(_script_rows, (scenario, seed), _script_pairs,
-                    f"the sample producer of seed {seed}")
+    return _script_pairs(_produce(_script_rows, (scenario, seed),
+                                  f"the sample producer of seed {seed}"))
 
 
 def run_block(spec: dict, scenario: dict, seed: int, pairs, every: int,

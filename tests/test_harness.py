@@ -303,10 +303,9 @@ class TestCsvIngestion:
     def test_malformed_rows_report_line_numbers(self, tmp_path, monkeypatch):
         # Each bad row is reported at its line with the in-process reader's
         # message, after every row before it: in the first chunk, at a
-        # chunk's first, middle and last row and past several chunks.  The
-        # finite and nonnegative checks are ObservedSample's, run over each
-        # chunk at once as it is received; the others run in the reader
-        # process.
+        # chunk's first, middle and last row and past several chunks.
+        # Every check runs in the reader process as it parses the row; the
+        # finite and nonnegative checks are ObservedSample's own.
         monkeypatch.setattr(harness, "CHUNK_ROWS", 3)
         path = tmp_path / "bad.csv"
         path.write_text("group,y0,y1\n0,1.0,2.0\n0,oops,2.0\n")
@@ -321,11 +320,13 @@ class TestCsvIngestion:
                 (6, "1,1.0,-inf", 2, "observed values must be finite"),
                 (7, "0,inf,2.0", None, "observed values must be finite"),
                 (9, "0,1.0", None, "expected 3 cells, got 2"),
+                (10, "0,1e999,2.0", None, "observed values must be finite"),
                 (11, "2,1.0,2.0", 2, "group 2 outside [0, 2)"),
                 (12, "-1,1.0,2.0", None, "group label must be nonnegative"),
                 (13, "-2,1.0,2.0", None, "group label must be nonnegative"),
                 (14, "one,1.0,2.0", 2, "invalid literal for int() with "
-                                       "base 10: 'one'")]:
+                                       "base 10: 'one'"),
+                (17, "1,2.0,nan", None, "observed values must be finite")]:
             write_rows(path, 20, bad_line, bad_row)
             rows, message = read_until_error(read_csv_samples, path,
                                              num_groups)
@@ -363,7 +364,8 @@ class TestCsvIngestion:
 
     def test_rows_match_the_in_process_reader(self, tmp_path, monkeypatch):
         # Byte for byte, across whole chunks, a partial last chunk, empty
-        # rows and variance cells given and left out.
+        # rows, variance cells given and left out, and finite values whose
+        # sum overflows.
         monkeypatch.setattr(harness, "CHUNK_ROWS", 4)
         script = ScenarioScript(
             d=7, k=2, spectrum=(2.0, 1.0), v_star=(0.01, 0.1, 1.0),
@@ -371,6 +373,7 @@ class TestCsvIngestion:
             epochs=(Epoch(samples=30),))
         samples = [s for s, _ in run_script(script, seed=3)]
         samples[5] = ObservedSample(np.array([], dtype=np.intp), [], 1)
+        samples[9] = ObservedSample([1, 4], [1e308, 1e308], 2)
         variances = np.random.default_rng(0).uniform(0.1, 2.0, len(samples))
         path = tmp_path / "data.csv"
         write_csv_stream(samples, 7, path, variances=variances)
@@ -380,12 +383,13 @@ class TestCsvIngestion:
         for num_groups in (None, 3):
             want = list(inline_csv_samples(path, num_groups))
             assert want[7][1] is None and want[5][0].nobs == 0
+            assert want[9][0].values.tolist() == [1e308, 1e308]
             assert_same_rows(list(read_csv_samples(path, num_groups)), want)
 
     def test_reader_process_ends_with_the_read(self, tmp_path, monkeypatch):
         # No reader process outlives its generator: exhausted, closed after
-        # its first row, or stopped by a bad row the reader process finds or
-        # one ObservedSample refuses, far from the file's end.
+        # its first row, or stopped by a bad row far from the file's end,
+        # one that does not parse or one ObservedSample refuses.
         monkeypatch.setattr(harness, "CHUNK_ROWS", 2)
         path = tmp_path / "rows.csv"
         write_rows(path, 20_000)
@@ -623,14 +627,6 @@ class TestCsvIngestion:
         assert errors[-1] == 0.0 and errors[0] > 1e-3
 
 
-def chunk_of(rows):
-    """(omega, values, group) rows as the chunk a producer process sends:
-    concatenated omegas and values, lengths and groups."""
-    return (np.concatenate([np.asarray(o, dtype=np.intp) for o, _, _ in rows]),
-            np.concatenate([np.asarray(v, dtype=float) for _, v, _ in rows]),
-            [len(o) for o, _, _ in rows], [g for _, _, g in rows])
-
-
 def tracking_raw(output_dir):
     """A run config whose scenario redraws its subspace and scales a
     variance, at epoch boundaries after 6 and 8 samples."""
@@ -645,41 +641,8 @@ def tracking_raw(output_dir):
 
 
 class TestProducer:
-    # A stream drawn or read in a producer process: its chunk check, its
-    # pairs and the process's lifetime.
-
-    @pytest.mark.parametrize("fault", ["nan", "inf", "non_increasing",
-                                       "repeated", "negative_omega",
-                                       "negative_group"])
-    def test_chunk_check_refuses_what_observed_sample_refuses(self, fault):
-        # The bad row first, in the middle and last in its chunk, beside
-        # an empty row: every row before it is built, equal to the sample
-        # ObservedSample builds, and its error is ObservedSample's.
-        rng = np.random.default_rng(4)
-        rows = [(np.sort(rng.choice(9, size=0 if i == 2 else 4,
-                                    replace=False)),
-                 rng.standard_normal(0 if i == 2 else 4), i % 3)
-                for i in range(7)]
-        for bad in (0, 3, 6):
-            omega, values, group = rows[bad][0].copy(), rows[bad][1].copy(), -1
-            if fault != "negative_group":
-                group = rows[bad][2]
-            if fault in ("nan", "inf"):
-                values[1] = float(fault)
-            elif fault == "non_increasing":
-                omega[[1, 2]] = omega[[2, 1]]
-            elif fault == "repeated":
-                omega[2] = omega[1]
-            elif fault == "negative_omega":
-                omega[0] = -1
-            with pytest.raises(ValueError) as want:
-                ObservedSample(omega, values, group)
-            samples, error = harness._checked_samples(*chunk_of(
-                rows[:bad] + [(omega, values, group)] + rows[bad + 1:]))
-            assert str(error) == str(want.value), (fault, bad)
-            assert_same_rows([(s, None) for s in samples],
-                             [(ObservedSample(*row), None)
-                              for row in rows[:bad]])
+    # A stream drawn or read in a producer process: its pairs and the
+    # process's lifetime.
 
     def test_script_pairs_are_the_in_process_pairs(self, monkeypatch):
         # With 4 rows to a chunk, the subspace redraw lands mid-chunk and
@@ -1158,6 +1121,32 @@ class TestCli:
                                       ("output_dir", None, "run.output_dir")]:
                 raw = dict(base, run=dict(base["run"], **{key: value}))
                 assert_config_error(tmp_path, capsys, command, raw, field)
+
+    def test_malformed_yaml_is_a_config_error(self, tmp_path, capsys):
+        # It used to escape as a yaml.YAMLError traceback, exit code 1.
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text("scenario: [unclosed\n")
+        assert cli_main(["run", str(cfg_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and err["field"] == str(cfg_path), err
+        assert err["message"] == (f"{cfg_path}: line 2, column 1: expected "
+                                  "',' or ']', but got '<stream end>'"), err
+
+    def test_directory_is_an_io_error(self, tmp_path, capsys):
+        # As the config, as a csv scenario's path and to ingest-check; each
+        # used to escape as an IsADirectoryError traceback.
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        raw = smoke_raw(tmp_path / "out")
+        raw["scenario"] = {"kind": "csv", "path": str(folder), "num_groups": 1}
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump(raw))
+        for argv in (["run", str(folder)], ["run", str(cfg_path)],
+                     ["ingest-check", str(folder)]):
+            assert cli_main(argv) == 1, argv
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "io" and err["file"] == str(folder), err
+            assert not (tmp_path / "out").exists()
 
     def test_ingest_check_reports_stats(self, tmp_path, capsys):
         path = tmp_path / "data.csv"

@@ -17,12 +17,14 @@ truth's log-likelihood, and ppca's gap, are taken after it stops.
 
 Each seed's pairs are drawn, or read, in one producer process of its own,
 started by the first pair and joined by the last, while the caller runs the
-estimator on the pairs already sent: the process runs `run_script`, or
-parses a CSV file's rows and checks each at its line, and sends them in
-chunks; the caller builds their samples without checking them again, since
-a drawn sample meets `ObservedSample`'s rules by construction and a parsed
-row has been held to them.  The pairs are those an in-process draw or parse
-gives, byte for byte.
+estimator on the pairs already sent: the process runs `run_script`, each
+row with its planted model, or parses a CSV file's rows and checks each at
+its line, and sends them in chunks; the caller builds their samples without
+checking them again, since a drawn sample meets `ObservedSample`'s rules by
+construction and a parsed row has been held to them.  The pairs are those an
+in-process draw or parse gives, byte for byte; a planted model arrives as an
+equal copy, one per chunk and epoch, as pickle writes an object shared by a
+chunk's rows once.
 
 CSV dataset format: a header row with a `group` column, an optional
 `variance` column (reporting only), and d value columns, each column named
@@ -200,6 +202,8 @@ def _load_yaml(path):
     with open(path) as fh:
         try:
             return yaml.safe_load(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(str(path), str(exc)) from None
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
             raise ConfigError(str(path), str(exc) if mark is None else
@@ -259,11 +263,6 @@ def _parse_scenario(raw) -> dict:
         raise ConfigError("scenario.kind", f"unknown scenario kind {kind!r}")
 
     scenario = _section(raw, "scenario", SYNTHETIC)
-    d, rank = scenario["d"], scenario["rank"]
-    if not 1 <= rank <= d:
-        raise ConfigError("scenario.rank", f"must lie in [1, d = {d}]")
-    if len(scenario["spectrum"]) != rank:
-        raise ConfigError("scenario.spectrum", "needs one value per rank")
     epochs = scenario.get("epochs")
     if epochs is None:
         if scenario.get("group_counts") is None:
@@ -279,16 +278,17 @@ def _parse_scenario(raw) -> dict:
 
 def _check_scenario(scenario: dict) -> None:
     """Refuse, before any output exists, a synthetic scenario that datagen
-    would refuse once the run had started: build its planted model, on a
-    d x rank stand-in basis, and its script, which checks every epoch."""
+    would refuse once the run had started: build its script, which checks
+    its rank, spectrum length and every epoch, and its planted model, on a
+    d x rank stand-in basis."""
     try:
+        scenario_script(scenario)
         PlantedModel(u=np.eye(scenario["d"], scenario["rank"]),
                      spectrum=scenario["spectrum"], v_star=scenario["variances"],
                      group_probs=scenario.get("group_probs"),
                      group_counts=scenario.get("group_counts"))
-        scenario_script(scenario)
     except ParameterError as exc:
-        field = "variances" if exc.field == "v_star" else exc.field
+        field = {"k": "rank", "v_star": "variances"}.get(exc.field, exc.field)
         raise ConfigError(f"scenario.{field}", str(exc)) from None
 
 
@@ -636,29 +636,11 @@ def score_stream(est, pairs, every: int, num_groups: int, loglik=None):
     return trace, ingest_s, score_s + time.perf_counter() - resumed
 
 
-def _script_rows(scenario: dict, seed: int):
-    """The pairs of the synthetic scenario's script on the seed's Philox
-    stream 0, as rows for `_send_rows`: a row's info is its planted model
-    if that model is new, else None, so each model is sent once."""
-    model = None
-    for sample, truth in run_script(scenario_script(scenario),
-                                    seed=np.random.SeedSequence((seed, 0))):
-        yield (sample.omega, sample.values, sample.group,
-               None if truth is model else truth)
-        model = truth
-
-
-def _script_pairs(pairs):
-    """A synthetic stream's (sample, planted model) pairs from the pairs
-    `_produce` yields for `_script_rows`, whose info is a model only where
-    it changes: each model is carried forward to the samples after it.
-    Closing this generator closes `pairs`, which joins its process."""
-    model = None
-    with contextlib.closing(pairs):
-        for sample, new in pairs:
-            if new is not None:
-                model = new
-            yield sample, model
+def _script_rows(script: ScenarioScript, seed):
+    """The pairs `run_script(script, seed)` draws, as rows for `_send_rows`,
+    each with its planted model as its info."""
+    for sample, truth in run_script(script, seed):
+        yield sample.omega, sample.values, sample.group, truth
 
 
 def seed_pairs(scenario: dict, seed: int):
@@ -667,11 +649,12 @@ def seed_pairs(scenario: dict, seed: int):
     `run_script` draws it in-process, or a csv dataset's rows.  The caller
     builds each sample from the numbers the process sends, so the pairs are
     those of an in-process draw, byte for byte, each planted model being
-    an equal copy, one per epoch that changes it."""
+    an equal copy, one per chunk and epoch."""
     if scenario["kind"] == "csv":
         return read_csv_samples(scenario["path"], scenario["num_groups"])
-    return _script_pairs(_produce(_script_rows, (scenario, seed),
-                                  f"the sample producer of seed {seed}"))
+    return _produce(_script_rows, (scenario_script(scenario),
+                                   np.random.SeedSequence((seed, 0))),
+                    f"the sample producer of seed {seed}")
 
 
 def run_block(spec: dict, scenario: dict, seed: int, pairs, every: int,
@@ -808,7 +791,10 @@ def parse_timing_config(raw: dict) -> dict:
                            STREAMING_KINDS)
     batch = _estimator(top, "batch_estimator", scenario, ("batch-mm",))
     run = _parse_run(top, default_every=1000)
-    del run["loglik_gap"]  # a timing run scores every gap
+    if "loglik_gap" in top["run"]:
+        raise ConfigError("run.loglik_gap", "not a timing setting: a timing "
+                                            "run scores every gap")
+    del run["loglik_gap"]
     return {"scenario": scenario, "streaming": streaming, "batch": batch, **run}
 
 

@@ -462,15 +462,18 @@ class TestCsvIngestion:
 
     def test_million_row_streaming_is_memory_bounded(self, tmp_path):
         # One million rows stream through without the file length showing up
-        # in the reader's footprint.
+        # in the caller's footprint, the only one traced and asserted.
         path = tmp_path / "big.csv"
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["group", "y0", "y1", "y2", "y3"])
             for i in range(1_000_000):
                 writer.writerow([i % 2, "1.5", "", "-0.25", "3.0"])
+        # Traced from the first pair on, once the reader has been forked.
+        pairs = read_csv_samples(path)
+        next(pairs)
         tracemalloc.start()
-        count = sum(1 for _ in read_csv_samples(path))
+        count = 1 + sum(1 for _ in pairs)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert count == 1_000_000
@@ -659,14 +662,16 @@ class TestProducer:
             np.testing.assert_array_equal(a.v_star, b.v_star)
             # Its cached factors are its own, read-only as in-process.
             assert not a.factors.flags.writeable
-        # One model per epoch, each sent once.
+        # Each chunk holds one model object per epoch it spans (epochs end
+        # after rows 6, 8 and 15).
         models = [model for _, model in got]
-        assert [len({id(m) for m in models[i:j]})
-                for i, j in ((0, 6), (6, 8), (8, 15))] == [1, 1, 1]
-        assert len({id(m) for m in models}) == 3
-        sent = [info for *_, info in harness._script_rows(scenario, 3)]
-        assert [i for i, info in enumerate(sent) if info is not None] == [
-            0, 6, 8]
+        assert [len({id(m) for m in models[i:i + 4]})
+                for i in range(0, 15, 4)] == [1, 2, 1, 1]
+        assert len({id(m) for m in models}) == 5
+        # The producer sends each row with its epoch's one model object.
+        sent = [info for *_, info in harness._script_rows(
+            harness.scenario_script(scenario), np.random.SeedSequence((3, 0)))]
+        assert len(sent) == 15 and len({id(m) for m in sent}) == 3
         assert not multiprocessing.active_children()
 
     def test_producer_ends_with_the_pairs(self, tmp_path, monkeypatch):
@@ -1131,6 +1136,13 @@ class TestCli:
         assert err["error"] == "config" and err["field"] == str(cfg_path), err
         assert err["message"] == (f"{cfg_path}: line 2, column 1: expected "
                                   "',' or ']', but got '<stream end>'"), err
+        # So are bytes that do not decode, which used to be a value error
+        # with exit code 1.
+        cfg_path.write_bytes(b"scenario: \xff\n")
+        assert cli_main(["run", str(cfg_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and err["field"] == str(cfg_path), err
+        assert "can't decode byte 0xff" in err["message"], err
 
     def test_directory_is_an_io_error(self, tmp_path, capsys):
         # As the config, as a csv scenario's path and to ingest-check; each
@@ -1345,6 +1357,8 @@ class TestCli:
             ("scenario", dict(raw["scenario"], observe_porb=0.1),
              "scenario.observe_porb"),
             ("run", dict(raw["run"], checkpoint_evry=7), "run.checkpoint_evry"),
+            # A timing run scores every gap; the key used to be ignored.
+            ("run", dict(raw["run"], loglik_gap=False), "run.loglik_gap"),
             ("streaming_estimater", shasta, "config.streaming_estimater"),
             # A timing run always has a streaming estimator; a null one
             # used to run the batch pass alone.

@@ -16,8 +16,9 @@ is recorded as the SHA-256 of `git diff HEAD`.
 
 The result goes to BENCH_<LABEL>.json at the root, rewritten after every
 pair: both trees' raw records, and per workload and end-to-end metric the
-parent's and the change's medians and interquartile ranges and the pairs
-the change won (strictly better, in the metric's direction), out of n.
+parent's and the change's medians and interquartile ranges, the pairs the
+change won (strictly better, in the metric's direction) and the pairs the
+second run won, out of n.
 """
 
 from __future__ import annotations
@@ -67,8 +68,10 @@ def spread(values: list) -> dict:
 
 
 def summarize(records: list, metrics: dict) -> dict:
-    """Per workload and metric: both sides' median and IQR, and the change's
-    wins out of the pairs in which both sides report the metric."""
+    """Per workload and metric: both sides' median and IQR, and the wins of
+    the change and of whichever side ran second, out of the pairs in which
+    both sides report the metric.  Beside `change_wins`, `second_wins`
+    shows how much the run order alone moves a metric."""
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in records):
         rows = [r for r in records if r["workload"] == workload]
@@ -76,13 +79,17 @@ def summarize(records: list, metrics: dict) -> dict:
                  "failed_runs": sum(not r[side]["correct"] or r[side]["failed"] > 0
                                     for r in rows for side in ("parent", "change"))}
         for name, better in metrics.items():
-            pairs = [(r["parent"]["metrics"][name]["value"],
-                      r["change"]["metrics"][name]["value"]) for r in rows
-                     if name in r["parent"]["metrics"] and name in r["change"]["metrics"]]
-            if not pairs:
+            both = [r for r in rows if name in r["parent"]["metrics"]
+                    and name in r["change"]["metrics"]]
+            if not both:
                 continue
+            pairs = [(r["parent"]["metrics"][name]["value"],
+                      r["change"]["metrics"][name]["value"]) for r in both]
             parent, change = zip(*pairs)
             sign = 1.0 if better == "higher" else -1.0
+            # Each pair's (first, second) reading, in the order they ran.
+            ran = [tuple(r[side]["metrics"][name]["value"] for side in r["order"])
+                   for r in both]
             p, c = spread(list(parent)), spread(list(change))
             table[name] = {
                 "better": better,
@@ -90,6 +97,7 @@ def summarize(records: list, metrics: dict) -> dict:
                 "change_median": c["median"], "change_iqr": c["iqr"],
                 "ratio": c["median"] / p["median"] if p["median"] else None,
                 "change_wins": sum(sign * (b - a) > 0 for a, b in pairs),
+                "second_wins": sum(sign * (b - a) > 0 for a, b in ran),
                 "n": len(pairs),
             }
         summary[workload] = table

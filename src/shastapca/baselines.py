@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .datagen import orthonormalize
-from .model import ObservedSample, ParameterError, least_squares
+from .model import ObservedSample, ParameterError, check_factors, least_squares
 
 
 class Petrels:
@@ -60,7 +60,7 @@ class Petrels:
         if not (0.0 < delta < math.inf and 1.0 / delta < math.inf):
             raise ParameterError("delta", "must be positive, with a finite "
                                  "reciprocal")
-        f0 = np.asarray(f0, dtype=np.float64)
+        f0 = check_factors(f0)
         d, k = f0.shape
         self.f = f0.copy()
         self.p = np.broadcast_to(np.eye(k) / delta, (d, k, k)).copy()
@@ -159,7 +159,7 @@ class Grouse:
     def __init__(self, u0: np.ndarray, step: float = 0.01):
         if not 0.0 <= step < math.inf:
             raise ParameterError("step", "must be nonnegative and finite")
-        self.u = np.asarray(u0, dtype=np.float64).copy()
+        self.u = check_factors(u0).copy()
         self._drift = self._measured_drift()  # upper bound on ||u'u - I||
         if self._drift > 1e-8:
             raise ValueError("initial basis must have orthonormal columns")

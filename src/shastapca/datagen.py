@@ -9,20 +9,20 @@ sample together with the ground truth active at that instant.
 All randomness flows from one integer seed through a splittable counter-based
 generator (Philox), so identical seeds give identical streams.
 
-A planted model caches its factors and the cumulative distribution of its
-group law, so a draw does no per-sample set-up: `draw_group` inverts that
-distribution with one uniform draw, which is how `Generator.choice` draws
-with given probabilities, and so consumes the random stream exactly as it
-would.  `run_script` fixes the rest per epoch (the factors, each group's
-noise deviation, the coordinate range), and builds each sample without
-`ObservedSample`'s checks, which a drawn sample meets by construction (see
-`_draw_masked`): a draw is its random calls, one product and the mask.
+A planted model holds its parameters and nothing derived from them.
+`run_script` forms what a draw needs once per epoch (the factors, each
+group's noise deviation, the cumulative group law, the coordinate range), so
+a draw does no per-sample set-up: `draw_group` inverts that law with one
+uniform draw, which is how `Generator.choice` draws with given
+probabilities, and so consumes the random stream exactly as it would.  Each
+sample is built without `ObservedSample`'s checks, which a drawn sample
+meets by construction (see `_draw_masked`): a draw is its random calls, one
+product and the mask.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,6 +39,8 @@ def make_rng(seed) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class PlantedModel:
+    """A planted model's parameters, checked; nothing derived is stored."""
+
     u: np.ndarray             # (d, k) orthonormal basis
     spectrum: np.ndarray      # (k,) squared singular values, descending
     v_star: np.ndarray        # (L,) true noise variances
@@ -58,7 +60,7 @@ class PlantedModel:
                 and np.all((spectrum > 0) & (spectrum < np.inf))):
             raise ParameterError("spectrum", "must be positive, finite and descending")
         if not np.all((v_star > 0) & (v_star < np.inf)):
-            raise ParameterError("v_star", "(true variances) must be positive and finite")
+            raise ParameterError("v_star", "must be positive and finite")
         if (self.group_probs is None) == (self.group_counts is None):
             raise ParameterError("group_probs", "or group_counts: specify exactly one")
         object.__setattr__(self, "u", u)
@@ -76,12 +78,6 @@ class PlantedModel:
                 raise ParameterError("group_counts", "must be nonnegative, one per group")
             object.__setattr__(self, "group_counts", c)
 
-    def __getstate__(self):
-        """The fields alone, for pickling: an unpickled copy computes its
-        cached factors and group law again, read-only, rather than receive
-        writable copies of them."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
     @property
     def d(self) -> int:
         return self.u.shape[0]
@@ -94,23 +90,20 @@ class PlantedModel:
     def num_groups(self) -> int:
         return self.v_star.size
 
-    @cached_property
+    @property
     def factors(self) -> np.ndarray:
-        """U sqrt(lam), computed once; read-only, since every caller shares it."""
-        return _read_only(self.u * np.sqrt(self.spectrum))
+        """U sqrt(lam), a new array at each access."""
+        return self.u * np.sqrt(self.spectrum)
 
-    @cached_property
+    @property
     def group_cdf(self) -> np.ndarray:
         """Cumulative group_probs, normalized to end at 1 as
-        `Generator.choice` normalizes them; read-only."""
+        `Generator.choice` normalizes them; a new array at each access."""
+        if self.group_probs is None:
+            raise ValueError("model has fixed counts; use a scripted label order")
         cdf = self.group_probs.cumsum()
         cdf /= cdf[-1]
-        return _read_only(cdf)
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+        return cdf
 
 
 def orthonormalize(a: np.ndarray) -> np.ndarray:
@@ -125,12 +118,11 @@ def draw_orthonormal(rng, d: int, k: int) -> np.ndarray:
     return orthonormalize(make_rng(rng).standard_normal((d, k)))
 
 
-def draw_group(model: PlantedModel, rng) -> int:
-    """One label from the model's group law.  Draws exactly as
-    `rng.choice(num_groups, p=group_probs)` does, without its checks."""
-    if model.group_probs is None:
-        raise ValueError("model has fixed counts; use a scripted label order")
-    return int(model.group_cdf.searchsorted(rng.random(), side="right"))
+def draw_group(cdf: np.ndarray, rng) -> int:
+    """One label from the group law whose cumulative distribution is `cdf`
+    (a model's `group_cdf`).  Draws exactly as `rng.choice(num_groups,
+    p=group_probs)` does, without its checks."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _draw_masked(rng, factors: np.ndarray, scale, coords: np.ndarray,
@@ -224,7 +216,8 @@ def run_script(script: ScenarioScript, seed):
 
     The ground truth is the planted model active when the sample was drawn;
     epoch mutations apply before their first sample.  Subspace redraws keep
-    the spectrum fixed.
+    the spectrum fixed.  Each epoch's factors, noise deviations and group
+    law are formed once, before its first draw.
     """
     rng = make_rng(seed)
     model = PlantedModel(
@@ -253,8 +246,8 @@ def run_script(script: ScenarioScript, seed):
         p = epoch.observe_prob if epoch.observe_prob is not None else script.observe_prob
         # sqrt rounds the same elementwise as on one variance.
         factors, scales = model.factors, np.sqrt(model.v_star)
+        cdf = model.group_cdf if labels is None else None
         for _ in range(epoch.samples):
-            group = (labels[position] if labels is not None
-                     else draw_group(model, rng))
+            group = labels[position] if cdf is None else draw_group(cdf, rng)
             yield _draw_masked(rng, factors, scales[group], coords, group, p), model
             position += 1

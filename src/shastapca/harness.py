@@ -289,7 +289,7 @@ def _check_scenario(scenario: dict) -> None:
                      group_counts=scenario.get("group_counts"))
     except ParameterError as exc:
         field = {"k": "rank", "v_star": "variances"}.get(exc.field, exc.field)
-        raise ConfigError(f"scenario.{field}", str(exc)) from None
+        raise ConfigError(f"scenario.{field}", f"{field} {exc.reason}") from None
 
 
 def _estimator(top: dict, key: str, scenario: dict, kinds) -> dict:

@@ -23,6 +23,7 @@ sample observing no coordinates is legal and carries no information.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -52,10 +53,10 @@ CHOLESKY_GUARD = 1e-6
 
 class ParameterError(ValueError):
     """An estimator or data-model setting out of its range; `field` names
-    the setting."""
+    the setting and `reason` says what is wrong with it."""
 
     def __init__(self, field: str, message: str):
-        self.field = field
+        self.field, self.reason = field, message
         super().__init__(f"{field} {message}")
 
 
@@ -89,10 +90,15 @@ class ObservedSample:
             raise ValueError("omega must be strictly increasing and nonnegative")
         if not np.isfinite(values).all():
             raise ValueError("observed values must be finite")
-        if self.group < 0:
+        try:
+            group = operator.index(self.group)
+        except TypeError:
+            raise ValueError("group label must be an integer") from None
+        if group < 0:
             raise ValueError("group label must be nonnegative")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "group", group)
 
     @classmethod
     def _checked(cls, omega: np.ndarray, values: np.ndarray,
@@ -208,8 +214,7 @@ def solve_rows(r: np.ndarray, s: np.ndarray) -> np.ndarray:
     try:
         return _solve1(r, s)
     except np.linalg.LinAlgError:
-        return np.stack([np.linalg.lstsq(rj, sj, rcond=None)[0]
-                         for rj, sj in zip(r, s)])
+        return np.stack([least_squares(rj, sj) for rj, sj in zip(r, s)])
 
 
 def posterior_stats(f: np.ndarray | None, v: np.ndarray, sample: ObservedSample,

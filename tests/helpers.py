@@ -336,7 +336,7 @@ def draw_sample(model, rng, group=None):
     the group drawn from the model's law when not given: the group, z and
     then eps are drawn from rng in that order."""
     if group is None:
-        group = draw_group(model, rng)
+        group = draw_group(model.group_cdf, rng)
     z = rng.standard_normal(model.k)
     eps = np.sqrt(model.v_star[group]) * rng.standard_normal(model.d)
     return ObservedSample.full((model.u * np.sqrt(model.spectrum)) @ z + eps,

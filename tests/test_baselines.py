@@ -315,6 +315,16 @@ class TestSharedInterface:
             assert basis.shape == (d, k)
             np.testing.assert_allclose(basis.T @ basis, np.eye(k), atol=1e-8)
 
+    def test_baselines_refuse_nonfinite_initial_factors(self):
+        # As SHASTA does.  Both used to accept them, and their first ingest
+        # then raised LinAlgError from inside LAPACK.
+        inf_entry = np.eye(4, 2)
+        inf_entry[0, 0] = np.inf
+        for f0 in (np.full((4, 2), np.nan), inf_entry):
+            for cls in (Petrels, Grouse):
+                with pytest.raises(ValueError, match="factor matrix must be finite"):
+                    cls(f0)
+
     def test_petrels_orthonormal_factors_subspace_identity(self):
         rng = np.random.default_rng(9)
         u = orthonormal(rng, 8, 3)

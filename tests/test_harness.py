@@ -660,8 +660,11 @@ class TestProducer:
         for (_, a), (_, b) in zip(got, want):
             np.testing.assert_array_equal(a.u, b.u)
             np.testing.assert_array_equal(a.v_star, b.v_star)
-            # Its cached factors are its own, read-only as in-process.
-            assert not a.factors.flags.writeable
+            # Its factors are formed at each access, so writing into one
+            # array leaves the next as the in-process model's.
+            factors = a.factors
+            factors[0, 0] += 1.0
+            assert a.factors.tobytes() == b.factors.tobytes()
         # Each chunk holds one model object per epoch it spans (epochs end
         # after rows 6, 8 and 15).
         models = [model for _, model in got]
@@ -925,6 +928,7 @@ def assert_config_error(tmp_path, capsys, command, raw, field):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config" and err["field"] == field, err
     assert not Path(str(raw["run"]["output_dir"])).exists(), field
+    return err
 
 
 class TestCli:
@@ -1058,6 +1062,17 @@ class TestCli:
             raw = smoke_raw(tmp_path / "out")
             raw[section][key] = value
             assert_config_error(tmp_path, capsys, "run", raw, field)
+        # A value datagen refuses is named by its config key in the message
+        # too, where datagen's field (k, v_star) used to appear.
+        for key, value, message in [
+            ("rank", 11, "rank must lie in [1, d = 10]"),
+            ("variances", [1e-2, 0.0], "variances must be positive and finite"),
+        ]:
+            raw = smoke_raw(tmp_path / "out")
+            raw["scenario"][key] = value
+            err = assert_config_error(tmp_path, capsys, "run", raw,
+                                      f"scenario.{key}")
+            assert err["message"] == f"scenario.{key}: {message}", err
         for probs in ([1.0], [0.5, float("nan")], [1.5, -0.5]):
             raw = smoke_raw(tmp_path / "out")
             del raw["scenario"]["group_counts"]

@@ -53,6 +53,14 @@ class TestObservedSample:
         with pytest.raises(ValueError):
             ObservedSample(np.array([0]), np.array([np.nan]), 0)
 
+    def test_group_label_must_be_an_integer(self):
+        # 1.5 used to be accepted, and "1" failed only at its comparison.
+        for group in (1.5, "1"):
+            with pytest.raises(ValueError, match="group label must be an integer"):
+                ObservedSample(np.array([0, 1]), np.array([1.0, 2.0]), group)
+        s = ObservedSample(np.array([0, 1]), np.array([1.0, 2.0]), np.int64(1))
+        assert s.group == 1 and type(s.group) is int
+
     def test_empty_sample_is_legal(self):
         s = ObservedSample(np.array([], dtype=int), np.array([]), 1)
         assert s.nobs == 0

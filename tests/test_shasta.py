@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shastapca import RejectedSample, shasta
+from shastapca import RejectedSample, model, shasta
 from shastapca.batch import BatchProblem, batch_f_step
 from shastapca.model import ObservedSample, ParameterError, VARIANCE_FLOOR
 from shastapca.shasta import (
@@ -441,12 +441,13 @@ class TestSolveRowsFallback:
         # refuses it and solve_rows falls back to least squares.
         calls = []
         lstsq = np.linalg.lstsq
+        least_squares = model.least_squares
 
-        def counting_lstsq(*args, **kwargs):
+        def counting_least_squares(*args):
             calls.append(args)
-            return lstsq(*args, **kwargs)
+            return least_squares(*args)
 
-        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        monkeypatch.setattr(model, "least_squares", counting_least_squares)
         cfg = ShastaConfig(weights="1/t", c_f=0.1, c_v=0.1, delta=0.1)
         state = init_state(cfg, np.array([[a, a], [1.0, -1.0]]),
                            np.array([1e-12]))

@@ -102,7 +102,7 @@ def test_draw_group_matches_rng_choice(probs):
     model = PlantedModel(u=draw_orthonormal(0, 6, 2), spectrum=[2.0, 1.0],
                          v_star=[1.0] * len(probs), group_probs=probs)
     rng, ref = make_rng(11), make_rng(11)
-    got = [draw_group(model, rng) for _ in range(10_000)]
+    got = [draw_group(model.group_cdf, rng) for _ in range(10_000)]
     want = [int(ref.choice(len(probs), p=model.group_probs)) for _ in range(10_000)]
     assert got == want
     assert rng.random() == ref.random()  # the same draws were consumed

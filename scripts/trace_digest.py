@@ -34,12 +34,18 @@ Usage (from the root of a checkout):
 scripts/reproduce_experiments.py does for the baselines.  The last line
 digests all the lines before it.
 
+With --keep DIR the outputs go to DIR (absent or empty), one directory per
+label, and stay there, so that two checkouts' runs can be compared number
+by number where their digests differ:
+    python scripts/trace_digest.py --keep /tmp/digest-outputs
+
 BLAS runs on one thread: the n x d products of batch-mm and ppca round
 differently with the thread count, so their bytes, and the digests, repeat
 only at a fixed count.
 """
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -168,7 +174,14 @@ def main(argv=None) -> int:
                         help="estimator block (YAML) replacing each config's")
     parser.add_argument("--without-gaps", action="store_true",
                         help="leave out the log-likelihood gaps too")
+    parser.add_argument("--keep", type=Path, metavar="DIR",
+                        help="write the outputs to DIR (absent or empty) "
+                             "and keep them, instead of a temporary "
+                             "directory")
     args = parser.parse_args(argv)
+    if args.keep is not None and args.keep.exists() and (
+            not args.keep.is_dir() or any(args.keep.iterdir())):
+        parser.error(f"--keep {args.keep} is not an empty directory")
     if args.configs:
         runs = [(path, args.estimator, None) for path in args.configs]
         seeds = args.seeds
@@ -177,7 +190,12 @@ def main(argv=None) -> int:
     else:
         runs, seeds = standard_set(), args.seeds or [0]
     lines = []
-    with tempfile.TemporaryDirectory() as workdir:
+    if args.keep is None:
+        where = tempfile.TemporaryDirectory()
+    else:
+        args.keep.mkdir(parents=True, exist_ok=True)
+        where = contextlib.nullcontext(args.keep)
+    with where as workdir:
         for config_path, estimator, name in runs:
             for label, digest in digest_config(config_path, seeds, estimator,
                                                Path(workdir), name,

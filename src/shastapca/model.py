@@ -50,6 +50,16 @@ ZERO_EIGENVALUE = 4 * np.finfo(np.float64).eps
 # sample's log-determinant, and not at all at or below the guard.
 CHOLESKY_GUARD = 1e-6
 
+# A sample's residual ||y_o - F_o zbar||^2 is y_o' y_o - sum c_i (2 proj_i -
+# lambda_i c_i), with c_i = proj_i/(lambda_i + v_g), and the likelihood's
+# y_o' (F_o F_o' + v_g I)^-1 y_o is (y_o' y_o - sum c_i proj_i)/v_g: O(k)
+# work each, but differences of terms up to y_o' y_o, so off by about
+# (k + 2) eps y_o' y_o.  Where a difference is below this many times y_o' y_o
+# (y_o near the span of F_o at a small v_g), it could be off by more than
+# (k + 2) eps / RESIDUAL_GUARD = 1.1e-13 relative at k = 3, and the sample
+# forms y_o - F_o zbar over its observed entries instead (`ObservedParts`).
+RESIDUAL_GUARD = 1e-2
+
 
 class ParameterError(ValueError):
     """An estimator or data-model setting out of its range; `field` names
@@ -91,6 +101,8 @@ class ObservedSample:
         if not np.isfinite(values).all():
             raise ValueError("observed values must be finite")
         try:
+            if isinstance(self.group, bool):  # an int, but not a label
+                raise TypeError
             group = operator.index(self.group)
         except TypeError:
             raise ValueError("group label must be an integer") from None
@@ -258,8 +270,6 @@ class ObservedParts(NamedTuple):
 
     def mean(self, vg) -> np.ndarray:
         """The posterior mean zbar = Q (proj/(lambda + v_g))."""
-        if isinstance(vg, float):
-            return self.evecs @ ((1.0 / (self.evals + vg)) * self.proj)
         scale = 1.0 / (self.evals + np.asarray(vg)[..., None])
         return (self.evecs @ (scale * self.proj)[..., None])[..., 0]
 
@@ -277,23 +287,61 @@ class ObservedParts(NamedTuple):
 
     def fit_trace(self, vg):
         """tr(F_o' F_o m) = sum lambda/(lambda + v_g)."""
-        if isinstance(vg, float):
-            return (self.evals / (self.evals + vg)).sum()
         return (self.evals / (self.evals + np.asarray(vg)[..., None])).sum(axis=-1)
 
-    def log_likelihood(self, vg, nobs, ysq):
+    def residual(self, vg, y, w=None):
+        """||y_o - F_o zbar||^2 at v_g, formed over the observed entries, and
+        zbar: y is the sample's observed values, or for a stack its dense
+        value rows, with w their masks."""
+        zbar = self.mean(vg)
+        if w is None:
+            r = y - self.fo @ zbar
+            return float(r @ r), zbar
+        r = w * (y - zbar @ self.fo.T)
+        return np.einsum("nd,nd->n", r, r), zbar
+
+    def residual_power(self, vg: float, y: np.ndarray) -> float:
+        """The variance step's ||y_o - F_o zbar||^2 + v_g tr(F_o' F_o m) for
+        one sample at a floored v_g, y its observed values.
+
+        The residual is y_o' y_o - sum c_i (2 proj_i - lambda_i c_i) and the
+        trace sum lambda/(lambda + v_g), O(k) sums on Python floats; where
+        the residual is below RESIDUAL_GUARD y_o' y_o, or y_o' y_o is not
+        finite, it is formed over the observed entries (`residual`)."""
+        ysq = float(y @ y)
+        rss, fit = ysq, 0.0
+        for lam, proj in zip(self.evals.tolist(), self.proj.tolist()):
+            c = proj / (lam + vg)
+            rss -= c * (2.0 * proj - lam * c)
+            fit += lam / (lam + vg)
+        if not RESIDUAL_GUARD * ysq <= rss < math.inf:
+            rss = self.residual(vg, y)[0]
+        return rss + vg * fit
+
+    def log_likelihood(self, vg, nobs, ysq, y, w=None):
         """-ln det(F_o F_o' + v_g I) - y_o' (F_o F_o' + v_g I)^{-1} y_o, from
-        the sample's observed-entry count nobs and y_o' y_o.
+        the sample's observed-entry count nobs, y_o' y_o and its observed
+        values y (for a stack, its dense value rows y and masks w).
 
         det(F_o F_o' + v I_n) = v^(n-k) det(F_o' F_o + v I_k) for any n, k,
         and y_o' F_o m F_o' y_o = sum proj^2/(lambda + v_g).  The quadratic
-        form is a difference divided by v_g, so it carries an absolute
-        rounding error of about eps y_o' y_o / v_g.
+        form (y_o' y_o - sum proj^2/(lambda + v_g))/v_g takes O(k); where
+        the difference is below RESIDUAL_GUARD y_o' y_o it has cancelled,
+        and the sample takes the equal ||y_o - F_o zbar||^2/v_g + ||zbar||^2
+        instead (`residual`).
         """
-        shifted = self.evals + np.asarray(vg)[..., None]
+        vg = np.asarray(vg)
+        shifted = self.evals + vg[..., None]
         logdet = ((nobs - self.evals.shape[-1]) * np.log(vg)
                   + np.log(shifted).sum(axis=-1))
-        quad = (ysq - (self.proj ** 2 / shifted).sum(axis=-1)) / vg
+        diff = ysq - (self.proj ** 2 / shifted).sum(axis=-1)
+        quad = diff / vg
+        cancelled = ~(diff >= RESIDUAL_GUARD * ysq)
+        if cancelled.any():
+            rss, zbar = self.residual(vg, y, w)
+            quad = np.where(cancelled,
+                            rss / vg + np.einsum("...k,...k->...", zbar, zbar),
+                            quad)
         return -logdet - quad
 
 
@@ -319,8 +367,13 @@ def _gram_spectrum(gram: np.ndarray):
     bit for bit, with every eigenvalue at or below k ZERO_EIGENVALUE
     lambda_max set to 0."""
     evals, evecs = _eigh(gram)
-    top = evals[-1] if evals.ndim == 1 else evals[..., -1:]
-    evals[evals <= (gram.shape[-1] * ZERO_EIGENVALUE) * top] = 0.0
+    if evals.ndim == 1:
+        cut = (gram.shape[-1] * ZERO_EIGENVALUE) * evals[-1]
+        if evals[0] > cut:  # eigh sorts ascending: nothing to cut
+            return evals, evecs
+    else:
+        cut = (gram.shape[-1] * ZERO_EIGENVALUE) * evals[..., -1:]
+    evals[evals <= cut] = 0.0
     return evals, evecs
 
 
@@ -412,6 +465,7 @@ class DatasetEvaluator:
             grams.reshape(-1, k * k)[:, ::k + 1] = gram_diag[fallback]
             parts = _stacked_parts(f, grams, fy[fallback])
             loglik[fallback] = parts.log_likelihood(
-                vg[fallback], self.nobs[fallback], self.ysq[fallback])
+                vg[fallback], self.nobs[fallback], self.ysq[fallback],
+                self.y[fallback], self.w[fallback])
         loglik[self.nobs == 0] = 0.0
         return float(0.5 * np.sum(loglik))

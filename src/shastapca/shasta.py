@@ -36,15 +36,18 @@ is bound by the fixed cost of its calls, not by arithmetic.  Its budget is
 two LAPACK kernels (the k x k eigh and the batched row solve), called as
 numpy.linalg's own gufuncs without the public functions' per-call wrappers
 (`model._lapack`: a wrapper costs 6-10 us a call, more than LAPACK itself
-at these sizes), and about 44
-numpy calls on small arrays: 4 gather F_o, 6 form the rest of the parts
-(the Gram, its finiteness sum, the eigenvalue cut-off, Q' F_o' y_o), 10 give
+at these sizes), and about 36
+numpy calls on small arrays: 4 gather F_o, 5 form the rest of the parts
+(the Gram, its finiteness sum, the eigenvalue cut-off, Q' F_o' y_o), 3 give
 the variance step its residual power, and 24 make the factor step
 (posterior 7, the row update 10, offsets 2, finiteness 2, scatter 3).  The
-variance step's L-sized update runs on Python floats, and each finiteness
-check is one sum, a non-finite entry making the sum non-finite; the exact
-scan runs only when a sum is not finite (such an entry, or overflow, which
-cannot warn: `ingest` keeps numpy's floating-point warnings off).
+variance step takes y_o' y_o in one call and the rest of its residual power
+in O(k), and its L-sized update, on Python floats (`ObservedParts.
+residual_power`, which forms y_o - F_o zbar where the O(k) form cancels).
+Each finiteness check is one sum, a non-finite entry making the sum
+non-finite; the exact scan runs only when a sum is not finite (such an
+entry, or overflow, which cannot warn: `ingest` keeps numpy's
+floating-point warnings off).
 
 Ticks are all or nothing by the order of their writes: the variance step
 returns the new variances and writes nothing, the factor step checks the
@@ -246,10 +249,13 @@ def v_step(state: ShastaState, sample: ObservedSample, w: float,
            c_v: float, *, parts: ObservedParts) -> tuple:
     """Variance update at frozen factors: the new (v, theta_bar, rho_bar).
 
-    Folds the sample's observed-entry count and posterior residual power into
-    the group accumulators (other groups decay by 1 - w, which leaves their
-    ratios invariant), then averages each seen group's variance toward its
-    accumulator ratio.  Never-seen groups keep their initial value.
+    Folds the sample's observed-entry count and posterior residual power
+    ||y_o - F_o zbar||^2 + v_g tr(F_o' F_o m) into the group accumulators
+    (other groups decay by 1 - w, which leaves their ratios invariant), then
+    averages each seen group's variance toward its accumulator ratio.
+    Never-seen groups keep their initial value.  The residual power takes
+    O(k) from the shared parts (`ObservedParts.residual_power`), with the
+    residual formed over the observed entries only where that cancels.
 
     The arrays are fresh and the state is not written; `ingest` commits
     them.  A variance that is not finite raises RejectedSample.
@@ -261,10 +267,8 @@ def v_step(state: ShastaState, sample: ObservedSample, w: float,
     if not 0.0 < w <= 1.0:
         raise ValueError("weight must lie in (0, 1]")
     g = sample.group
-    vg = float(state.v[g])
-    floored = max(vg, VARIANCE_FLOOR)
-    resid = sample.values - parts.fo @ parts.mean(floored)
-    rho_t = float(resid @ resid) + vg * float(parts.fit_trace(floored))
+    rho_t = parts.residual_power(max(float(state.v[g]), VARIANCE_FLOOR),
+                                 sample.values)
 
     # L is small, so the accumulators and the variances update as Python
     # floats: the same IEEE operations as numpy's elementwise ones, without

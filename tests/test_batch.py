@@ -409,7 +409,7 @@ class TestBatchSolve:
             f = check_factors(f)
             vg = floor_variances(v)[self.groups]
             return float(0.5 * np.sum(self.parts(f).log_likelihood(
-                vg, self.nobs, self.ysq)))
+                vg, self.nobs, self.ysq, self.y, self.w)))
 
         rng = np.random.default_rng(21)
         p0 = random_problem(rng, 8, 3, 2, n=30, observe_prob=0.6)

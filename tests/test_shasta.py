@@ -515,13 +515,12 @@ class TestTickInvariants:
 
 def numpy_v_step(state, sample, w, c_v, parts):
     """The variance step with numpy's elementwise operations on the L-sized
-    arrays and the stacked form of the posterior formulas (a 0-d v_g): the
-    new (v, theta_bar, rho_bar)."""
+    arrays, the sample's residual power taken from
+    `ObservedParts.residual_power` (tests/test_model.py checks it): the new
+    (v, theta_bar, rho_bar)."""
     g = sample.group
-    vg = float(state.v[g])
-    floored = np.asarray(max(vg, VARIANCE_FLOOR))
-    resid = sample.values - parts.fo @ parts.mean(floored)
-    rho_t = float(resid @ resid) + vg * float(parts.fit_trace(floored))
+    rho_t = parts.residual_power(max(float(state.v[g]), VARIANCE_FLOOR),
+                                 sample.values)
     theta_bar = (1.0 - w) * state.theta_bar
     rho_bar = (1.0 - w) * state.rho_bar
     theta_bar[g] += w * sample.nobs

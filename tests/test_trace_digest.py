@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -26,6 +28,24 @@ def test_digests_repeat_and_cover_every_output(capsys):
     labels = [line.split("  ")[1] for line in runs[0]]
     assert labels == ["smoke/trace_seed0.csv", "smoke/trace_seed1.csv",
                       "smoke/summary.json", "all"]
+
+
+def test_keep_writes_the_outputs_to_the_given_directory(tmp_path, capsys):
+    # The same digests as a temporary directory gives, from outputs left
+    # under DIR/<label>; a directory that is not empty is refused.
+    script = load_script()
+    config = str(REPO / "configs" / "smoke.yaml")
+    assert script.main([config, "--seeds", "0"]) == 0
+    want = capsys.readouterr().out
+    keep = tmp_path / "kept"
+    assert script.main([config, "--seeds", "0", "--keep", str(keep)]) == 0
+    assert capsys.readouterr().out == want
+    assert sorted(p.name for p in (keep / "smoke").iterdir()) == [
+        "summary.json", "trace_seed0.csv"]
+    with pytest.raises(SystemExit) as exit_:
+        script.main([config, "--seeds", "0", "--keep", str(keep)])
+    assert exit_.value.code == 2
+    assert "is not an empty directory" in capsys.readouterr().err
 
 
 def test_elapsed_times_are_dropped(tmp_path):

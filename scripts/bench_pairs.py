@@ -2,10 +2,12 @@
 """Benchmark a parent revision against this checkout in alternated pairs.
 
     python3 scripts/bench_pairs.py PARENT_REV [--pairs N] [--label LABEL]
+                                   [--workloads NAME ...]
 
-Run from the root of the checkout.  PARENT_REV is checked out into a
-temporary `git worktree` (local, no fetch), removed again at exit.  For
-each pair, and for every workload of BENCHMARK.json, both trees run
+Run from the root of the checkout.  PARENT_REV's files are exported with
+`git archive` (local, no fetch) into a temporary directory, removed again
+at exit.  For each pair, and for every workload of BENCHMARK.json (or only
+those named by --workloads, in BENCHMARK.json's order), both trees run
 
     python3 benchmark/run.py --workload W --seed S --seconds 24 --trace 0
 
@@ -15,7 +17,8 @@ this checkout as it stands on disk; an uncommitted edit to a tracked file
 is recorded as the SHA-256 of `git diff HEAD`.
 
 The result goes to BENCH_<LABEL>.json at the root, rewritten after every
-pair: both trees' raw records, and per workload and end-to-end metric the
+pair: the workloads run, both trees' raw records, and per workload and
+end-to-end metric the
 parent's and the change's medians and interquartile ranges, the pairs the
 change won (strictly better, in the metric's direction) and the pairs the
 second run won, out of n.
@@ -110,6 +113,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--label", help="names BENCH_<label>.json "
                         "(default: this checkout's short revision)")
+    parser.add_argument("--workloads", nargs="+", metavar="NAME",
+                        help="run only these workloads (default: all)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be positive")
@@ -118,6 +123,12 @@ def main(argv=None) -> int:
     spec = json.loads((root / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
     workloads = [w["name"] for w in spec["workloads"]]
+    if args.workloads:
+        unknown = sorted(set(args.workloads) - set(workloads))
+        if unknown:
+            parser.error(f"unknown workload(s) {', '.join(unknown)}; "
+                         f"BENCHMARK.json has {', '.join(workloads)}")
+        workloads = [w for w in workloads if w in args.workloads]
     parent_rev = git("rev-parse", "--verify", f"{args.parent}^{{commit}}", cwd=root)
     change_rev = git("rev-parse", "HEAD", cwd=root)
     diff = subprocess.run(["git", "diff", "HEAD"], cwd=root, check=True,
@@ -132,13 +143,16 @@ def main(argv=None) -> int:
         "change": {"rev": change_rev, "diff_sha256":
                    hashlib.sha256(diff).hexdigest() if diff else None},
         "host": {"platform": platform.platform(), "cpus": os.cpu_count()},
+        "workloads": workloads,
         "records": [],
     }
-    tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-    worktree = tmp / "parent"
-    git("worktree", "add", "--detach", str(worktree), parent_rev, cwd=root)
-    try:
-        trees = {"parent": worktree, "change": root}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        parent = Path(tmp)
+        archive = subprocess.run(["git", "archive", parent_rev], cwd=root,
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive,
+                       check=True)
+        trees = {"parent": parent, "change": root}
         for seed in range(args.pairs):
             order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
             for workload in workloads:
@@ -152,9 +166,6 @@ def main(argv=None) -> int:
                       flush=True)
             result["summary"] = summarize(result["records"], metrics)
             out_path.write_text(json.dumps(result, indent=1) + "\n")
-    finally:
-        git("worktree", "remove", "--force", str(worktree), cwd=root)
-        tmp.rmdir()
     print(f"wrote {out_path}")
     return 0
 

@@ -9,12 +9,16 @@ eigendecomposition) once, at its factors, and both steps read it.  The
 log-likelihood reported at the new iterate forms the Grams again and
 factors them by one batched Cholesky (`DatasetEvaluator.__call__`).
 
-An iteration's working memory is the dataset's two dense n x d arrays, O(n
-k^2) for the parts, and one block of rows: the v-step passes its residual
-through one reused buffer of about RESIDUAL_BLOCK floats, and the constants
-both steps read (the observed coordinates, each group's entry count) are
-formed once, with the problem.  Also provides the closed-form homoscedastic
-PPCA solution used as a batch baseline.
+The steps read the data only through the problem's `DatasetEvaluator`,
+which keeps it in one of two forms by its observed density (see
+model.FLAT_DENSITY).  At FLAT_DENSITY or more of the n x d entries
+observed, it is two dense n x d arrays, and an iteration's working memory
+is those, O(n k^2) for the parts and one block of the v-step's residual
+(model.RESIDUAL_BLOCK floats).  Below, it is flat, O(nnz) in the observed
+entries, and an iteration's working memory is O(nnz + n k^2 + d k^2).
+The constants both steps read (the observed coordinates, each group's entry
+count) are formed once, with the problem.  Also provides the closed-form
+homoscedastic PPCA solution used as a batch baseline.
 """
 
 from __future__ import annotations
@@ -29,28 +33,13 @@ from .model import DatasetEvaluator, check_factors, floor_variances, solve_rows
 # very few samples can otherwise be numerically singular.
 ROW_RIDGE = 1e-10
 
-# Floats per block of the v-step's residual pass (one buffer, reused).  One
-# v-step at timing_desk's size (n = 25,000, d = 200, k = 3, 20% observed,
-# one BLAS thread, 2-vCPU VM), median of 15 interleaved rounds, against
-# 40.3 ms for one n x d buffer: 2^12 floats 24.9 ms, 2^14 24.5, 2^15 21.0,
-# 2^16 20.2, 2^17 21.1, 2^18 23.0, 2^20 24.7.
-RESIDUAL_BLOCK = 1 << 16
-
-# BLAS rounds the last few columns of a product differently with the size of
-# the row group its kernel takes them in (up to 12 rows in OpenBLAS), so a
-# block starts and ends on a multiple of this many rows, the last block
-# excepted, which ends where the whole product does.  Its product is then
-# the one-pass product's, bit for bit, at one BLAS thread (1,200 random
-# shapes).  With more threads BLAS splits the one-pass product by thread,
-# and the two can differ in the last bit, as thread counts already do.
-_ROW_ALIGN = 48
-
 
 @dataclass
 class BatchProblem:
     """A fully materialized partially observed dataset; the constructor
-    checks it and builds its dense arrays (`DatasetEvaluator`) and the
-    constants the solver's steps read once."""
+    checks it and builds its `DatasetEvaluator` (dense arrays or the flat
+    form, by the observed density) and the constants the solver's steps
+    read once."""
 
     samples: list
     num_groups: int
@@ -73,7 +62,8 @@ class BatchProblem:
         if bad.size:
             raise ValueError(f"sample {bad[0]} has group {groups[bad[0]]} "
                              f"outside [0, {self.num_groups})")
-        self.observed_rows = self.dense.w.sum(axis=0) > 0
+        ones = np.ones((len(groups), 1))
+        self.observed_rows = self.dense.row_sums(ones)[:, 0] > 0
         self.theta = np.zeros(self.num_groups)
         np.add.at(self.theta, groups, self.dense.nobs)
 
@@ -97,47 +87,23 @@ def batch_v_step(parts, v_prev: np.ndarray, problem: BatchProblem) -> np.ndarray
     `problem.dense.parts(F)` at the fixed factors F (its `fo`); it is not
     checked.
 
-    The residual power ||w_i (y_i - F zbar_i)||^2 is formed a block of rows
-    at a time in one buffer of about RESIDUAL_BLOCK floats, never as an n x
-    d array; at one BLAS thread the result is the one-pass formula's, bit
-    for bit.
+    Each sample's residual power ||y_o - F_o zbar||^2 is the dataset's
+    (`DatasetEvaluator.residuals`).
     """
     v_prev = floor_variances(v_prev)
-    dense = problem.dense
-    vg = v_prev[dense.groups]
-    rss = _residual_power(parts.mean(vg), parts.fo, dense.y, dense.w)
+    data = problem.dense
+    vg = v_prev[data.groups]
+    rss = data.residuals(parts.fo, parts.mean(vg))
     rho_i = rss + vg * parts.fit_trace(vg)
 
     rho = np.zeros(problem.num_groups)
-    np.add.at(rho, dense.groups, rho_i)
+    np.add.at(rho, data.groups, rho_i)
 
     theta = problem.theta
     v_new = v_prev.copy()
     seen = theta > 0
     v_new[seen] = rho[seen] / theta[seen]
     return floor_variances(v_new)
-
-
-def _residual_power(mean: np.ndarray, fo: np.ndarray, y: np.ndarray,
-                    w: np.ndarray) -> np.ndarray:
-    """||w_i (y_i - fo mean_i)||^2 for every row i of the n x d y and w, in
-    blocks of rows through one buffer (see RESIDUAL_BLOCK, _ROW_ALIGN).
-    numpy takes a one-row product to gemv, which rounds differently again,
-    so a last block of one row joins the block before it."""
-    n, d = y.shape
-    rows = max(_ROW_ALIGN, RESIDUAL_BLOCK // d // _ROW_ALIGN * _ROW_ALIGN)
-    starts = list(range(0, n, rows))
-    if n > 1 and n - starts[-1] == 1:
-        starts.pop()
-    buf = np.empty((min(n, rows + 1), d))
-    rss = np.empty(n)
-    for lo, hi in zip(starts, starts[1:] + [n]):
-        block = buf[:hi - lo]
-        np.matmul(mean[lo:hi], fo.T, out=block)
-        np.subtract(y[lo:hi], block, out=block)
-        block *= w[lo:hi]
-        np.einsum("nd,nd->n", block, block, out=rss[lo:hi])
-    return rss
 
 
 def batch_f_step(parts, v: np.ndarray, problem: BatchProblem) -> np.ndarray:
@@ -147,16 +113,17 @@ def batch_f_step(parts, v: np.ndarray, problem: BatchProblem) -> np.ndarray:
     second moments of every sample observing coordinate j, inversely weighted
     by that sample's group variance.  Rows observed by no sample carry
     forward, and each solve is ridge-stabilized relative to trace(R_j).
-    parts is as for `batch_v_step`, at the previous factors F.
+    parts is as for `batch_v_step`, at the previous factors F.  R_j and s_j
+    are the dataset's sums over coordinate j (`DatasetEvaluator.row_sums`).
     """
-    dense = problem.dense
+    data = problem.dense
     k = problem.k
-    vg = floor_variances(v)[dense.groups]
+    vg = floor_variances(v)[data.groups]
     m, zbar = parts.posterior(vg)
 
     contrib = zbar[:, :, None] * zbar[:, None, :] / vg[:, None, None] + m
-    r = (dense.w.T @ contrib.reshape(-1, k * k)).reshape(problem.d, k, k)
-    s = dense.y.T @ (zbar / vg[:, None])
+    r = data.row_sums(contrib.reshape(-1, k * k)).reshape(problem.d, k, k)
+    s = data.row_sums(zbar / vg[:, None], values=True)
 
     observed_rows = problem.observed_rows
     f_new = parts.fo.copy()

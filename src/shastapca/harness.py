@@ -11,9 +11,13 @@ fixed BLAS thread count.
 Every estimator block, a run's and both passes of a timing run, is run by one
 function, `run_block`, from the seed's `shared_init` over the pairs
 `seed_pairs` draws; a streaming block is fed and scored by `score_stream`.
-A batch pass's clock covers building its `BatchProblem` (the dense arrays that
-batch-mm and ppca read) and every iterate with its subspace error; the planted
-truth's log-likelihood, and ppca's gap, are taken after it stops.
+A batch-mm pass's clock covers building its `BatchProblem`, whose
+`DatasetEvaluator` holds the data dense (n x d arrays) or, below
+`model.FLAT_DENSITY` observed, flat, and every iterate with its subspace
+error.  A ppca pass's clock covers its fit of the zero-filled n x d rows,
+built without a mask, and, for a run with gaps, building the evaluator.
+The planted truth's log-likelihood, and ppca's gap, are taken after the
+clock stops.
 
 Each seed's pairs are drawn, or read, in one producer process of its own,
 started by the first pair and joined by the last, while the caller runs the
@@ -55,7 +59,8 @@ from .batch import (BatchIterate, BatchProblem, batch_iterates,
 from .datagen import (Epoch, PlantedModel, ScenarioScript, make_rng,
                       orthonormalize, run_script)
 from .metrics import MetricTrace, subspace_error
-from .model import DatasetEvaluator, ObservedSample, ParameterError
+from .model import (DatasetEvaluator, ObservedSample, ParameterError,
+                    zero_filled)
 from .shasta import ShastaConfig, ShastaPCA
 
 
@@ -664,11 +669,14 @@ def run_block(spec: dict, scenario: dict, seed: int, pairs, every: int,
     metric seconds, the seed's summary entry and the (evaluator, ref) that
     scored its gaps as evaluator(F, v) - ref, ref being the value at the
     planted truth, or None.  A streaming block is run by `score_stream`; a
-    SHASTA one's evaluator is built before its timers start.  A batch
-    block's clock covers building its BatchProblem, whose constructor
-    builds the dense arrays that batch-mm iterates on and ppca fits, and
-    every iterate with its subspace error; the reference, and ppca's gap,
-    are read off those arrays once it stops."""
+    SHASTA one's evaluator is built before its timers start.  A batch-mm
+    block's clock covers building its BatchProblem, whose evaluator keeps
+    the data dense or flat by its observed density (`DatasetEvaluator`),
+    and every iterate with its subspace error.  A ppca block's clock covers
+    its fit of the zero-filled rows (`zero_filled`: no mask, no per-sample
+    sums) and, with gaps, building the evaluator once the rows are freed.
+    The reference, and ppca's gap, are taken from the evaluator once the
+    clock stops."""
     d, num_groups = scenario["d"], scenario["num_groups"]
     f0, v0 = shared_init(seed, d, spec["rank"], num_groups)
     if spec["kind"] in STREAMING_KINDS:
@@ -688,36 +696,39 @@ def run_block(spec: dict, scenario: dict, seed: int, pairs, every: int,
     pairs = list(pairs)
     samples, truth = [s for s, _ in pairs], pairs[-1][1]
     start = time.perf_counter()
-    problem = BatchProblem(samples=samples, num_groups=num_groups, d=d,
-                           k=spec["rank"])
-    dense = problem.dense
-    # The rows the block fits: those of a ppca block's `group`, if it has one.
-    rows = (dense.y if spec.get("group") is None
-            else dense.y[dense.groups == spec["group"]])
     if spec["kind"] == "batch-mm":
+        problem = BatchProblem(samples=samples, num_groups=num_groups, d=d,
+                               k=spec["rank"])
+        evaluator, fitted = problem.dense, len(samples)
         iterates = batch_iterates(problem, f0, v0,
                                   spec.get("iterations", BATCH_ITERATIONS),
                                   spec.get("tol"))
     else:  # ppca: one fit, its variance reported but not traced
-        f, sigma_sq = ppca_closed_form(rows, spec["rank"])
+        # The zero-filled rows of every sample, or of the block's `group`,
+        # freed before a gapped run builds its evaluator.
+        group = spec.get("group")
+        fit = [s for s in samples if group is None or s.group == group]
+        f, sigma_sq = ppca_closed_form(zero_filled(fit, d), spec["rank"])
         iterates = [BatchIterate(f, np.full(num_groups, sigma_sq), 1, None)]
+        evaluator = DatasetEvaluator(samples, d) if loglik_gap else None
+        fitted = len(fit)
     points = [(it, subspace_error(np.linalg.svd(it.f, full_matrices=False)[0],
                                   truth.u), time.perf_counter() - start)
               for it in iterates]
     seconds = time.perf_counter() - start
     loglik = None
     if loglik_gap:
-        loglik = dense, dense(truth.factors, truth.v_star)
+        loglik = evaluator, evaluator(truth.factors, truth.v_star)
     trace = MetricTrace(num_groups=num_groups)
     for it, error, elapsed in points:
         gap = None
         if loglik is not None:
-            gap = (dense(it.f, it.v) if it.loglik is None
+            gap = (evaluator(it.f, it.v) if it.loglik is None
                    else it.loglik) - loglik[1]
         trace.append(it.iteration, error, loglik_gap=gap,
                      v_estimates=it.v if spec["kind"] == "batch-mm" else None,
                      elapsed_seconds=elapsed)
-    final = _final(trace, len(rows), [float(x) for x in points[-1][0].v])
+    final = _final(trace, fitted, [float(x) for x in points[-1][0].v])
     return (trace, seconds, time.perf_counter() - start - seconds, final,
             loglik)
 

@@ -194,12 +194,38 @@ _EPS = float(np.finfo(np.float64).eps)
 # caller, so the invalid flag is not raised as an error.
 _cholesky = np.errstate(invalid="ignore")(_umath_linalg.cholesky_lo)
 
-# Samples per scatter of `DatasetEvaluator`'s dense build, so that the flat
+# Samples per scatter of the dense build (`zero_filled`), so that the flat
 # omegas, values and row labels of a scatter stay a small fraction of y and
 # w.  At timing_desk's size (n = 25,000, d = 200, 20% observed) one scatter
 # of every row raised the build's peak RSS by 16 MB over a per-sample loop,
 # and blocks of this many rows by 0.5 MB, at the same speed.
 _SCATTER_ROWS = 1024
+
+# Observed share of a dataset's entries, nnz/(n d), below which
+# `DatasetEvaluator` keeps its samples flat instead of as dense n x d rows.
+# One batch iteration (k = 3, one BLAS thread, 2-vCPU VM, median of 9
+# alternated rounds), dense against flat, at 1%, 2%, 5%, 10% and 20%
+# observed: n = 5,000, d = 200: 38.4/21.8, 38.1/22.8, 36.7/32.0, 41.1/40.6
+# and 41.2/65.5 ms; n = 300, d = 10,000: 66.6/13.2, 66.8/19.6, 67.4/38.6,
+# 69.2/65.9 and 56.3/114.7 ms.  The forms are even at about 10% on both
+# shapes; below this constant flat is at least 13% faster on both.
+FLAT_DENSITY = 0.05
+
+# Floats per block of the dense residual pass (`_residual_power`; one
+# buffer, reused).  One v-step at timing_desk's size (n = 25,000, d = 200,
+# k = 3, 20% observed, one BLAS thread, 2-vCPU VM), median of 15
+# interleaved rounds, against 40.3 ms for one n x d buffer: 2^12 floats
+# 24.9 ms, 2^14 24.5, 2^15 21.0, 2^16 20.2, 2^17 21.1, 2^18 23.0, 2^20 24.7.
+RESIDUAL_BLOCK = 1 << 16
+
+# BLAS rounds the last few columns of a product differently with the size of
+# the row group its kernel takes them in (up to 12 rows in OpenBLAS), so a
+# block starts and ends on a multiple of this many rows, the last block
+# excepted, which ends where the whole product does.  Its product is then
+# the one-pass product's, bit for bit, at one BLAS thread (1,200 random
+# shapes).  With more threads BLAS splits the one-pass product by thread,
+# and the two can differ in the last bit, as thread counts already do.
+_ROW_ALIGN = 48
 
 
 def least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -289,16 +315,11 @@ class ObservedParts(NamedTuple):
         """tr(F_o' F_o m) = sum lambda/(lambda + v_g)."""
         return (self.evals / (self.evals + np.asarray(vg)[..., None])).sum(axis=-1)
 
-    def residual(self, vg, y, w=None):
-        """||y_o - F_o zbar||^2 at v_g, formed over the observed entries, and
-        zbar: y is the sample's observed values, or for a stack its dense
-        value rows, with w their masks."""
-        zbar = self.mean(vg)
-        if w is None:
-            r = y - self.fo @ zbar
-            return float(r @ r), zbar
-        r = w * (y - zbar @ self.fo.T)
-        return np.einsum("nd,nd->n", r, r), zbar
+    def residual(self, zbar: np.ndarray, y: np.ndarray) -> float:
+        """||y_o - F_o zbar||^2 for one sample, formed over its observed
+        values y."""
+        r = y - self.fo @ zbar
+        return float(r @ r)
 
     def residual_power(self, vg: float, y: np.ndarray) -> float:
         """The variance step's ||y_o - F_o zbar||^2 + v_g tr(F_o' F_o m) for
@@ -307,7 +328,8 @@ class ObservedParts(NamedTuple):
         The residual is y_o' y_o - sum c_i (2 proj_i - lambda_i c_i) and the
         trace sum lambda/(lambda + v_g), O(k) sums on Python floats; where
         the residual is below RESIDUAL_GUARD y_o' y_o, or y_o' y_o is not
-        finite, it is formed over the observed entries (`residual`)."""
+        finite, it is formed over the observed entries (`residual` at
+        `mean`)."""
         ysq = float(y @ y)
         rss, fit = ysq, 0.0
         for lam, proj in zip(self.evals.tolist(), self.proj.tolist()):
@@ -315,20 +337,22 @@ class ObservedParts(NamedTuple):
             rss -= c * (2.0 * proj - lam * c)
             fit += lam / (lam + vg)
         if not RESIDUAL_GUARD * ysq <= rss < math.inf:
-            rss = self.residual(vg, y)[0]
+            rss = self.residual(self.mean(vg), y)
         return rss + vg * fit
 
-    def log_likelihood(self, vg, nobs, ysq, y, w=None):
+    def log_likelihood(self, vg, nobs, ysq, residual):
         """-ln det(F_o F_o' + v_g I) - y_o' (F_o F_o' + v_g I)^{-1} y_o, from
-        the sample's observed-entry count nobs, y_o' y_o and its observed
-        values y (for a stack, its dense value rows y and masks w).
+        the sample's observed-entry count nobs and y_o' y_o, and
+        residual(zbar), which gives ||y_o - F_o zbar||^2 over its observed
+        entries (for a stack, a function of the stacked means giving each
+        sample's).
 
         det(F_o F_o' + v I_n) = v^(n-k) det(F_o' F_o + v I_k) for any n, k,
         and y_o' F_o m F_o' y_o = sum proj^2/(lambda + v_g).  The quadratic
         form (y_o' y_o - sum proj^2/(lambda + v_g))/v_g takes O(k); where
         the difference is below RESIDUAL_GUARD y_o' y_o it has cancelled,
         and the sample takes the equal ||y_o - F_o zbar||^2/v_g + ||zbar||^2
-        instead (`residual`).
+        instead.
         """
         vg = np.asarray(vg)
         shifted = self.evals + vg[..., None]
@@ -338,10 +362,9 @@ class ObservedParts(NamedTuple):
         quad = diff / vg
         cancelled = ~(diff >= RESIDUAL_GUARD * ysq)
         if cancelled.any():
-            rss, zbar = self.residual(vg, y, w)
-            quad = np.where(cancelled,
-                            rss / vg + np.einsum("...k,...k->...", zbar, zbar),
-                            quad)
+            zbar = self.mean(vg)
+            quad = np.where(cancelled, residual(zbar) / vg
+                            + np.einsum("...k,...k->...", zbar, zbar), quad)
         return -logdet - quad
 
 
@@ -386,37 +409,107 @@ def _stacked_parts(f: np.ndarray, grams: np.ndarray,
     return ObservedParts(f, evals, evecs, proj)
 
 
-class DatasetEvaluator:
-    """Log-likelihood of a fixed dataset, vectorized across samples.
+def _flatten(samples: list, d: int, first: int = 0):
+    """The concatenated omegas of a list of samples and each entry's sample
+    index, counted from `first`; ValueError naming the first sample that
+    observes a coordinate >= d."""
+    lengths = np.fromiter((s.omega.size for s in samples), np.intp,
+                          len(samples))
+    rows = np.repeat(np.arange(first, first + len(samples)), lengths)
+    omegas = np.concatenate([s.omega for s in samples])
+    bad = np.flatnonzero(omegas >= d)
+    if bad.size:
+        i = rows[bad[0]]
+        raise ValueError(f"sample {i} observes coordinate "
+                         f"{samples[i - first].omega[-1]} >= d={d}")
+    return omegas, rows
 
-    Precomputes dense mask/value arrays once (y is 0 off each sample's
-    mask) so repeated evaluations at new parameters (solver iterations,
-    traces) cost one Gram, one y @ f and one batched k x k factorization
-    instead of a Python loop.
+
+def zero_filled(samples: list, d: int, *, mask: bool = False):
+    """The n x d rows of a list of samples, 0 off each sample's omega, and
+    with mask=True also the n x d mask of their observed entries (1.0 on
+    omega), scattered _SCATTER_ROWS samples at a time.  A sample observing
+    a coordinate >= d raises ValueError."""
+    n = len(samples)
+    y = np.zeros((n, d))
+    w = np.zeros((n, d)) if mask else None
+    for lo in range(0, n, _SCATTER_ROWS):
+        block = samples[lo:lo + _SCATTER_ROWS]
+        omegas, rows = _flatten(block, d, lo)
+        y[rows, omegas] = np.concatenate([s.values for s in block])
+        if mask:
+            w[rows, omegas] = 1.0
+        del omegas, rows  # freed before the next block's are made: peak memory
+    return (y, w) if mask else y
+
+
+def _residual_power(mean: np.ndarray, fo: np.ndarray, y: np.ndarray,
+                    w: np.ndarray) -> np.ndarray:
+    """||w_i (y_i - fo mean_i)||^2 for every row i of the n x d y and w, in
+    blocks of rows through one buffer (see RESIDUAL_BLOCK, _ROW_ALIGN).
+    numpy takes a one-row product to gemv, which rounds differently again,
+    so a last block of one row joins the block before it."""
+    n, d = y.shape
+    rows = max(_ROW_ALIGN, RESIDUAL_BLOCK // d // _ROW_ALIGN * _ROW_ALIGN)
+    starts = list(range(0, n, rows))
+    if n > 1 and n - starts[-1] == 1:
+        starts.pop()
+    buf = np.empty((min(n, rows + 1), d))
+    rss = np.empty(n)
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        block = buf[:hi - lo]
+        np.matmul(mean[lo:hi], fo.T, out=block)
+        np.subtract(y[lo:hi], block, out=block)
+        block *= w[lo:hi]
+        np.einsum("nd,nd->n", block, block, out=rss[lo:hi])
+    return rss
+
+
+class DatasetEvaluator:
+    """Log-likelihood of a fixed dataset, vectorized across samples, and the
+    three kernels that read the dataset's values: every sample's Gram with
+    its F_o' y_o (`parts`), every sample's residual (`residuals`), and each
+    coordinate's sums over the samples observing it (`row_sums`).
+
+    A dataset with at least FLAT_DENSITY of its n x d entries observed is
+    kept dense: y, its values with 0 off each sample's omega, and w, the
+    masks (`zero_filled`); each kernel is then one product over the n x d
+    rows.  A sparser one is kept flat (`flat` is True): the concatenated
+    omegas and values, each entry's sample and each non-empty sample's
+    first entry.  Each kernel is then a gather plus per-sample sums
+    (`np.add.reduceat`) or per-coordinate sums (`np.bincount`), O(nnz k^2)
+    whatever d is.  The two forms agree to rounding, and no other module
+    reads either.  groups, nobs (observed entries, as floats) and ysq
+    (y_o' y_o) hold one entry per sample in both.
     """
 
     def __init__(self, samples, d: int):
         samples = list(samples)
         n = len(samples)
         self.d = int(d)
-        self.y = np.zeros((n, d))
-        self.w = np.zeros((n, d))
         self.groups = np.fromiter((s.group for s in samples), np.intp, n)
-        for lo in range(0, n, _SCATTER_ROWS):
-            block = samples[lo:lo + _SCATTER_ROWS]
-            lengths = np.fromiter((s.omega.size for s in block), np.intp,
-                                  len(block))
-            rows = np.repeat(np.arange(lo, lo + len(block)), lengths)
-            omegas = np.concatenate([s.omega for s in block])
-            bad = np.flatnonzero(omegas >= d)
-            if bad.size:
-                i = rows[bad[0]]
-                raise ValueError(f"sample {i} observes coordinate "
-                                 f"{samples[i].omega[-1]} >= d={d}")
-            self.y[rows, omegas] = np.concatenate([s.values for s in block])
-            self.w[rows, omegas] = 1.0
-        self.nobs = self.w.sum(axis=1)
-        self.ysq = np.einsum("nd,nd->n", self.y, self.y)
+        lengths = np.fromiter((s.omega.size for s in samples), np.intp, n)
+        self.nobs = lengths.astype(np.float64)
+        self.flat = bool(lengths.sum() < FLAT_DENSITY * n * self.d)
+        if not self.flat:
+            self.y, self.w = zero_filled(samples, self.d, mask=True)
+            self.ysq = np.einsum("nd,nd->n", self.y, self.y)
+            return
+        self._omegas, self._sample = _flatten(samples, self.d)
+        self._values = np.concatenate([s.values for s in samples])
+        self._nonempty = np.flatnonzero(lengths)
+        self._starts = (np.cumsum(lengths) - lengths)[self._nonempty]
+        self.ysq = self._sample_sums(self._values * self._values)
+
+    def _sample_sums(self, x: np.ndarray) -> np.ndarray:
+        """Each sample's sum of the per-entry x of a flat dataset, 0 for a
+        sample observing nothing: `np.add.reduceat` gives the entry at a
+        repeated offset, not 0, so it reads the non-empty samples' first
+        entries only."""
+        out = np.zeros(self.nobs.size)
+        if self._starts.size:
+            out[self._nonempty] = np.add.reduceat(x, self._starts)
+        return out
 
     def _grams(self, f: np.ndarray):
         """Every sample's Gram F_o' F_o at f (n x k x k) and F_o' y_o (n x
@@ -424,16 +517,61 @@ class DatasetEvaluator:
         warning."""
         k = f.shape[1]
         with np.errstate(over="ignore", invalid="ignore"):
-            pairs = (f[:, :, None] * f[:, None, :]).reshape(self.d, k * k)
-            grams = (self.w @ pairs).reshape(-1, k, k)
+            if self.flat:
+                n = self.nobs.size
+                fo = np.ascontiguousarray(f.T)[:, self._omegas]
+                grams, fy = np.empty((n, k, k)), np.empty((n, k))
+                for a in range(k):
+                    fy[:, a] = self._sample_sums(fo[a] * self._values)
+                    for b in range(a, k):
+                        grams[:, a, b] = grams[:, b, a] = self._sample_sums(
+                            fo[a] * fo[b])
+            else:
+                pairs = (f[:, :, None] * f[:, None, :]).reshape(self.d, k * k)
+                grams = (self.w @ pairs).reshape(-1, k, k)
             if not (math.isfinite(grams.sum()) or np.isfinite(grams).all()):
                 raise ValueError("per-sample Gram F_o' F_o is not finite")
-        return grams, self.y @ f
+        return grams, (fy if self.flat else self.y @ f)
 
     def parts(self, f: np.ndarray) -> ObservedParts:
         """Every sample's ObservedParts at f, stacked along a leading axis; a
         Gram that overflows raises ValueError instead of a numpy warning."""
         return _stacked_parts(f, *self._grams(f))
+
+    def residuals(self, f: np.ndarray, mean: np.ndarray,
+                  rows: np.ndarray | None = None) -> np.ndarray:
+        """||y_o - F_o mean_i||^2 of every sample i over its observed
+        entries; given rows (increasing sample indices), of those samples
+        only, mean holding their rows.  Dense, the residual passes a block
+        of rows at a time through one buffer of about RESIDUAL_BLOCK floats,
+        never an n x d array, and at one BLAS thread is the one-pass
+        product's, bit for bit."""
+        if not self.flat:
+            y, w = ((self.y, self.w) if rows is None
+                    else (self.y[rows], self.w[rows]))
+            return _residual_power(mean, f, y, w)
+        if rows is not None:  # each given mean at its sample's row
+            spread = np.zeros((self.nobs.size, f.shape[1]))
+            spread[rows] = mean
+            mean = spread
+        r = self._values - np.einsum("ek,ek->e", f[self._omegas],
+                                     mean[self._sample])
+        rss = self._sample_sums(r * r)
+        return rss if rows is None else rss[rows]
+
+    def row_sums(self, a: np.ndarray, values: bool = False) -> np.ndarray:
+        """For each coordinate j, the sum of the rows a_i (a is n x p) over
+        the samples i observing j, each times y_ij if values: w' a or y' a,
+        a d x p array."""
+        if not self.flat:
+            return (self.y if values else self.w).T @ a
+        out = np.empty((a.shape[1], self.d))
+        for column, col in enumerate(np.ascontiguousarray(a.T)):
+            x = col[self._sample]
+            if values:
+                x *= self._values
+            out[column] = np.bincount(self._omegas, x, minlength=self.d)
+        return out.T
 
     def __call__(self, f: np.ndarray, v: np.ndarray) -> float:
         """Half the sum of every sample's `ObservedParts.log_likelihood` at
@@ -466,6 +604,6 @@ class DatasetEvaluator:
             parts = _stacked_parts(f, grams, fy[fallback])
             loglik[fallback] = parts.log_likelihood(
                 vg[fallback], self.nobs[fallback], self.ysq[fallback],
-                self.y[fallback], self.w[fallback])
+                lambda zbar: self.residuals(f, zbar, fallback))
         loglik[self.nobs == 0] = 0.0
         return float(0.5 * np.sum(loglik))

@@ -59,7 +59,8 @@ def sample_log_likelihood(f, v, sample):
     y = sample.values
     parts = observed_parts(f[sample.omega], y)
     vg = float(floor_variances(v)[sample.group])
-    return float(parts.log_likelihood(vg, sample.nobs, y @ y, y))
+    return float(parts.log_likelihood(vg, sample.nobs, y @ y,
+                                      lambda zbar: parts.residual(zbar, y)))
 
 
 def minorizer_value(f, v, anchor_f, anchor_v, sample):

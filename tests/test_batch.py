@@ -1,12 +1,17 @@
 import re
 import tracemalloc
 import warnings
+from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from shastapca import batch, model
+from shastapca.datagen import run_script
+from shastapca.harness import load_config, load_timing_config, scenario_script
 from shastapca.batch import (
     BatchProblem,
     batch_f_step,
@@ -31,6 +36,7 @@ from helpers import (
     orthonormal,
     quad_rounding,
     random_sample,
+    sample_log_likelihood,
 )
 
 
@@ -104,6 +110,190 @@ class TestBatchProblem:
         good = ObservedSample.full([1.0, 2.0, 3.0], 0)
         with pytest.raises(ValueError, match=message):
             BatchProblem([good, bad, good], num_groups=2, d=3, k=1)
+
+
+def in_both_forms(build):
+    """build() once with every dataset kept dense and once with every one
+    kept flat (see model.FLAT_DENSITY: no count of entries is below 0, and
+    every one is below 2 n d)."""
+    built = []
+    for density in (0.0, 2.0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model, "FLAT_DENSITY", density)
+            built.append(build())
+    return built
+
+
+def sparse_samples(rng, n, d, num_groups):
+    """n samples, a fifth of them empty and a fifth observing one entry, the
+    rest each at its own density; a few coordinates are observed by none."""
+    unseen = rng.random(d) < 0.2
+    out = []
+    for _ in range(n):
+        kind = rng.random()
+        size = 0 if kind < 0.2 else 1 if kind < 0.4 else rng.integers(1, d + 1)
+        omega = np.sort(rng.choice(d, size=size, replace=False))
+        omega = omega[~unseen[omega]]
+        out.append(ObservedSample(omega, rng.standard_normal(omega.size),
+                                  int(rng.integers(num_groups))))
+    return out
+
+
+def close(got, want, scale, rel=1e-12):
+    """got within rel of want, entry by entry, relative to scale: the sums
+    of the absolute values of the terms each entry adds up."""
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= rel * scale)
+
+
+class TestFlatForm:
+    """A dataset below FLAT_DENSITY is kept flat; each kernel then agrees
+    with the dense form's to 1e-12 of the absolute sum of its terms."""
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_kernels_match_the_dense_form(self, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 30))
+        k = int(rng.integers(1, min(d, 4) + 1))
+        n = int(rng.integers(1, 40))
+        samples = sparse_samples(rng, n, d, 2)
+        dense, flat = in_both_forms(lambda: DatasetEvaluator(samples, d))
+        assert not dense.flat and flat.flat
+        f = rng.standard_normal((d, k))
+        mean = rng.standard_normal((n, k))
+        a = rng.standard_normal((n, 5))
+        np.testing.assert_array_equal(flat.nobs, dense.nobs)
+        close(flat.ysq, dense.ysq, dense.ysq)
+
+        (grams, fy), (want_grams, want_fy) = flat._grams(f), dense._grams(f)
+        abs_pairs = np.abs(f[:, :, None] * f[:, None, :]).reshape(d, k * k)
+        close(grams, want_grams, (dense.w @ abs_pairs).reshape(-1, k, k))
+        close(fy, want_fy, np.abs(dense.y) @ np.abs(f))
+
+        terms = np.abs(dense.y) + dense.w * (np.abs(mean) @ np.abs(f).T)
+        scale = np.einsum("nd,nd->n", terms, terms)
+        close(flat.residuals(f, mean), dense.residuals(f, mean), scale)
+        rows = np.flatnonzero(rng.random(n) < 0.5)
+        close(flat.residuals(f, mean[rows], rows),
+              dense.residuals(f, mean[rows], rows), scale[rows])
+
+        close(flat.row_sums(a), dense.row_sums(a), dense.w.T @ np.abs(a))
+        close(flat.row_sums(a, values=True), dense.row_sums(a, values=True),
+              np.abs(dense.y).T @ np.abs(a))
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=20, deadline=None)
+    def test_one_iteration_and_likelihood_match_the_dense_form(self, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 20))
+        k = int(rng.integers(1, min(d, 3) + 1))
+        samples = sparse_samples(rng, int(rng.integers(1, 40)), d, 2)
+        dense, flat = in_both_forms(
+            lambda: BatchProblem(samples, num_groups=2, d=d, k=k))
+        assert not dense.dense.flat and flat.dense.flat
+        np.testing.assert_array_equal(flat.observed_rows, dense.observed_rows)
+        np.testing.assert_array_equal(flat.theta, dense.theta)
+        f0, v0 = random_init(rng, d, k, 2)
+        (got,), (want,) = (batch_solve(p, f0, v0, iters=1) for p in (flat, dense))
+        np.testing.assert_allclose(got.f, want.f, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want.f).max())
+        np.testing.assert_allclose(got.v, want.v, rtol=1e-12)
+        assert got.loglik == pytest.approx(want.loglik, rel=1e-12)
+
+    def test_guarded_rows_match_the_dense_form(self, monkeypatch):
+        # Every sample in F_o's span at v_g = 1e-8 or the floor takes the
+        # eigendecomposition, and its quadratic form the residual over its
+        # observed entries (`DatasetEvaluator.residuals` on those rows),
+        # whose rounding, divided by v_g, is bounded by quad_rounding.
+        rng = np.random.default_rng(23)
+        d, k = 40, 3
+        f = rng.standard_normal((d, k))
+        samples = []
+        for i in range(30):
+            omega = np.sort(rng.choice(d, size=int(rng.integers(0, 5)),
+                                       replace=False))
+            samples.append(ObservedSample(omega, f[omega] @ rng.standard_normal(k),
+                                          i % 2))
+        v = np.array([model.VARIANCE_FLOOR, 1e-8])
+        residuals = []
+        real = DatasetEvaluator.residuals
+
+        def spy(self, f, mean, rows=None):
+            residuals.append(rows)
+            return real(self, f, mean, rows)
+
+        monkeypatch.setattr(DatasetEvaluator, "residuals", spy)
+        dense, flat = in_both_forms(lambda: DatasetEvaluator(samples, d))
+        want, got = dense(f, v), flat(f, v)
+        assert len(residuals) == 2 and residuals[0].size > 0
+        np.testing.assert_array_equal(residuals[0], residuals[1])
+        scale = sum(abs(term) for term in (
+            0.5 * sample_log_likelihood(f, v, s) for s in samples))
+        rounding = sum(quad_rounding(v, s) for s in samples)
+        assert abs(got - want) <= 1e-12 * scale + 0.5 * rounding
+
+    def test_empty_samples_sum_to_zero(self):
+        # reduceat gives the entry at a repeated offset, not 0: empty
+        # samples first, between two others and last get exact zeros.
+        f = np.arange(1.0, 9.0).reshape(4, 2)
+        empty = ObservedSample(np.array([], dtype=int), np.array([]), 0)
+        samples = [empty, ObservedSample(np.array([1]), np.array([2.0]), 1),
+                   empty, empty, ObservedSample(np.array([0, 3]),
+                                                np.array([1.0, -1.0]), 0),
+                   empty]
+        dense, flat = in_both_forms(lambda: DatasetEvaluator(samples, 4))
+        for ev in (dense, flat):
+            grams, fy = ev._grams(f)
+            np.testing.assert_array_equal(grams[[0, 2, 3, 5]], 0.0)
+            np.testing.assert_array_equal(fy[[0, 2, 3, 5]], 0.0)
+            np.testing.assert_array_equal(grams[1], [[9.0, 12.0], [12.0, 16.0]])
+            np.testing.assert_array_equal(fy[1], [6.0, 8.0])
+            np.testing.assert_array_equal(ev.ysq, [0.0, 4.0, 0.0, 0.0, 2.0, 0.0])
+            np.testing.assert_array_equal(
+                ev.residuals(f, np.ones((6, 2))), [0.0, 25.0, 0.0, 0.0, 260.0, 0.0])
+            np.testing.assert_array_equal(ev.row_sums(np.ones((6, 1)))[:, 0],
+                                          [1.0, 1.0, 0.0, 1.0])
+
+    def test_an_all_empty_dataset(self):
+        empty = ObservedSample(np.array([], dtype=int), np.array([]), 1)
+        dense, flat = in_both_forms(
+            lambda: BatchProblem([empty] * 3, num_groups=2, d=5, k=2))
+        assert flat.dense.flat
+        rng = np.random.default_rng(3)
+        f0, v0 = random_init(rng, 5, 2, 2)
+        for p in (dense, flat):
+            np.testing.assert_array_equal(p.observed_rows, False)
+            assert p.dense(f0, v0) == 0.0
+            (it,) = batch_solve(p, f0, v0, iters=1)
+            np.testing.assert_array_equal(it.f, f0)
+            np.testing.assert_array_equal(it.v, v0)
+            assert it.loglik == 0.0
+
+    def test_refuses_a_coordinate_outside_the_dataset(self):
+        samples = [ObservedSample(np.array([1]), np.ones(1), 0)] * 5
+        samples.append(ObservedSample(np.array([2, 9]), np.ones(2), 0))
+
+        def refused():
+            with pytest.raises(ValueError, match="sample 5 observes "
+                                                 "coordinate 9 >= d=7"):
+                DatasetEvaluator(samples, 7)
+
+        in_both_forms(refused)
+
+    def test_every_bundled_config_is_dense(self):
+        # The form is chosen from the observed density alone; the bundled
+        # configs (20% observed and more, as C9's data) stay dense.
+        configs = sorted((Path(__file__).parent.parent / "configs").glob("*.yaml"))
+        assert len(configs) == 7
+        for path in configs:
+            timing = "batch_estimator" in yaml.safe_load(path.read_text())
+            scenario = (load_timing_config(path)["scenario"] if timing
+                        else load_config(path).scenario)
+            pairs = islice(run_script(scenario_script(scenario),
+                                      np.random.SeedSequence((0, 0))), 2000)
+            ev = DatasetEvaluator([s for s, _ in pairs], scenario["d"])
+            assert not ev.flat, path.name
 
 
 class TestVStep:
@@ -180,7 +370,7 @@ class TestBlockedVStep:
     ], ids=["below_one_block", "exact_multiple", "multiple_plus_one",
             "ragged", "d_above_block"])
     def test_matches_the_one_pass_formula(self, monkeypatch, n, d, block):
-        monkeypatch.setattr(batch, "RESIDUAL_BLOCK", block)
+        monkeypatch.setattr(model, "RESIDUAL_BLOCK", block)
         rng = np.random.default_rng(n + d)
         samples = [random_sample(rng, d, 1, 0.9) for _ in range(n)]
         p = BatchProblem([ObservedSample(s.omega, s.values, i)
@@ -195,7 +385,7 @@ class TestBlockedVStep:
     def test_a_last_row_joins_the_block_before(self, monkeypatch, n):
         # 48 rows a block leave one row over, which numpy would hand to gemv
         # on its own.  Compared row by row: a sum over rows can hide a bit.
-        monkeypatch.setattr(batch, "RESIDUAL_BLOCK", 64)
+        monkeypatch.setattr(model, "RESIDUAL_BLOCK", 64)
         rng = np.random.default_rng(n)
         d = 333
         for _ in range(8):
@@ -204,7 +394,7 @@ class TestBlockedVStep:
             y = rng.standard_normal((n, d)) * w
             resid = (y - mean @ fo.T) * w
             want = np.einsum("nd,nd->n", resid, resid)
-            got = batch._residual_power(mean, fo, y, w)
+            got = model._residual_power(mean, fo, y, w)
             assert got.tobytes() == want.tobytes()
 
 
@@ -409,7 +599,7 @@ class TestBatchSolve:
             f = check_factors(f)
             vg = floor_variances(v)[self.groups]
             return float(0.5 * np.sum(self.parts(f).log_likelihood(
-                vg, self.nobs, self.ysq, self.y, self.w)))
+                vg, self.nobs, self.ysq, lambda zbar: self.residuals(f, zbar))))
 
         rng = np.random.default_rng(21)
         p0 = random_problem(rng, 8, 3, 2, n=30, observe_prob=0.6)

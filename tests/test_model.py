@@ -312,7 +312,7 @@ def residual_form(parts, vg, y):
     """The variance step's residual power over the observed entries,
     ||y_o - F_o zbar||^2 + v_g tr(F_o' F_o m): the reference for
     `ObservedParts.residual_power`'s O(k) sums."""
-    return parts.residual(vg, y)[0] + vg * float(parts.fit_trace(vg))
+    return parts.residual(parts.mean(vg), y) + vg * float(parts.fit_trace(vg))
 
 
 def dense_residual_power(f, v, sample):
@@ -457,7 +457,8 @@ def eigh_terms(ev, f, v):
     (`DatasetEvaluator.parts`): the reference for the evaluator's
     Cholesky."""
     vg = floor_variances(v)[ev.groups]
-    return ev.parts(f).log_likelihood(vg, ev.nobs, ev.ysq, ev.y, ev.w)
+    return ev.parts(f).log_likelihood(vg, ev.nobs, ev.ysq,
+                                      lambda zbar: ev.residuals(f, zbar))
 
 
 class TestDatasetLogLikelihood:

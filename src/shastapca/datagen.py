@@ -9,10 +9,12 @@ sample together with the ground truth active at that instant.
 All randomness flows from one integer seed through a splittable counter-based
 generator (Philox), so identical seeds give identical streams.
 
-A planted model holds its parameters and nothing derived from them.
-`run_script` forms what a draw needs once per epoch (the factors, each
-group's noise deviation, the cumulative group law, the coordinate range), so
-a draw does no per-sample set-up: `draw_group` inverts that law with one
+A scenario script owns every rule of a scenario and checks them all when it
+is built; a planted model holds only its truth (basis, spectrum, variances)
+and nothing derived from it.  `run_script` forms the group law's cumulative
+distribution once per stream, from the script, and what a draw needs once
+per epoch (the factors, each group's noise deviation, the coordinate range),
+so a draw does no per-sample set-up: `draw_group` inverts that law with one
 uniform draw, which is how `Generator.choice` draws with given
 probabilities, and so consumes the random stream exactly as it would.  Each
 sample is built without `ObservedSample`'s checks, which a drawn sample
@@ -44,8 +46,6 @@ class PlantedModel:
     u: np.ndarray             # (d, k) orthonormal basis
     spectrum: np.ndarray      # (k,) squared singular values, descending
     v_star: np.ndarray        # (L,) true noise variances
-    group_probs: np.ndarray | None = None   # sampling law for group labels
-    group_counts: np.ndarray | None = None  # exact per-group counts
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=np.float64)
@@ -61,22 +61,9 @@ class PlantedModel:
             raise ParameterError("spectrum", "must be positive, finite and descending")
         if not np.all((v_star > 0) & (v_star < np.inf)):
             raise ParameterError("v_star", "must be positive and finite")
-        if (self.group_probs is None) == (self.group_counts is None):
-            raise ParameterError("group_probs", "or group_counts: specify exactly one")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "spectrum", spectrum)
         object.__setattr__(self, "v_star", v_star)
-        if self.group_probs is not None:
-            p = np.asarray(self.group_probs, dtype=np.float64)
-            if not (p.size == v_star.size and abs(p.sum() - 1.0) <= 1e-9
-                    and np.all(p >= 0)):
-                raise ParameterError("group_probs", "must be a distribution over groups")
-            object.__setattr__(self, "group_probs", p)
-        if self.group_counts is not None:
-            c = np.asarray(self.group_counts, dtype=np.int64)
-            if c.size != v_star.size or np.any(c < 0):
-                raise ParameterError("group_counts", "must be nonnegative, one per group")
-            object.__setattr__(self, "group_counts", c)
 
     @property
     def d(self) -> int:
@@ -95,16 +82,6 @@ class PlantedModel:
         """U sqrt(lam), a new array at each access."""
         return self.u * np.sqrt(self.spectrum)
 
-    @property
-    def group_cdf(self) -> np.ndarray:
-        """Cumulative group_probs, normalized to end at 1 as
-        `Generator.choice` normalizes them; a new array at each access."""
-        if self.group_probs is None:
-            raise ValueError("model has fixed counts; use a scripted label order")
-        cdf = self.group_probs.cumsum()
-        cdf /= cdf[-1]
-        return cdf
-
 
 def orthonormalize(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis of a's columns: the Q of its QR factorization, signs
@@ -120,8 +97,8 @@ def draw_orthonormal(rng, d: int, k: int) -> np.ndarray:
 
 def draw_group(cdf: np.ndarray, rng) -> int:
     """One label from the group law whose cumulative distribution is `cdf`
-    (a model's `group_cdf`).  Draws exactly as `rng.choice(num_groups,
-    p=group_probs)` does, without its checks."""
+    (as `run_script` forms it from a script's group_probs).  Draws exactly
+    as `rng.choice(num_groups, p=group_probs)` does, without its checks."""
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
@@ -136,10 +113,11 @@ def _draw_masked(rng, factors: np.ndarray, scale, coords: np.ndarray,
     The sample skips `ObservedSample`'s checks, as it meets them by
     construction: omega is a fresh copy of the range or the range indexed by
     the mask, so strictly increasing and nonnegative; the values are finite,
-    since `PlantedModel` refuses a spectrum or variance that is not positive
-    and finite; the group is a nonnegative int.  The checks were 7.9 us of
-    the 22 us a draw took at d = 100 (one BLAS thread); without them and
-    the per-sample set-up, a draw there takes about a third less."""
+    since the script and `PlantedModel` refuse a spectrum or variance that
+    is not positive and finite; the group is a nonnegative int.  The checks
+    were 7.9 us of the 22 us a draw took at d = 100 (one BLAS thread);
+    without them and the per-sample set-up, a draw there takes about a
+    third less."""
     z = rng.standard_normal(factors.shape[1])
     y = factors @ z
     y += scale * rng.standard_normal(coords.size)
@@ -161,9 +139,14 @@ class Epoch:
 
 @dataclass(frozen=True)
 class ScenarioScript:
-    """Base planted model parameters plus an ordered list of epochs, each
-    checked here: an epoch's scale_variance must keep its group's variance,
-    as scaled so far, positive and finite.  Errors name it as epochs[i]."""
+    """Base planted model parameters, a group law and an ordered list of
+    epochs: the one owner of a scenario's rules, each checked here when the
+    script is built.  An epoch's scale_variance must keep its group's
+    variance, as scaled so far, positive and finite (errors name it as
+    epochs[i]); group_counts must sum to the scripted length; the spectrum
+    and variances are held to `PlantedModel`'s rules, on a d x k stand-in
+    basis; and exactly one group law is given, group_probs a distribution
+    over the groups or group_counts one nonnegative count per group."""
 
     d: int
     k: int
@@ -202,9 +185,20 @@ class ScenarioScript:
                                          f"takes a variance to {v[group]!r}; it "
                                          "must stay positive and finite")
         if self.group_counts is not None:
-            total = sum(e.samples for e in self.epochs)
-            if int(np.sum(self.group_counts)) != total:
+            if int(np.sum(self.group_counts)) != self.total_samples:
                 raise ParameterError("group_counts", "must sum to the scripted length")
+        PlantedModel(np.eye(self.d, self.k), self.spectrum, self.v_star)
+        if (self.group_probs is None) == (self.group_counts is None):
+            raise ParameterError("group_probs", "or group_counts: specify exactly one")
+        if self.group_probs is not None:
+            p = np.asarray(self.group_probs, dtype=np.float64)
+            if not (p.size == len(v) and abs(p.sum() - 1.0) <= 1e-9
+                    and np.all(p >= 0)):
+                raise ParameterError("group_probs", "must be a distribution over groups")
+        else:
+            c = np.asarray(self.group_counts, dtype=np.int64)
+            if c.size != len(v) or np.any(c < 0):
+                raise ParameterError("group_counts", "must be nonnegative, one per group")
 
     @property
     def total_samples(self) -> int:
@@ -216,23 +210,23 @@ def run_script(script: ScenarioScript, seed):
 
     The ground truth is the planted model active when the sample was drawn;
     epoch mutations apply before their first sample.  Subspace redraws keep
-    the spectrum fixed.  Each epoch's factors, noise deviations and group
-    law are formed once, before its first draw.
+    the spectrum fixed.  The group law's cumulative distribution is formed
+    once, normalized to end at 1 as `Generator.choice` normalizes it; each
+    epoch's factors and noise deviations once, before its first draw.
     """
     rng = make_rng(seed)
-    model = PlantedModel(
-        u=draw_orthonormal(rng, script.d, script.k),
-        spectrum=np.asarray(script.spectrum),
-        v_star=np.asarray(script.v_star),
-        group_probs=script.group_probs,
-        group_counts=script.group_counts,
-    )
-    labels = None
+    model = PlantedModel(u=draw_orthonormal(rng, script.d, script.k),
+                         spectrum=np.asarray(script.spectrum),
+                         v_star=np.asarray(script.v_star))
+    labels = cdf = None
     if script.group_counts is not None:
         labels = np.repeat(np.arange(len(script.group_counts)),
                            script.group_counts)
         rng.shuffle(labels)
         labels = labels.tolist()
+    else:
+        cdf = np.asarray(script.group_probs, dtype=np.float64).cumsum()
+        cdf /= cdf[-1]
     coords = np.arange(script.d, dtype=np.intp)
     position = 0
     for epoch in script.epochs:
@@ -246,7 +240,6 @@ def run_script(script: ScenarioScript, seed):
         p = epoch.observe_prob if epoch.observe_prob is not None else script.observe_prob
         # sqrt rounds the same elementwise as on one variance.
         factors, scales = model.factors, np.sqrt(model.v_star)
-        cdf = model.group_cdf if labels is None else None
         for _ in range(epoch.samples):
             group = labels[position] if cdf is None else draw_group(cdf, rng)
             yield _draw_masked(rng, factors, scales[group], coords, group, p), model

@@ -21,14 +21,14 @@ clock stops.
 
 Each seed's pairs are drawn, or read, in one producer process of its own,
 started by the first pair and joined by the last, while the caller runs the
-estimator on the pairs already sent: the process runs `run_script`, each
-row with its planted model, or parses a CSV file's rows and checks each at
-its line, and sends them in chunks; the caller builds their samples without
-checking them again, since a drawn sample meets `ObservedSample`'s rules by
-construction and a parsed row has been held to them.  The pairs are those an
-in-process draw or parse gives, byte for byte; a planted model arrives as an
-equal copy, one per chunk and epoch, as pickle writes an object shared by a
-chunk's rows once.
+estimator on the pairs already sent: the process runs `run_script`, or
+parses a CSV file's rows and checks each at its line (`_csv_rows`), and
+sends the (sample, info) pairs either yields in chunks; the caller builds
+each sample again from its sent fields without checking it, since a drawn
+sample meets `ObservedSample`'s rules by construction and a parsed row has
+been held to them.  The pairs are those an in-process draw or parse gives,
+byte for byte; a planted model arrives as an equal copy, one per chunk and
+epoch, as pickle writes an object shared by a chunk's pairs once.
 
 CSV dataset format: a header row with a `group` column, an optional
 `variance` column (reporting only), and d value columns, each column named
@@ -284,14 +284,10 @@ def _parse_scenario(raw) -> dict:
 def _check_scenario(scenario: dict) -> None:
     """Refuse, before any output exists, a synthetic scenario that datagen
     would refuse once the run had started: build its script, which checks
-    its rank, spectrum length and every epoch, and its planted model, on a
-    d x rank stand-in basis."""
+    every rule of the scenario (`ScenarioScript`), naming a field by its
+    config key."""
     try:
         scenario_script(scenario)
-        PlantedModel(u=np.eye(scenario["d"], scenario["rank"]),
-                     spectrum=scenario["spectrum"], v_star=scenario["variances"],
-                     group_probs=scenario.get("group_probs"),
-                     group_counts=scenario.get("group_counts"))
     except ParameterError as exc:
         field = {"k": "rank", "v_star": "variances"}.get(exc.field, exc.field)
         raise ConfigError(f"scenario.{field}", f"{field} {exc.reason}") from None
@@ -433,14 +429,13 @@ CHUNK_ROWS = 256
 
 
 def _send_rows(send, rows, *args) -> None:
-    """A producer process: send the (omega, values, group, info) rows that
-    `rows(*args)` yields, CHUNK_ROWS to a message as their concatenated
-    omegas and values, lengths, groups and infos, then None; or, after the
-    rows before it, the exception that stopped them."""
+    """A producer process: send the (sample, info) pairs that `rows(*args)`
+    yields, CHUNK_ROWS to a message (`_pack`), then None; or, after the
+    pairs before it, the exception that stopped them."""
     chunk, message = [], None
     try:
-        for row in rows(*args):
-            chunk.append(row)
+        for pair in rows(*args):
+            chunk.append(pair)
             if len(chunk) == CHUNK_ROWS:
                 send.send(_pack(chunk))
                 chunk = []
@@ -451,24 +446,26 @@ def _send_rows(send, rows, *args) -> None:
     send.send(message)
 
 
-def _pack(rows) -> tuple:
-    """One message of `_send_rows`: its rows' omegas and values, each
-    concatenated, their lengths, groups and infos."""
-    omegas, values, groups, infos = zip(*rows)
-    return (np.concatenate(omegas), np.concatenate(values),
-            [omega.size for omega in omegas], list(groups), list(infos))
+def _pack(pairs) -> tuple:
+    """One message of `_send_rows`: its samples' omegas and values, each
+    concatenated, their lengths and groups, and the pairs' infos."""
+    samples, infos = zip(*pairs)
+    return (np.concatenate([s.omega for s in samples]),
+            np.concatenate([s.values for s in samples]),
+            [s.omega.size for s in samples], [s.group for s in samples],
+            list(infos))
 
 
 def _produce(rows, args, name: str):
-    """The (sample, info) pairs of a stream drawn or read in a producer
-    process of its own, which runs `_send_rows(send, rows, *args)`: started
-    by the first `next()` (multiprocessing's default context), while the
-    caller works on the rows already sent.  Each row is built into its
-    sample unchecked, so `rows` yields only rows that meet `ObservedSample`'s
-    rules.  The process is joined when the rows run out, when the generator
-    is closed and when it raises, and killed first if it is still
-    producing; should it die before its last message, ChildProcessError is
-    raised, naming it as `name`."""
+    """The (sample, info) pairs that `rows(*args)` yields, drawn or read in
+    a producer process of its own, which runs `_send_rows(send, rows,
+    *args)`: started by the first `next()` (multiprocessing's default
+    context), while the caller works on the pairs already sent.  Each sample
+    is built again from its sent fields unchecked, so `rows` yields only
+    samples that meet `ObservedSample`'s rules.  The process is joined when
+    the pairs run out, when the generator is closed and when it raises, and
+    killed first if it is still producing; should it die before its last
+    message, ChildProcessError is raised, naming it as `name`."""
     # Imported on first use: loaded with this module, multiprocessing raised
     # the peak RSS of benchmark runs that start no producer by 1-2 MB.
     import multiprocessing
@@ -505,9 +502,9 @@ def _produce(rows, args, name: str):
 
 
 def _csv_rows(path, num_groups):
-    """The rows of a dataset file as `_send_rows` takes them, each parsed
-    and checked, `ObservedSample`'s rules included; its info is the row's
-    variance or None."""
+    """The (sample, variance or None) pairs of a dataset file's rows, each
+    row parsed and checked, `ObservedSample`'s rules included, before its
+    sample is built unchecked."""
     with open(path, newline="") as fh:
         records = _records(fh)
         _, header = next(records, (1, None))
@@ -538,8 +535,8 @@ def _csv_rows(path, num_groups):
                     ObservedSample(omega, values, group)
             except ValueError as exc:
                 raise CsvFormatError(f"line {lineno}: {exc}") from None
-            yield (np.array(omega, dtype=np.intp), np.array(values), group,
-                   variance)
+            yield (ObservedSample._checked(np.array(omega, dtype=np.intp),
+                                          np.array(values), group), variance)
 
 
 def read_csv_samples(path, num_groups=None):
@@ -641,24 +638,17 @@ def score_stream(est, pairs, every: int, num_groups: int, loglik=None):
     return trace, ingest_s, score_s + time.perf_counter() - resumed
 
 
-def _script_rows(script: ScenarioScript, seed):
-    """The pairs `run_script(script, seed)` draws, as rows for `_send_rows`,
-    each with its planted model as its info."""
-    for sample, truth in run_script(script, seed):
-        yield sample.omega, sample.values, sample.group, truth
-
-
 def seed_pairs(scenario: dict, seed: int):
     """A seed's (sample, info) pairs, drawn lazily in a producer process
-    (`_produce`): the synthetic script on the seed's Philox stream 0, as
-    `run_script` draws it in-process, or a csv dataset's rows.  The caller
-    builds each sample from the numbers the process sends, so the pairs are
-    those of an in-process draw, byte for byte, each planted model being
-    an equal copy, one per chunk and epoch."""
+    (`_produce`): those `run_script` draws from the synthetic script on the
+    seed's Philox stream 0, or a csv dataset's rows.  The caller builds
+    each sample from the numbers the process sends, so the pairs are those
+    of an in-process draw, byte for byte, each planted model being an equal
+    copy, one per chunk and epoch."""
     if scenario["kind"] == "csv":
         return read_csv_samples(scenario["path"], scenario["num_groups"])
-    return _produce(_script_rows, (scenario_script(scenario),
-                                   np.random.SeedSequence((seed, 0))),
+    return _produce(run_script, (scenario_script(scenario),
+                                 np.random.SeedSequence((seed, 0))),
                     f"the sample producer of seed {seed}")
 
 

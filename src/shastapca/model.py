@@ -255,26 +255,16 @@ def solve_rows(r: np.ndarray, s: np.ndarray) -> np.ndarray:
         return np.stack([least_squares(rj, sj) for rj, sj in zip(r, s)])
 
 
-def posterior_stats(f: np.ndarray | None, v: np.ndarray, sample: ObservedSample,
-                    *, parts=None) -> PosteriorStats:
-    """E-step statistics for one sample at the parameters (f, v).
+def posterior_stats(v: np.ndarray, sample: ObservedSample,
+                    parts: ObservedParts) -> PosteriorStats:
+    """E-step statistics for one sample at the variances v, from its parts
+    `observed_parts(F_o, y_o)`, F_o and y_o restricting the factors and the
+    sample to its observed coordinates.
 
-    Returns m = (F_o' F_o + v_g I)^{-1} and zbar = m F_o' y_o, where F_o and
-    y_o restrict to the sample's observed coordinates.  Only the observed
-    rows of f are read, so the cost is O(|omega| k^2 + k^3) whatever d is:
-    they must be finite, and the other rows are never inspected.
-
-    parts, if given, must be `observed_parts(f[sample.omega], sample.values)`;
-    f is then not read at all (it may be None), and only the O(k^2) step
-    from the parts to m and zbar at this v_g is done.  A streaming tick
-    needs the E-step at two values of v_g with the same F_o and forms the
-    parts once for both.
+    Returns m = (F_o' F_o + v_g I)^{-1} and zbar = m F_o' y_o: only the
+    O(k^2) step from the parts at this v_g is done.  A streaming tick forms
+    the parts once and shares them between its two steps.
     """
-    if parts is None:
-        f = np.asarray(f, dtype=np.float64)
-        if f.ndim != 2 or f.shape[1] < 1:
-            raise ValueError("factor matrix must be d x k with k >= 1")
-        parts = observed_parts(f[sample.omega], sample.values)
     return parts.posterior(max(float(v[sample.group]), VARIANCE_FLOOR))
 
 

@@ -310,7 +310,7 @@ def f_step(state: ShastaState, sample: ObservedSample, w: float,
     if not 0.0 < w <= 1.0:
         raise ValueError("weight must lie in (0, 1]")
     omega, k = sample.omega, state.k
-    stats = posterior_stats(None, v, sample, parts=parts)
+    stats = posterior_stats(v, sample, parts)
     vg = max(float(v[sample.group]), VARIANCE_FLOOR)
     sigma = state.sigma * (1.0 - w)
     gamma = state.gamma * (1.0 - c_f)

@@ -12,7 +12,7 @@ import struct
 
 import numpy as np
 
-from shastapca.datagen import Epoch, ScenarioScript, draw_group
+from shastapca.datagen import Epoch, ScenarioScript
 from shastapca.harness import CsvFormatError, _columns
 from shastapca.metrics import MetricTrace
 from shastapca.model import (VARIANCE_FLOOR, ObservedSample, check_factors,
@@ -77,7 +77,7 @@ def minorizer_value(f, v, anchor_f, anchor_v, sample):
         return 0.0
     vg = float(floor_variances(v)[sample.group])
     anchor_vg = float(floor_variances(anchor_v)[sample.group])
-    stats = posterior_stats(anchor_f, anchor_v, sample)
+    stats = posterior_at(anchor_f, anchor_v, sample)
     fo = f[sample.omega]
     y = sample.values
     fz = fo @ stats.zbar
@@ -88,6 +88,13 @@ def minorizer_value(f, v, anchor_f, anchor_v, sample):
         + (y @ fz) / vg
         - 0.5 * (fz @ fz + anchor_vg * quad_tr) / vg
     )
+
+
+def posterior_at(f, v, sample):
+    """`posterior_stats` at the factors f: the sample's E-step statistics
+    from the parts of f's observed rows."""
+    return posterior_stats(v, sample, observed_parts(f[sample.omega],
+                                                     sample.values))
 
 
 def conditioned_posterior(f, v, sample):
@@ -332,12 +339,9 @@ class EagerPetrels:
         self.f[omega] += step[:, :, 0]
 
 
-def draw_sample(model, rng, group=None):
-    """Fully observed draw y = U sqrt(lam) z + eps, eps ~ N(0, v_g I), with
-    the group drawn from the model's law when not given: the group, z and
-    then eps are drawn from rng in that order."""
-    if group is None:
-        group = draw_group(model.group_cdf, rng)
+def draw_sample(model, rng, group):
+    """Fully observed draw y = U sqrt(lam) z + eps of the given group, eps ~
+    N(0, v_g I): z and then eps are drawn from rng in that order."""
     z = rng.standard_normal(model.k)
     eps = np.sqrt(model.v_star[group]) * rng.standard_normal(model.d)
     return ObservedSample.full((model.u * np.sqrt(model.spectrum)) @ z + eps,

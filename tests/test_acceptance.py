@@ -25,13 +25,13 @@ from shastapca.harness import (
     timing_run,
 )
 from shastapca.metrics import subspace_error
-from shastapca.model import posterior_stats
 from shastapca.shasta import ShastaConfig, init_state, ingest, save_state
 
 from helpers import (
     conditioned_posterior,
     dense_sample_loglik,
     minorizer_value,
+    posterior_at,
     random_instance,
     random_sample,
     sample_log_likelihood,
@@ -100,7 +100,7 @@ def test_c2_oracle_equivalence():
         got = sample_log_likelihood(f, v, s)
         want = dense_sample_loglik(f, v, s)
         ok &= abs(got - want) <= 1e-8 * max(1.0, abs(want))
-        stats = posterior_stats(f, v, s)
+        stats = posterior_at(f, v, s)
         mean, cov = conditioned_posterior(f, v, s)
         ok &= np.allclose(stats.zbar, mean, atol=1e-10)
         ok &= np.allclose(v[s.group] * stats.m, cov, atol=1e-10)

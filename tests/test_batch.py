@@ -25,7 +25,6 @@ from shastapca.model import (
     ObservedSample,
     check_factors,
     floor_variances,
-    posterior_stats,
 )
 
 from helpers import (
@@ -34,6 +33,7 @@ from helpers import (
     minorizer_value,
     one_pass_v_step,
     orthonormal,
+    posterior_at,
     quad_rounding,
     random_sample,
     sample_log_likelihood,
@@ -336,7 +336,7 @@ class TestVStep:
             for s in p.samples:
                 if s.group != g or s.nobs == 0:
                     continue
-                stats = posterior_stats(f, v_prev, s)
+                stats = posterior_at(f, v_prev, s)
                 fo = f[s.omega]
                 resid = s.values - fo @ stats.zbar
                 theta += s.nobs
@@ -474,7 +474,7 @@ class TestFStep:
             r = np.zeros((d, k, k))
             s = np.zeros((d, k))
             for smp in p.samples:
-                stats = posterior_stats(f_prev, v, smp)
+                stats = posterior_at(f_prev, v, smp)
                 vg = v[smp.group]
                 contrib = np.outer(stats.zbar, stats.zbar) / vg + stats.m
                 r[smp.omega] += contrib

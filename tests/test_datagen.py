@@ -5,6 +5,7 @@ from shastapca.datagen import (
     Epoch,
     PlantedModel,
     ScenarioScript,
+    draw_group,
     draw_orthonormal,
     make_rng,
     run_script,
@@ -17,26 +18,25 @@ from helpers import draw_sample, mask_uniform, static_script
 class TestDrawModel:
     def test_paper_static_shape(self):
         m = PlantedModel(u=draw_orthonormal(0, 100, 3), spectrum=[4.0, 2.0, 1.0],
-                         v_star=[1e-2, 1e-1], group_counts=[500, 2000])
+                         v_star=[1e-2, 1e-1])
         assert m.d == 100 and m.k == 3
         np.testing.assert_allclose(m.factors, m.u * np.sqrt([4.0, 2.0, 1.0]))
 
     def test_same_seed_same_model(self):
-        kw = dict(spectrum=[2.0, 1.0], v_star=[0.1], group_probs=[1.0])
+        kw = dict(spectrum=[2.0, 1.0], v_star=[0.1])
         a = PlantedModel(u=draw_orthonormal(42, 20, 2), **kw)
         b = PlantedModel(u=draw_orthonormal(42, 20, 2), **kw)
         np.testing.assert_array_equal(a.u, b.u)
 
     def test_columns_orthonormal(self):
         m = PlantedModel(u=draw_orthonormal(7, 50, 4), spectrum=[4, 3, 2, 1],
-                         v_star=[1.0], group_probs=[1.0])
+                         v_star=[1.0])
         np.testing.assert_allclose(m.u.T @ m.u, np.eye(4), atol=1e-12)
 
     def test_rejects_rank_above_dimension(self):
         # No d x k basis with k > d has orthonormal columns.
         with pytest.raises(ValueError):
-            PlantedModel(u=np.eye(2, 3), spectrum=[3, 2, 1], v_star=[1.0],
-                         group_probs=[1.0])
+            PlantedModel(u=np.eye(2, 3), spectrum=[3, 2, 1], v_star=[1.0])
 
     @pytest.mark.parametrize("u, spectrum", [
         (draw_orthonormal(0, 4, 2), [3.0]),
@@ -44,14 +44,13 @@ class TestDrawModel:
     ])
     def test_rejects_spectrum_of_another_length(self, u, spectrum):
         with pytest.raises(ParameterError) as err:
-            PlantedModel(u=u, spectrum=spectrum, v_star=[1.0],
-                         group_probs=[1.0])
+            PlantedModel(u=u, spectrum=spectrum, v_star=[1.0])
         assert err.value.field == "spectrum"
 
     def test_rejects_ascending_spectrum(self):
         with pytest.raises(ValueError):
             PlantedModel(u=np.eye(3)[:, :2], spectrum=[1.0, 2.0],
-                         v_star=[0.1], group_probs=[1.0])
+                         v_star=[0.1])
 
 
 class TestDrawSample:
@@ -59,17 +58,18 @@ class TestDrawSample:
         rng = make_rng(1)
         # The spectrum must stay positive, so stand in for F = 0 with a
         # negligible one; draws are then noise to within sampling error.
-        m = PlantedModel(u=np.eye(4)[:, :1], spectrum=[1e-12], v_star=[0.5],
-                         group_probs=[1.0])
-        draws = np.array([draw_sample(m, rng).values for _ in range(20_000)])
+        m = PlantedModel(u=np.eye(4)[:, :1], spectrum=[1e-12], v_star=[0.5])
+        draws = np.array([draw_sample(m, rng, draw_group(np.ones(1), rng)).values
+                          for _ in range(20_000)])
         np.testing.assert_allclose(draws.var(axis=0), 0.5, rtol=0.05)
 
     def test_sample_covariance_matches_low_rank_part(self):
         rng = make_rng(2)
         m = PlantedModel(u=draw_orthonormal(3, 8, 2), spectrum=[3.0, 1.0],
-                         v_star=[1e-6], group_probs=[1.0])
+                         v_star=[1e-6])
         n = 100_000
-        draws = np.array([draw_sample(m, rng).values for _ in range(n)])
+        draws = np.array([draw_sample(m, rng, draw_group(np.ones(1), rng)).values
+                          for _ in range(n)])
         cov = draws.T @ draws / n
         target = m.factors @ m.factors.T
         gap = np.linalg.norm(cov - target, 2) / np.linalg.norm(target, 2)
@@ -128,6 +128,46 @@ class TestRunScript:
             ScenarioScript(d=d, k=k, spectrum=spectrum, v_star=(1.0,),
                            group_probs=(1.0,), epochs=(Epoch(samples=5),))
         assert err.value.field == field
+
+    @pytest.mark.parametrize("law, field, reason", [
+        (dict(group_probs=(0.5, 0.5), group_counts=(2, 3)), "group_probs",
+         "or group_counts: specify exactly one"),
+        ({}, "group_probs", "or group_counts: specify exactly one"),
+        (dict(group_probs=(1.0,)), "group_probs",
+         "must be a distribution over groups"),
+        (dict(group_probs=(0.5, 0.6)), "group_probs",
+         "must be a distribution over groups"),
+        (dict(group_probs=(1.5, -0.5)), "group_probs",
+         "must be a distribution over groups"),
+        (dict(group_counts=(5,)), "group_counts",
+         "must be nonnegative, one per group"),
+        (dict(group_counts=(6, -1)), "group_counts",
+         "must be nonnegative, one per group"),
+        (dict(group_counts=(2, 2)), "group_counts",
+         "must sum to the scripted length"),
+        # The length is checked before the other law is looked at.
+        (dict(group_probs=(0.5, 0.5), group_counts=(2, 2)), "group_counts",
+         "must sum to the scripted length"),
+    ])
+    def test_refuses_group_law(self, law, field, reason):
+        with pytest.raises(ParameterError) as err:
+            ScenarioScript(d=4, k=1, spectrum=(1.0,), v_star=(0.1, 0.2),
+                           epochs=(Epoch(samples=5),), **law)
+        assert (err.value.field, err.value.reason) == (field, reason)
+
+    @pytest.mark.parametrize("spectrum, v_star, field, reason", [
+        ((1.0, 2.0), (0.1,), "spectrum",
+         "must be positive, finite and descending"),
+        ((2.0, 1.0), (0.0,), "v_star", "must be positive and finite"),
+        ((2.0, 1.0), (float("inf"),), "v_star", "must be positive and finite"),
+    ])
+    def test_refuses_planted_parameters_when_built(self, spectrum, v_star,
+                                                   field, reason):
+        # Refused by the script itself, before any stream is drawn from it.
+        with pytest.raises(ParameterError) as err:
+            ScenarioScript(d=4, k=2, spectrum=spectrum, v_star=v_star,
+                           group_probs=(1.0,), epochs=(Epoch(samples=5),))
+        assert (err.value.field, err.value.reason) == (field, reason)
 
     def test_subspace_jumps_at_epoch_boundaries(self):
         bases = []

@@ -56,6 +56,70 @@ def smoke_raw(output_dir, estimator=None, seeds=(0,)):
     return cfg
 
 
+COUNTS = {"group_counts": [50, 150]}
+ONE_EPOCH = [{"samples": 200}]
+SCALE_TO_ZERO = {"samples": 200, "scale_variance": {"group": 0, "factor": 0.0}}
+LAW = "group_probs or group_counts: specify exactly one"
+OFF_GROUPS = "group_probs must be a distribution over groups"
+PER_GROUP = "group_counts must be nonnegative, one per group"
+OFF_LENGTH = "group_counts must sum to the scripted length"
+DESCENDING = "spectrum must be positive, finite and descending"
+POSITIVE = "variances must be positive and finite"
+ZEROED = ("epochs[0].scale_variance.factor takes a variance to 0.0; it must "
+          "stay positive and finite")
+# (scenario keys over a base with no group law, refused field, message).
+# The two-defect cases below the single ones pin the order of the checks.
+SCENARIO_REFUSALS = [
+    (dict(COUNTS, group_probs=[0.2, 0.8]), "group_probs", LAW),
+    ({"epochs": ONE_EPOCH}, "group_probs", LAW),
+    ({"group_probs": [1.0], "epochs": ONE_EPOCH}, "group_probs", OFF_GROUPS),
+    ({"group_probs": [0.5, 0.6], "epochs": ONE_EPOCH}, "group_probs",
+     OFF_GROUPS),
+    ({"group_probs": [1.5, -0.5], "epochs": ONE_EPOCH}, "group_probs",
+     OFF_GROUPS),
+    ({"group_counts": [50, 100, 50]}, "group_counts", PER_GROUP),
+    ({"group_counts": [250, -50]}, "group_counts", PER_GROUP),
+    (dict(COUNTS, epochs=[{"samples": 100}]), "group_counts", OFF_LENGTH),
+    (dict(COUNTS, spectrum=[1.0, 2.0]), "spectrum", DESCENDING),
+    (dict(COUNTS, spectrum=[2.0]), "spectrum",
+     "spectrum must hold one value per rank (k = 2)"),
+    (dict(COUNTS, variances=[1e-2, 0.0]), "variances", POSITIVE),
+    (dict(COUNTS, epochs=[SCALE_TO_ZERO]), "epochs[0].scale_variance.factor",
+     ZEROED),
+    (dict(COUNTS, group_probs=[0.2, 0.8], spectrum=[1.0, 2.0]), "spectrum",
+     DESCENDING),
+    (dict(COUNTS, epochs=[{"samples": 100}], spectrum=[1.0, 2.0]),
+     "group_counts", OFF_LENGTH),
+    (dict(COUNTS, group_probs=[0.2, 0.8], variances=[1e-2, 0.0]), "variances",
+     POSITIVE),
+    (dict(COUNTS, epochs=[dict(SCALE_TO_ZERO, samples=100)]),
+     "epochs[0].scale_variance.factor", ZEROED),
+    ({"group_counts": [50, 100, 50], "spectrum": [1.0, 2.0]}, "spectrum",
+     DESCENDING),
+    ({"group_probs": [1.0], "epochs": ONE_EPOCH, "variances": [1e-2, 0.0]},
+     "variances", POSITIVE),
+    (dict(COUNTS, variances=[1e-2, 0.0], epochs=[
+        {"samples": 200, "scale_variance": {"group": 1, "factor": 2.0}}]),
+     "epochs[0].scale_variance.factor", ZEROED),
+    (dict(COUNTS, rank=11, spectrum=[1.0, 2.0]), "rank",
+     "rank must lie in [1, d = 10]"),
+    ({"epochs": ONE_EPOCH, "spectrum": [1.0, 2.0]}, "spectrum", DESCENDING),
+    ({"group_counts": [-50, 100], "epochs": ONE_EPOCH}, "group_counts",
+     OFF_LENGTH),
+]
+
+
+@pytest.mark.parametrize("keys, field, message", SCENARIO_REFUSALS)
+def test_scenario_refusals(keys, field, message):
+    raw = smoke_raw("unused")
+    del raw["scenario"]["group_counts"]
+    raw["scenario"].update(keys)
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.path == f"scenario.{field}"
+    assert str(err.value) == f"scenario.{field}: {message}"
+
+
 class TestConfigParsing:
     def test_missing_field_names_path(self):
         raw = smoke_raw("x")
@@ -384,7 +448,10 @@ class TestCsvIngestion:
             want = list(inline_csv_samples(path, num_groups))
             assert want[7][1] is None and want[5][0].nobs == 0
             assert want[9][0].values.tolist() == [1e308, 1e308]
-            assert_same_rows(list(read_csv_samples(path, num_groups)), want)
+            got = list(read_csv_samples(path, num_groups))
+            assert_same_rows(got, want)
+            # The reader process yields the pairs its generator yields.
+            assert_same_rows(got, list(harness._csv_rows(path, num_groups)))
 
     def test_reader_process_ends_with_the_read(self, tmp_path, monkeypatch):
         # No reader process outlives its generator: exhausted, closed after
@@ -671,9 +738,8 @@ class TestProducer:
         assert [len({id(m) for m in models[i:i + 4]})
                 for i in range(0, 15, 4)] == [1, 2, 1, 1]
         assert len({id(m) for m in models}) == 5
-        # The producer sends each row with its epoch's one model object.
-        sent = [info for *_, info in harness._script_rows(
-            harness.scenario_script(scenario), np.random.SeedSequence((3, 0)))]
+        # The producer sends each pair with its epoch's one model object.
+        sent = [model for _, model in want]
         assert len(sent) == 15 and len({id(m) for m in sent}) == 3
         assert not multiprocessing.active_children()
 

@@ -25,7 +25,6 @@ from shastapca.model import (
     floor_variances,
     least_squares,
     observed_parts,
-    posterior_stats,
     solve_rows,
 )
 
@@ -36,6 +35,7 @@ from helpers import (
     dense_sample_loglik,
     minorizer_value,
     orthonormal,
+    posterior_at,
     quad_rounding,
     random_instance,
     random_sample,
@@ -123,7 +123,7 @@ class TestPosteriorStats:
         f = np.zeros((4, 2))
         v = np.array([2.0])
         s = ObservedSample(np.array([0, 2]), np.array([1.0, -1.0]), 0)
-        stats = posterior_stats(f, v, s)
+        stats = posterior_at(f, v, s)
         np.testing.assert_allclose(stats.m, 0.5 * np.eye(2))
         np.testing.assert_allclose(stats.zbar, 0.0)
 
@@ -132,7 +132,7 @@ class TestPosteriorStats:
         f = rng.standard_normal((5, 2))
         v = np.array([0.7])
         s = ObservedSample(np.array([], dtype=int), np.array([]), 0)
-        stats = posterior_stats(f, v, s)
+        stats = posterior_at(f, v, s)
         np.testing.assert_allclose(stats.m, np.eye(2) / 0.7)
         np.testing.assert_allclose(stats.zbar, 0.0)
 
@@ -146,7 +146,7 @@ class TestPosteriorStats:
         s0 = ObservedSample(np.array([0, 2, 4]), rng.standard_normal(3), 0)
         for case in DEGENERATE:
             f, v, (s,) = degenerate(rng, case, f0, v0, [s0])
-            stats = posterior_stats(f, v, s)
+            stats = posterior_at(f, v, s)
             mean, cov = conditioned_posterior(f, v, s)
             np.testing.assert_allclose(stats.zbar, mean, atol=1e-10, err_msg=case)
             np.testing.assert_allclose(v[0] * stats.m, cov, atol=1e-10,
@@ -159,7 +159,7 @@ class TestPosteriorStats:
         d = int(rng.integers(2, 9))
         k = int(rng.integers(1, min(d, 3) + 1))
         f, v, (s,) = random_instance(rng, d, k, num_groups=2, observe_prob=0.7)
-        stats = posterior_stats(f, v, s)
+        stats = posterior_at(f, v, s)
         mean, cov = conditioned_posterior(f, v, s)
         np.testing.assert_allclose(stats.zbar, mean, atol=1e-10)
         np.testing.assert_allclose(v[s.group] * stats.m, cov, atol=1e-10)
@@ -189,15 +189,15 @@ class TestPosteriorStats:
         f = rng.standard_normal((6, 2))
         v = np.array([0.4])
         s = ObservedSample(np.array([1, 4]), rng.standard_normal(2), 0)
-        clean = posterior_stats(f, v, s)
+        clean = posterior_at(f, v, s)
         f[0, 1] = np.nan
         f[5, 0] = np.inf
-        stats = posterior_stats(f, v, s)
+        stats = posterior_at(f, v, s)
         np.testing.assert_array_equal(stats.m, clean.m)
         np.testing.assert_array_equal(stats.zbar, clean.zbar)
         f[4, 0] = np.inf
         with pytest.raises(ValueError):
-            posterior_stats(f, v, s)
+            posterior_at(f, v, s)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("observe_prob", [0.0, 0.6])
@@ -207,7 +207,7 @@ class TestPosteriorStats:
         f = rng.standard_normal((9, k))
         v = np.array([0.3, 1.2])
         s = random_sample(rng, 9, 2, observe_prob)
-        stats = posterior_stats(f, v, s)
+        stats = posterior_at(f, v, s)
         mean, cov = conditioned_posterior(f, v, s)
         np.testing.assert_allclose(stats.zbar, mean, atol=1e-10)
         np.testing.assert_allclose(v[s.group] * stats.m, cov, atol=1e-10)

@@ -2,8 +2,8 @@
 written from the plain definitions.
 
 The stream must match its oracle bit for bit: the package's shortcuts
-(cached model factors and group distribution, samples built unchecked)
-change no result.  The tick
+(the group law's cumulative distribution formed once per stream, each
+epoch's factors once per epoch, samples built unchecked) change no result.  The tick
 keeps its state in lazy form (scaled row systems and factor offsets, folded
 in only before the scales underflow) and must match the eager tick of
 `helpers.EagerShasta` to a relative 1e-12 at every checkpoint, across folds.
@@ -36,9 +36,7 @@ def oracle_script(script: ScenarioScript, seed):
     rng = make_rng(seed)
     model = PlantedModel(u=draw_orthonormal(rng, script.d, script.k),
                          spectrum=np.asarray(script.spectrum),
-                         v_star=np.asarray(script.v_star),
-                         group_probs=script.group_probs,
-                         group_counts=script.group_counts)
+                         v_star=np.asarray(script.v_star))
     labels = None
     if script.group_counts is not None:
         labels = np.repeat(np.arange(len(script.group_counts)), script.group_counts)
@@ -55,7 +53,7 @@ def oracle_script(script: ScenarioScript, seed):
         p = script.observe_prob if epoch.observe_prob is None else epoch.observe_prob
         for _ in range(epoch.samples):
             if labels is None:
-                group = int(rng.choice(model.num_groups, p=model.group_probs))
+                group = int(rng.choice(model.num_groups, p=script.group_probs))
             else:
                 group = int(labels[position])
             sample = draw_sample(model, rng, group=group)
@@ -96,14 +94,22 @@ def test_run_script_matches_choice_oracle(d, observe_prob, law):
         assert s == ObservedSample(s.omega, s.values, s.group)
 
 
+# The last two sum to 1 -/+ 5e-10, inside a script's 1e-9 rule: choice, and
+# so run_script, normalizes the cdf to end at 1.
 @pytest.mark.parametrize("probs", [(0.2, 0.5, 0.3), (0.1, 0.0, 0.6, 0.3),
-                                   (0.25, 0.25, 0.25, 0.25), (0.0, 0.0, 1.0)])
+                                   (0.25, 0.25, 0.25, 0.25), (0.0, 0.0, 1.0),
+                                   (0.2, 0.5, 0.3 - 5e-10),
+                                   (0.2, 0.5 + 5e-10, 0.3)])
 def test_draw_group_matches_rng_choice(probs):
-    model = PlantedModel(u=draw_orthonormal(0, 6, 2), spectrum=[2.0, 1.0],
-                         v_star=[1.0] * len(probs), group_probs=probs)
+    script = ScenarioScript(d=6, k=2, spectrum=(2.0, 1.0),
+                            v_star=(1.0,) * len(probs), group_probs=probs,
+                            epochs=(Epoch(samples=1),))
+    cdf = np.asarray(script.group_probs, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]  # as run_script forms it
     rng, ref = make_rng(11), make_rng(11)
-    got = [draw_group(model.group_cdf, rng) for _ in range(10_000)]
-    want = [int(ref.choice(len(probs), p=model.group_probs)) for _ in range(10_000)]
+    got = [draw_group(cdf, rng) for _ in range(10_000)]
+    want = [int(ref.choice(len(probs), p=script.group_probs))
+            for _ in range(10_000)]
     assert got == want
     assert rng.random() == ref.random()  # the same draws were consumed
 

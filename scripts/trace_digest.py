@@ -5,10 +5,11 @@ Runs each given config for the given seeds into a temporary directory, a
 timing config (one with a `batch_estimator`) as `shasta-pca timing` does,
 and prints the SHA-256 of every output file: each trace CSV with its
 `elapsed_s` column dropped, and `summary.json` or `timing_summary.json`
-with its `*_seconds` fields and the run's output directory dropped.  Two
-checkouts that print the same digests wrote the same numbers, byte for
-byte; a refactor that should not change any result can show so by running
-this script before and after.
+with its `*_seconds` fields and the run's output directory dropped; a
+config with several estimator blocks labels each output
+<config>/<block label>/<file>.  Two checkouts that print the same digests
+wrote the same numbers, byte for byte; a refactor that should not change
+any result can show so by running this script before and after.
 
 With --without-gaps the digests also leave out the log-likelihood gaps:
 each trace's `loglik_gap` column and every summary key ending in `_gap`.
@@ -16,10 +17,8 @@ A change that should move only the likelihood values (a new likelihood
 kernel, say) can show that nothing else moved by printing the same
 digests with this flag before and after.
 
-With no config, the script digests a standard set (see `standard_set`):
-seed 0 of every bundled run config, then of static_full with each baseline
-estimator scripts/reproduce_experiments.py runs on it, then of every
-bundled timing config.
+With no config, the script digests a standard set: seed 0 of every
+bundled config (`standard_set`).
 
 Usage (from the root of a checkout):
     python scripts/trace_digest.py
@@ -27,15 +26,11 @@ Usage (from the root of a checkout):
     python scripts/trace_digest.py configs/dynamic_subspace.yaml --seeds 0 1
     python scripts/trace_digest.py configs/timing_desk.yaml --seeds 0
     python scripts/trace_digest.py --without-gaps
-    python scripts/trace_digest.py configs/static_full.yaml \\
-        --estimator '{kind: grouse, rank: 3, step: 0.01}'
 
---estimator replaces the config's estimator block (YAML), as
-scripts/reproduce_experiments.py does for the baselines.  The last line
-digests all the lines before it.
+The last line digests all the lines before it.
 
 With --keep DIR the outputs go to DIR (absent or empty), one directory per
-label, and stay there, so that two checkouts' runs can be compared number
+config, and stay there, so that two checkouts' runs can be compared number
 by number where their digests differ:
     python scripts/trace_digest.py --keep /tmp/digest-outputs
 
@@ -63,9 +58,7 @@ import yaml  # noqa: E402
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
-sys.path.insert(0, str(REPO / "scripts"))
 
-from reproduce_experiments import BASELINES, estimator_label  # noqa: E402
 from shastapca.harness import (  # noqa: E402
     parse_config,
     parse_timing_config,
@@ -112,55 +105,35 @@ def summary_bytes(path: Path, without_gaps: bool = False) -> bytes:
     return json.dumps(summary, indent=2, sort_keys=True).encode()
 
 
-def is_timing(raw: dict) -> bool:
-    """Whether `raw` is a timing config, run by `shasta-pca timing`."""
-    return "batch_estimator" in raw
+def standard_set():
+    """The configs digested when none is given: every bundled one."""
+    return sorted((REPO / "configs").glob("*.yaml"))
 
 
-def load_raw(config_path: Path, estimator=None) -> dict:
-    """The config's YAML, with its estimator block replaced if one is given."""
+def digest_config(config_path: Path, seeds, workdir: Path,
+                  without_gaps=False):
+    """Yield (label, sha256 hex) for every output of one config's run into
+    workdir/<its stem>, each labelled by its path below workdir: per output
+    directory (one per estimator block of a config with several), its
+    traces, then its summary."""
     with open(config_path) as fh:
         raw = yaml.safe_load(fh)
-    if estimator is not None:
-        raw["estimator"] = estimator
-    return raw
-
-
-def standard_set():
-    """(config, estimator block or None, label) for each run digested when
-    no config is given: every bundled run config, then static_full with
-    each baseline block scripts/reproduce_experiments.py runs on it, then
-    every bundled timing config."""
-    paths = sorted((REPO / "configs").glob("*.yaml"))
-    timing = [path for path in paths if is_timing(load_raw(path))]
-    static_full = REPO / "configs" / "static_full.yaml"
-    return ([(path, None, path.stem) for path in paths if path not in timing]
-            + [(static_full, block, f"static_full/{estimator_label(block)}")
-               for block in BASELINES["static_full"]]
-            + [(path, None, path.stem) for path in timing])
-
-
-def digest_config(config_path: Path, seeds, estimator, workdir: Path,
-                  label=None, without_gaps=False):
-    """Yield (label, sha256 hex) for every output of one config's run; the
-    label defaults to the config's stem."""
-    label = label or config_path.stem
-    raw = load_raw(config_path, estimator)
     if seeds is not None:
         raw["run"]["seeds"] = list(seeds)
-    out_dir = workdir / label
+    out_dir = workdir / config_path.stem
     raw["run"]["output_dir"] = str(out_dir)
-    if is_timing(raw):
+    if "batch_estimator" in raw:
         timing_run(parse_timing_config(raw))
         summary = "timing_summary.json"
     else:
         run_experiment(parse_config(raw))
         summary = "summary.json"
-    for path in sorted(out_dir.glob("*.csv")):
-        yield (f"{label}/{path.name}",
-               hashlib.sha256(trace_bytes(path, without_gaps)).hexdigest())
-    yield (f"{label}/{summary}", hashlib.sha256(
-        summary_bytes(out_dir / summary, without_gaps)).hexdigest())
+    for directory in sorted({path.parent for path in out_dir.rglob(summary)}):
+        for path in sorted(directory.glob("*.csv")) + [directory / summary]:
+            data = (trace_bytes if path.suffix == ".csv" else summary_bytes)(
+                path, without_gaps)
+            yield (path.relative_to(workdir).as_posix(),
+                   hashlib.sha256(data).hexdigest())
 
 
 def main(argv=None) -> int:
@@ -170,8 +143,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", nargs="+", type=int,
                         help="seeds to run (default: each config's own, "
                              "seed 0 for the standard set)")
-    parser.add_argument("--estimator", type=yaml.safe_load,
-                        help="estimator block (YAML) replacing each config's")
     parser.add_argument("--without-gaps", action="store_true",
                         help="leave out the log-likelihood gaps too")
     parser.add_argument("--keep", type=Path, metavar="DIR",
@@ -183,10 +154,7 @@ def main(argv=None) -> int:
             not args.keep.is_dir() or any(args.keep.iterdir())):
         parser.error(f"--keep {args.keep} is not an empty directory")
     if args.configs:
-        runs = [(path, args.estimator, None) for path in args.configs]
-        seeds = args.seeds
-    elif args.estimator is not None:
-        parser.error("--estimator needs a config")
+        runs, seeds = args.configs, args.seeds
     else:
         runs, seeds = standard_set(), args.seeds or [0]
     lines = []
@@ -196,9 +164,9 @@ def main(argv=None) -> int:
         args.keep.mkdir(parents=True, exist_ok=True)
         where = contextlib.nullcontext(args.keep)
     with where as workdir:
-        for config_path, estimator, name in runs:
-            for label, digest in digest_config(config_path, seeds, estimator,
-                                               Path(workdir), name,
+        for config_path in runs:
+            for label, digest in digest_config(config_path, seeds,
+                                               Path(workdir),
                                                args.without_gaps):
                 lines.append(f"{digest}  {label}")
                 print(lines[-1], flush=True)

@@ -45,7 +45,9 @@ def cmd_run(args) -> int:
     print(json.dumps({
         "output_dir": config.output_dir,
         "seeds": len(config.seeds),
-        "aggregate": summary["aggregate"],
+        "aggregate": (summary["aggregate"]
+                      if isinstance(config.estimator, dict) else
+                      {label: s["aggregate"] for label, s in summary.items()}),
     }, indent=2, sort_keys=True))
     return 0
 

@@ -1,12 +1,14 @@
 """Config-driven experiment runner.
 
-A YAML config declares a scenario (synthetic script or external CSV), one
-estimator with its hyperparameters, and run settings (seeds, checkpoint
-cadence, output directory).  Each seed produces one `trace_seed<N>.csv`; a
-`summary.json` aggregates final metrics across seeds.  Given a config and a
-seed, every numeric output byte is deterministic except elapsed-time fields;
-those of batch-mm and ppca, whose n x d products go through BLAS, only at a
-fixed BLAS thread count.
+A YAML config declares a scenario (synthetic script or external CSV), the
+estimator blocks it compares, each with its hyperparameters, and run
+settings (seeds, checkpoint cadence, output directory).  Each block writes
+one `trace_seed<N>.csv` per seed and a `summary.json` aggregating final
+metrics across seeds, under `<output_dir>/<label>/` (`estimator_label`) in
+a config of several blocks.  Given a config and a seed, every numeric
+output byte is deterministic except elapsed-time fields; those of batch-mm
+and ppca, whose n x d products go through BLAS, only at a fixed BLAS thread
+count.
 
 Every estimator block, a run's and both passes of a timing run, is run by one
 function, `run_block`, from the seed's `shared_init` over the pairs
@@ -47,7 +49,7 @@ import math
 import numbers
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +123,13 @@ def _boolean(value) -> bool:
     return value
 
 
+def _name(value) -> str:
+    """`value` if it is a non-empty string."""
+    if not isinstance(value, str) or not value:
+        raise ValueError(value)
+    return value
+
+
 _value, _flag = _as(lambda value: value), _as(_boolean, "true or false")
 _float, _int = _as(_real, "a number"), _as(_whole, "an integer")
 _floats = _as(lambda xs: tuple(_real(x) for x in xs), "a list of numbers")
@@ -145,7 +154,8 @@ EPOCH = ({"samples": _int, "observe_prob": _nullable(_float),
           "scale_variance": _nullable(lambda value, path: tuple(
               _section(value, path, SCALE_VARIANCE).values()))}, ("samples",))
 RUN = ({"seeds": _ints, "checkpoint_every": _int, "loglik_gap": _flag,
-        "output_dir": _value}, ("seeds", "output_dir"))
+        "output_dir": _as(_name, "a directory name")},
+       ("seeds", "output_dir"))
 # Each estimator kind's settings besides `kind` and `rank` (required).  A
 # block hands the settings it gives, and no others, to the estimator
 # (`build_estimator`).
@@ -192,7 +202,7 @@ def _section(raw, path, declared) -> dict:
 @dataclass(frozen=True)
 class ExperimentConfig:
     scenario: dict
-    estimator: dict
+    estimator: dict | tuple  # one block, or a tuple of two or more
     seeds: tuple
     checkpoint_every: int
     output_dir: str
@@ -224,8 +234,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     top = _section(raw, "config", RUN_CONFIG)
     scenario = _parse_scenario(top["scenario"])
     csv_kind = scenario["kind"] == "csv"
-    estimator = _estimator(top, "estimator", scenario,
-                           STREAMING_KINDS if csv_kind else ESTIMATOR_KINDS)
+    estimator = _estimators(top["estimator"], scenario,
+                            STREAMING_KINDS if csv_kind else ESTIMATOR_KINDS)
     run = _parse_run(top, default_every=100)
     if run["loglik_gap"] and (csv_kind or len(scenario["epochs"]) > 1):
         raise ConfigError("run.loglik_gap", "only defined for single-epoch "
@@ -244,10 +254,8 @@ def _parse_run(top: dict, default_every: int) -> dict:
                                        "at least one")
     if run.setdefault("checkpoint_every", default_every) < 1:
         raise ConfigError("run.checkpoint_every", "must be >= 1")
-    if run["output_dir"] is None:
-        raise ConfigError("run.output_dir", "must name a directory")
     run.setdefault("loglik_gap", False)
-    return dict(run, output_dir=str(run["output_dir"]))
+    return run
 
 
 def _parse_scenario(raw) -> dict:
@@ -293,21 +301,48 @@ def _check_scenario(scenario: dict) -> None:
         raise ConfigError(f"scenario.{field}", f"{field} {exc.reason}") from None
 
 
-def _estimator(top: dict, key: str, scenario: dict, kinds) -> dict:
-    """The estimator block `key` of a config: its kind, rank and the settings
+def _estimators(raw, scenario: dict, kinds):
+    """A run config's `estimator`: one block, given as a mapping or a list
+    of one, or a tuple of several, each checked by `_estimator` at
+    `estimator[i]` and refused if it repeats an earlier block's label."""
+    if not isinstance(raw, list):
+        return _estimator(raw, "estimator", scenario, kinds)
+    if not raw:
+        raise ConfigError("estimator", "expected at least one block")
+    specs = [_estimator(block, f"estimator[{i}]", scenario, kinds)
+             for i, block in enumerate(raw)]
+    labels = [estimator_label(spec) for spec in specs]
+    for i, label in enumerate(labels):
+        if labels.index(label) < i:
+            raise ConfigError(f"estimator[{i}]", f"repeats the label {label!r} "
+                              f"of estimator[{labels.index(label)}]")
+    return specs[0] if len(specs) == 1 else tuple(specs)
+
+
+def estimator_label(spec: dict) -> str:
+    """A block's output subdirectory in a run of several: its kind, and its
+    ppca group."""
+    label = spec["kind"]
+    if spec.get("group") is not None:
+        label += f"_g{spec['group']}"
+    return label
+
+
+def _estimator(raw, path: str, scenario: dict, kinds) -> dict:
+    """Estimator block `raw`, at `path`: its kind, rank and the settings
     it gives, refused unless its kind is one of `kinds`, and checked."""
-    kind = _kind(top[key], key)
+    kind = _kind(raw, path)
     if kind not in kinds:
-        raise ConfigError(f"{key}.kind", f"expected one of "
-                                         f"{', '.join(kinds)}, got {kind!r}")
-    spec = _section(top[key], key, ({"kind": _value, "rank": _int,
-                                     **ESTIMATOR_SETTINGS[kind]}, ("rank",)))
+        raise ConfigError(f"{path}.kind", f"expected one of "
+                                          f"{', '.join(kinds)}, got {kind!r}")
+    spec = _section(raw, path, ({"kind": _value, "rank": _int,
+                                 **ESTIMATOR_SETTINGS[kind]}, ("rank",)))
     if spec.get("iterations", BATCH_ITERATIONS) < 1:
-        raise ConfigError(f"{key}.iterations", "must be >= 1")
+        raise ConfigError(f"{path}.iterations", "must be >= 1")
     tol = spec.get("tol")
     if tol is not None and not tol >= 0.0:
-        raise ConfigError(f"{key}.tol", "must be >= 0")
-    _check_estimator(spec, key, scenario)
+        raise ConfigError(f"{path}.tol", "must be >= 0")
+    _check_estimator(spec, path, scenario)
     return spec
 
 
@@ -738,7 +773,21 @@ def _final(trace: MetricTrace, samples: int, variances=None) -> dict:
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
-    """Run every seed, write one trace CSV per seed plus summary.json."""
+    """Run every seed, write one trace CSV per seed plus summary.json, and
+    return the summary.  A config of several blocks runs each in turn, as a
+    one-block config of that block whose output directory is
+    `<output_dir>/<label>` would, the seed's stream opened again per block,
+    and returns each block's summary by its label."""
+    if isinstance(config.estimator, tuple):
+        summaries = {}
+        for spec, block in zip(config.estimator, config.raw["estimator"]):
+            label = estimator_label(spec)
+            out_dir = str(Path(config.output_dir) / label)
+            raw = dict(config.raw, estimator=block,
+                       run=dict(config.raw["run"], output_dir=out_dir))
+            summaries[label] = run_experiment(replace(
+                config, estimator=spec, output_dir=out_dir, raw=raw))
+        return summaries
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     per_seed = {}
@@ -788,9 +837,10 @@ def parse_timing_config(raw: dict) -> dict:
     if scenario["kind"] != "synthetic" or len(scenario["epochs"]) != 1:
         raise ConfigError("scenario", "timing runs need a single-epoch "
                                       "synthetic scenario")
-    streaming = _estimator(top, "streaming_estimator", scenario,
-                           STREAMING_KINDS)
-    batch = _estimator(top, "batch_estimator", scenario, ("batch-mm",))
+    streaming = _estimator(top["streaming_estimator"], "streaming_estimator",
+                           scenario, STREAMING_KINDS)
+    batch = _estimator(top["batch_estimator"], "batch_estimator", scenario,
+                       ("batch-mm",))
     run = _parse_run(top, default_every=1000)
     if "loglik_gap" in top["run"]:
         raise ConfigError("run.loglik_gap", "not a timing setting: a timing "

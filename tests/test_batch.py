@@ -285,7 +285,7 @@ class TestFlatForm:
         # The form is chosen from the observed density alone; the bundled
         # configs (20% observed and more, as C9's data) stay dense.
         configs = sorted((Path(__file__).parent.parent / "configs").glob("*.yaml"))
-        assert len(configs) == 7
+        assert len(configs) == 8
         for path in configs:
             timing = "batch_estimator" in yaml.safe_load(path.read_text())
             scenario = (load_timing_config(path)["scenario"] if timing

@@ -22,6 +22,7 @@ from shastapca.harness import (
     _records,
     build_estimator,
     csv_dimension,
+    estimator_label,
     load_config,
     parse_config,
     parse_timing_config,
@@ -213,11 +214,24 @@ class TestConfigParsing:
         import pathlib
         here = pathlib.Path(__file__).resolve().parent.parent / "configs"
         for name in ("static_full.yaml", "static_half.yaml",
-                     "dynamic_subspace.yaml", "dynamic_variances_v1.yaml",
-                     "dynamic_variances_v2.yaml", "smoke.yaml"):
+                     "dynamic_subspace.yaml", "dynamic_subspace_baselines.yaml",
+                     "dynamic_variances_v1.yaml", "dynamic_variances_v2.yaml",
+                     "smoke.yaml"):
             load_config(here / name)
         with open(here / "timing_desk.yaml") as fh:
             parse_timing_config(yaml.safe_load(fh))
+
+    def test_dynamic_baselines_run_the_tracking_stream(self):
+        # dynamic_subspace.yaml stays one SHASTA block; its baselines, in a
+        # file of their own, must run on the same stream, seeds and cadence.
+        here = Path(__file__).resolve().parent.parent / "configs"
+        shasta = load_config(here / "dynamic_subspace.yaml")
+        baselines = load_config(here / "dynamic_subspace_baselines.yaml")
+        for field in ("scenario", "seeds", "checkpoint_every", "loglik_gap"):
+            assert getattr(baselines, field) == getattr(shasta, field), field
+        assert shasta.estimator["kind"] == "shasta"
+        assert [estimator_label(spec) for spec in baselines.estimator] == [
+            "petrels", "grouse"]
 
 
 class TestRunExperiment:
@@ -286,6 +300,136 @@ class TestRunExperiment:
         raw["run"]["loglik_gap"] = False
         summary = run_experiment(parse_config(raw))
         assert summary["seeds"]["0"]["samples"] == 50
+
+
+def untimed_outputs(directory):
+    """Each file of a run's output directory, by name: a trace without its
+    elapsed_s column, a summary without its *_seconds fields."""
+    def untimed(node):
+        if isinstance(node, dict):
+            return {key: untimed(value) for key, value in node.items()
+                    if not key.endswith("_seconds")}
+        return node
+
+    outputs = {}
+    for path in sorted(directory.iterdir()):
+        if path.suffix == ".csv":
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+            keep = [i for i, name in enumerate(rows[0]) if name != "elapsed_s"]
+            outputs[path.name] = [[row[i] for i in keep] for row in rows]
+        else:
+            outputs[path.name] = untimed(json.loads(path.read_text()))
+    return outputs
+
+
+def assert_blocks_run_alone(raw):
+    """A run of raw's estimator list writes under <output_dir>/<label>/
+    what a one-block run of each block into that directory writes, elapsed
+    times aside, and returns each block's summary by its label."""
+    out = Path(raw["run"]["output_dir"])
+    alone = {}
+    for block in raw["estimator"]:
+        label = estimator_label(block)
+        single = dict(raw, estimator=block,
+                      run=dict(raw["run"], output_dir=str(out / label)))
+        summary = run_experiment(parse_config(single))
+        alone[label] = untimed_outputs(out / label), summary
+    for path in sorted(out.rglob("*"), reverse=True):
+        path.unlink() if path.is_file() else path.rmdir()
+    summaries = run_experiment(parse_config(raw))
+    assert sorted(p.name for p in out.iterdir()) == sorted(alone)
+    for label, (outputs, summary) in alone.items():
+        assert untimed_outputs(out / label) == outputs, label
+        assert summaries[label]["aggregate"] == summary["aggregate"], label
+    return summaries
+
+
+class TestEstimatorList:
+    BLOCKS = [{"kind": "shasta", "rank": 2, "weights": "1/t", "c_f": 0.1},
+              {"kind": "batch-mm", "rank": 2, "iterations": 15},
+              {"kind": "ppca", "rank": 2, "group": 0},
+              {"kind": "petrels", "rank": 2, "forgetting": 0.99}]
+
+    def test_blocks_write_what_one_block_runs_write(self, tmp_path):
+        # Each block reopens the seed's stream: every seed's producer is
+        # joined before the next block starts.
+        raw = smoke_raw(tmp_path / "out", seeds=(0, 1))
+        raw["estimator"] = self.BLOCKS
+        summaries = assert_blocks_run_alone(raw)
+        assert list(summaries) == ["shasta", "batch-mm", "ppca_g0", "petrels"]
+        assert summaries["ppca_g0"]["seeds"]["1"]["samples"] == 50
+        assert not multiprocessing.active_children()
+
+    def test_csv_blocks_write_what_one_block_runs_write(self, tmp_path):
+        script = ScenarioScript(
+            d=8, k=2, spectrum=(2.0, 1.0), v_star=(0.05, 0.5),
+            group_probs=(0.3, 0.7), observe_prob=0.7,
+            epochs=(Epoch(samples=150),))
+        data = tmp_path / "stream.csv"
+        write_csv_stream([s for s, _ in run_script(script, seed=4)], 8, data)
+        raw = {
+            "scenario": {"kind": "csv", "path": str(data), "num_groups": 2},
+            "estimator": [{"kind": "shasta", "rank": 2},
+                          {"kind": "grouse", "rank": 2, "step": 0.05}],
+            "run": {"seeds": [0, 3], "checkpoint_every": 40,
+                    "output_dir": str(tmp_path / "csvrun")},
+        }
+        summaries = assert_blocks_run_alone(raw)
+        assert list(summaries) == ["shasta", "grouse"]
+        assert not multiprocessing.active_children()
+
+    def test_one_block_list_is_the_mapping(self, tmp_path):
+        block = smoke_raw(None)["estimator"]
+        mapping = parse_config(smoke_raw(tmp_path / "mapping"))
+        listed = parse_config(smoke_raw(tmp_path / "list", estimator=[block]))
+        assert listed.estimator == mapping.estimator == block
+        run_experiment(mapping)
+        run_experiment(listed)
+        want, got = (untimed_outputs(tmp_path / name)
+                     for name in ("mapping", "list"))
+        assert sorted(got) == ["summary.json", "trace_seed0.csv"]
+        assert got["trace_seed0.csv"] == want["trace_seed0.csv"]
+        assert got["summary.json"]["seeds"] == want["summary.json"]["seeds"]
+
+    def test_cli_prints_each_blocks_aggregate(self, tmp_path, capsys):
+        raw = smoke_raw(tmp_path / "out", estimator=self.BLOCKS[:2])
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump(raw))
+        assert cli_main(["run", str(cfg_path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert sorted(out["aggregate"]) == ["batch-mm", "shasta"]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "batch-mm", "shasta"]
+
+    def test_refusals_name_the_block(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        shasta, petrels = self.BLOCKS[0], self.BLOCKS[3]
+        ppca = {"kind": "ppca", "rank": 2}
+        for blocks, field in [
+            # A repeated label: the same kind, or the same ppca group.
+            ([shasta, petrels, dict(shasta, c_f=0.5)], "estimator[2]"),
+            ([ppca, dict(ppca, group=0), dict(ppca, group=0)],
+             "estimator[2]"),
+            # A bad setting, in the first block or a later one.
+            ([dict(petrels, forgetting=1.5)], "estimator[0].forgetting"),
+            ([shasta, {"kind": "grouse", "rank": 2, "step": -0.1}],
+             "estimator[1].step"),
+            ([shasta, dict(ppca, group=5)], "estimator[1].group"),
+            ([shasta, {"kind": "pca", "rank": 2}], "estimator[1].kind"),
+            ([shasta, 5], "estimator[1]"),
+            ([], "estimator"),
+        ]:
+            raw = dict(smoke_raw(tmp_path / "out"), estimator=blocks)
+            assert_config_error(tmp_path, capsys, "run", raw, field)
+        # A csv scenario runs streaming kinds only, in a list too.
+        data = tmp_path / "stream.csv"
+        data.write_text("group,y0,y1,y2\n0,1.0,2.0,3.0\n")
+        raw = smoke_raw(tmp_path / "out", estimator=[
+            shasta, {"kind": "batch-mm", "rank": 2}])
+        raw["scenario"] = {"kind": "csv", "path": str(data), "num_groups": 1}
+        raw["run"]["loglik_gap"] = False
+        assert_config_error(tmp_path, capsys, "run", raw, "estimator[1].kind")
 
 
 def read_until_error(reader, path, num_groups=None):
@@ -1204,9 +1348,27 @@ class TestCli:
                                       ("seeds", [-1], "run.seeds"),
                                       ("seeds", [0, 0], "run.seeds"),
                                       ("seeds", [2, 1, 2], "run.seeds"),
-                                      ("output_dir", None, "run.output_dir")]:
+                                      ("output_dir", None, "run.output_dir"),
+                                      # A value that is not a string used
+                                      # to name a directory by its str().
+                                      ("output_dir", {"a": 1},
+                                       "run.output_dir"),
+                                      ("output_dir", [1], "run.output_dir"),
+                                      ("output_dir", True, "run.output_dir"),
+                                      ("output_dir", 5, "run.output_dir")]:
                 raw = dict(base, run=dict(base["run"], **{key: value}))
                 assert_config_error(tmp_path, capsys, command, raw, field)
+            # An empty output_dir used to write the outputs into the
+            # working directory, which Path("") names, so assert_config_error
+            # cannot check it: nothing may appear there.
+            cfg_path = tmp_path / "cfg.yaml"
+            cfg_path.write_text(yaml.safe_dump(
+                dict(base, run=dict(base["run"], output_dir=""))))
+            before = sorted(tmp_path.iterdir())
+            assert cli_main([command, str(cfg_path)]) == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["field"] == "run.output_dir", err
+            assert sorted(tmp_path.iterdir()) == before
 
     def test_malformed_yaml_is_a_config_error(self, tmp_path, capsys):
         # It used to escape as a yaml.YAMLError traceback, exit code 1.

@@ -5,6 +5,9 @@ import json
 from pathlib import Path
 
 import pytest
+import yaml
+
+from shastapca.harness import estimator_label
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -86,22 +89,38 @@ def test_without_gaps_drops_the_gaps_and_nothing_else(tmp_path):
 
 
 def test_standard_set_configs_exist_and_parse():
-    # The default set (not run here): every bundled run config, then
-    # static_full with each baseline block the reproduction script runs,
-    # then the timing config.
+    # The default set (not run here): seed 0 of every bundled config, each
+    # of which lists the estimators it compares.
     script = load_script()
-    runs = script.standard_set()
-    labels = [label for _, _, label in runs]
-    assert labels[:6] == ["dynamic_subspace", "dynamic_variances_v1",
-                          "dynamic_variances_v2", "smoke", "static_full",
-                          "static_half"]
-    assert ([block for _, block, _ in runs[6:-1]]
-            == script.BASELINES["static_full"])
-    assert labels[-1] == "timing_desk"
-    assert len(set(labels)) == len(labels)
-    for path, block, label in runs:
-        assert path.exists(), label
-        raw = script.load_raw(path, block)
-        parse = (script.parse_timing_config if label == "timing_desk"
-                 else script.parse_config)
-        parse(raw)
+    paths = script.standard_set()
+    assert [path.stem for path in paths] == [
+        "dynamic_subspace", "dynamic_subspace_baselines",
+        "dynamic_variances_v1", "dynamic_variances_v2", "smoke",
+        "static_full", "static_half", "timing_desk"]
+    for path in paths:
+        raw = yaml.safe_load(path.read_text())
+        if path.stem == "timing_desk":
+            script.parse_timing_config(raw)
+        else:
+            script.parse_config(raw)
+    blocks = script.parse_config(yaml.safe_load(
+        (REPO / "configs" / "static_full.yaml").read_text())).estimator
+    assert [estimator_label(block) for block in blocks] == [
+        "shasta", "batch-mm", "ppca", "ppca_g0", "ppca_g1", "petrels",
+        "grouse"]
+
+
+def test_blocks_are_digested_under_their_labels(tmp_path, capsys):
+    # A config of several blocks prints, per block, its traces and then its
+    # summary, labelled <config>/<block label>/<file>, blocks in name order.
+    raw = yaml.safe_load((REPO / "configs" / "smoke.yaml").read_text())
+    raw["estimator"] = [raw["estimator"], {"kind": "batch-mm", "rank": 2,
+                                           "iterations": 5}]
+    config = tmp_path / "pair.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    assert load_script().main([str(config)]) == 0
+    labels = [line.split("  ")[1]
+              for line in capsys.readouterr().out.splitlines()]
+    assert labels == [
+        "pair/batch-mm/trace_seed0.csv", "pair/batch-mm/summary.json",
+        "pair/shasta/trace_seed0.csv", "pair/shasta/summary.json", "all"]
